@@ -203,13 +203,7 @@ def _cmd_lindblad(parser, args) -> int:
     schedule = _schedule_from(args)
     inst = random_ising_half(args.qubits, args.seed)
     t0 = time.perf_counter()
-    try:
-        res = propagate_density(
-            AnnealParams(args.qubits, args.time), inst, args.lscale, schedule
-        )
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    res = propagate_density(AnnealParams(args.qubits, args.time), inst, args.lscale, schedule)
     wall = time.perf_counter() - t0
     print(f"P = {res.success_p!r}")
     print(f"trace_drift = {res.trace_drift!r}")
@@ -310,7 +304,11 @@ def main(argv=None) -> int:
         "lz-sweep": _cmd_lz_sweep,
         "scaling": _cmd_scaling,
     }
-    return handlers[args.command](parser, args)
+    try:
+        return handlers[args.command](parser, args)
+    except CapacityError as exc:  # an over-capacity size is a flag error, not a crash
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import TaylorOverflowError
 from .lindblad_propagator import propagate_density
 from .spin_system import random_ising_half
 from .taylor_propagator import AnnealParams, SegmentSchedule, propagate
@@ -94,15 +95,20 @@ def instance_seed(master_seed: int, k: int) -> int:
 
 
 def _run_instance(args: tuple) -> InstanceRecord:
+    """Anneal one instance.  A segment whose coefficients overflow yields a
+    non-converged record with NaN probability, drift and zero terms."""
     n_qubits, t_anneal, mode, l_scale, schedule, index, seed = args
     inst = random_ising_half(n_qubits, seed)
     params = AnnealParams(n_qubits, t_anneal)
-    if mode == "unitary":
-        res = propagate(params, inst, schedule)
-        drift = res.norm_drift
-    else:
-        res = propagate_density(params, inst, l_scale, schedule)
-        drift = res.trace_drift
+    try:
+        if mode == "unitary":
+            res = propagate(params, inst, schedule)
+            drift = res.norm_drift
+        else:
+            res = propagate_density(params, inst, l_scale, schedule)
+            drift = res.trace_drift
+    except TaylorOverflowError:
+        return InstanceRecord(index, seed, math.nan, 0, math.nan, False)
     return InstanceRecord(
         index, seed, res.success_p, int(sum(res.terms_per_segment)), drift, res.converged
     )
@@ -122,7 +128,8 @@ def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> Ensemble
 
     The per-instance records come back ordered by instance index regardless
     of scheduling; a single-worker run and a pooled run produce identical
-    results.  Individual instance failures never abort the ensemble.
+    results.  Individual instance failures never abort the ensemble: a
+    coefficient overflow is recorded as a non-converged instance.
     """
     n_workers = resolve_workers(workers)
     tasks = [
@@ -216,13 +223,18 @@ def scaling_sweep(
     return ScalingResult(n_values, means, slope, intercept)
 
 
+def _json_float(x: float) -> float | None:
+    # JSON has no NaN; an overflowed instance's NaN fields are written as null
+    return None if math.isnan(x) else x
+
+
 def record_to_dict(rec: InstanceRecord) -> dict:
     return {
         "index": rec.index,
         "seed": rec.seed,
-        "p": rec.success_p,
+        "p": _json_float(rec.success_p),
         "terms": rec.terms_total,
-        "norm_drift": rec.norm_drift,
+        "norm_drift": _json_float(rec.norm_drift),
         "converged": rec.converged,
     }
 

@@ -26,7 +26,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import CapacityError, TaylorOverflowError
 from .spin_system import IsingDiagonal, full_flip_matrix, lift_to_full, uniform_initial_state
-from .taylor_propagator import AnnealParams, SegmentSchedule, taylor_segment
+from .taylor_propagator import AnnealParams, SegmentSchedule, _l2, taylor_segment
 
 MAX_DENSITY_QUBITS = 10
 
@@ -172,7 +172,11 @@ def _density_segment(
     tol: float,
     max_terms: int,
 ) -> tuple[np.ndarray, int, bool]:
-    """Specialised segment loop caching the (n-2) commutator products."""
+    """Specialised segment loop caching the (n-2) commutator products.
+
+    The stop test is ``step**n * ||rho_n||`` through the BLAS-free
+    :func:`~annealsim.taylor_propagator._l2`, as in the unitary loop.
+    """
     hi, diag, c = act.hi, act.diag, act.c
 
     def split_products(rho):
@@ -196,9 +200,9 @@ def _density_segment(
         if act.lind is not None:
             term = term + act.t_anneal * act.dissipator(term_prev)
         term /= n
-        contrib = term * step**n
-        acc += contrib
-        nrm = float(np.linalg.norm(contrib))
+        scale = step**n
+        acc += term * scale
+        nrm = scale * _l2(term)
         if not math.isfinite(nrm):
             raise TaylorOverflowError(
                 f"coefficient {n} overflowed; split the interval into more segments"
@@ -250,7 +254,7 @@ def propagate_density(
         terms.append(n_terms)
         converged = converged and ok
         boundary_traces.append(float(np.trace(rho).real))
-        herm_drift = max(herm_drift, float(np.linalg.norm(rho - rho.conj().T)))
+        herm_drift = max(herm_drift, _l2(rho - rho.conj().T))
     gs_full = np.flatnonzero(full_diag == full_diag.min())
     success_p = _clamp_probability(float(np.sum(np.diag(rho).real[gs_full])), converged)
     trace_drift = max(abs(t - 1.0) for t in boundary_traces)

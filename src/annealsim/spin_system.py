@@ -42,8 +42,9 @@ def _check_qubits(n_qubits: int, limit: int = MAX_QUBITS) -> None:
 class TransverseField:
     """Single-bit-flip coupling structure on the low N-1 qubits.
 
-    ``couplings`` is the sparse symmetric matrix with value -1 at
-    ``(i, i ^ 2**k)`` for every half-space index ``i`` and ``k < N-1``.
+    ``couplings`` is the sparse symmetric complex128 matrix with value -1 at
+    ``(i, i ^ 2**k)`` for every half-space index ``i`` and ``k < N-1``;
+    complex entries let it multiply complex states without an upcast copy.
     The flip of the top qubit maps a half index to the reversal of the
     half vector and is applied separately (see :func:`apply_initial`).
     """
@@ -83,15 +84,18 @@ def transverse_field_half(n_qubits: int) -> TransverseField:
     """Build the half-space flip structure for ``n_qubits`` qubits.
 
     The matrix acts on vectors of length 2**(N-1) and carries exactly
-    (N-1) * 2**(N-1) entries, all equal to -1.
+    (N-1) * 2**(N-1) entries, all equal to -1.  Every row holds N-1 entries,
+    so the CSR arrays are written directly (column indices sorted within
+    each row) rather than assembled from coordinates, which would hold
+    several index arrays of the full entry count at once.
     """
     _check_qubits(n_qubits)
     dim = 1 << (n_qubits - 1)
-    idx = np.arange(dim, dtype=np.int64)
-    rows = np.concatenate([idx for _ in range(n_qubits - 1)])
-    cols = np.concatenate([idx ^ (1 << k) for k in range(n_qubits - 1)])
-    vals = np.full(rows.shape, -1.0)
-    return TransverseField(n_qubits, csr_matrix((vals, (rows, cols)), shape=(dim, dim)))
+    idx = np.arange(dim, dtype=np.int32)
+    cols = np.sort(idx[:, None] ^ (1 << np.arange(n_qubits - 1, dtype=np.int32)), axis=1)
+    indptr = np.arange(0, cols.size + 1, n_qubits - 1, dtype=np.int32)
+    vals = np.full(cols.size, -1.0 + 0.0j)
+    return TransverseField(n_qubits, csr_matrix((vals, cols.ravel(), indptr), shape=(dim, dim)))
 
 
 def apply_initial(tf: TransverseField, psi: np.ndarray) -> np.ndarray:
@@ -99,12 +103,21 @@ def apply_initial(tf: TransverseField, psi: np.ndarray) -> np.ndarray:
 
     Returns ``couplings @ psi - psi[::-1]``; the reversal term is the flip
     of the top qubit routed through the palindromic identification.
+
+    The matrix is stored complex, like the states, so the product reads it
+    as stored; a float64 matrix times a complex vector would make scipy
+    upcast a complex copy of the whole matrix on every call (35 MB at
+    N=18).  The product allocates only the returned vector, and the
+    reversal is subtracted from it in place.  A real vector gives a complex
+    result.
     """
     if psi.shape[0] != tf.couplings.shape[0]:
         raise ValueError(
             f"state length {psi.shape[0]} does not match half dimension {tf.couplings.shape[0]}"
         )
-    return tf.couplings @ psi - psi[::-1]
+    out = tf.couplings @ psi
+    out -= psi[::-1]
+    return out
 
 
 def ising_half_diag(n_qubits: int, couplings: np.ndarray) -> np.ndarray:

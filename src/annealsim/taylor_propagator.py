@@ -99,7 +99,18 @@ class BoundSequence:
 
 
 def _l2(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x.ravel()))
+    """Flat 2-norm of a real or complex array of any shape, without BLAS.
+
+    The sum of squares is an ``einsum`` over the real view of the entries
+    (a complex128 array is read as twice as many float64 values), which
+    numpy evaluates in its own loop.  ``np.linalg.norm`` and ``np.vdot``
+    call a threaded BLAS dot instead, whose helper thread keeps spinning
+    beside the main thread after the call and doubles the CPU time of a
+    serial run.  Overflow gives ``inf``, as it does there.
+    """
+    flat = np.ravel(x)
+    flat = flat.view(flat.real.dtype)
+    return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
 def taylor_segment(
@@ -133,9 +144,9 @@ def taylor_segment(
     while n < max_terms:
         n += 1
         term = (apply_const(term_prev) + apply_ramp(term_prev2)) / n
-        contrib = term * step**n
-        acc = acc + contrib
-        nrm = _l2(contrib)
+        scale = step**n
+        acc = acc + term * scale
+        nrm = scale * _l2(term)
         if not math.isfinite(nrm):
             raise TaylorOverflowError(
                 f"coefficient {n} overflowed; split the interval into more segments"
@@ -160,33 +171,52 @@ def _ising_segment(
     """Segment recurrence specialised to the annealing Hamiltonian pair.
 
     Identical algebra to :func:`taylor_segment` with
-    C = -iT[(1-s0) H_i + s0 H_f] and R = -iT(H_f - H_i), but the driver and
-    diagonal products of the (n-2)-th coefficient are cached so each term
-    costs one sparse product and one elementwise product instead of two of
-    each.  Memory stays at the accumulator, the last two coefficients and
-    the two cached products.
+    C = -iT[(1-s0) H_i + s0 H_f] and R = -iT(H_f - H_i), written as
+
+        psi_n = (-iT/n) [H_i psi_{n-1} + s0 (H_f - H_i) psi_{n-1}
+                         + (H_f - H_i) psi_{n-2}],
+
+    so that the ramp product (H_f - H_i) psi_{n-1} made for one term is
+    kept as the (n-2) product of the next.  A term costs one driver product
+    (:func:`apply_initial`, the only allocation), one diagonal product and
+    in-place vector updates.  Nothing is upcast: the driver matrix is
+    stored complex and ``propagate`` passes the diagonal as complex128, like
+    the states.  Nothing calls BLAS: the norm is :func:`_l2`.
+
+    Four vectors besides the accumulator live across terms: the last
+    coefficient, the cached ramp product, one scratch vector and the fresh
+    driver product.  The new coefficient is built in the buffer of the
+    retired ramp product, the new ramp product in the scratch vector, and
+    the retired coefficient becomes the next scratch vector.  The driver
+    product, once folded in, holds ``step**n * psi_n`` for the accumulator.
+    The stop test is ``step**n * ||psi_n||``.
     """
     c = -1j * t_anneal
-    drv_prev2 = apply_initial(tf, psi_in)
-    fld_prev2 = diag_f * psi_in
-    term_prev = c * ((1.0 - s0) * drv_prev2 + s0 * fld_prev2)
+    drv = apply_initial(tf, psi_in)
+    ramp = diag_f * psi_in - drv
+    term_prev = c * (drv + s0 * ramp)
     acc = psi_in + step * term_prev
+    scratch = np.empty_like(acc)
     n = 1
     converged = False
     while n < max_terms:
         n += 1
         drv = apply_initial(tf, term_prev)
-        fld = diag_f * term_prev
-        term = (c / n) * ((1.0 - s0) * drv + s0 * fld + fld_prev2 - drv_prev2)
-        contrib = term * step**n
-        acc += contrib
-        nrm = _l2(contrib)
+        np.multiply(diag_f, term_prev, out=scratch)
+        scratch -= drv  # (H_f - H_i) psi_{n-1}, the next ramp product
+        ramp += drv
+        np.multiply(scratch, s0, out=drv)
+        ramp += drv
+        ramp *= c / n  # psi_n
+        term_prev, ramp, scratch = ramp, scratch, term_prev
+        scale = step**n
+        np.multiply(term_prev, scale, out=drv)
+        acc += drv
+        nrm = scale * _l2(term_prev)
         if not math.isfinite(nrm):
             raise TaylorOverflowError(
                 f"coefficient {n} overflowed; split the interval into more segments"
             )
-        term_prev = term
-        drv_prev2, fld_prev2 = drv, fld
         if nrm <= tol:
             converged = True
             break
@@ -214,7 +244,7 @@ def propagate(
         raise ValueError("params and Ising instance disagree on qubit count")
     n_seg = schedule.resolve(params.t_anneal)
     tf = transverse_field_half(params.n_qubits)
-    diag_f = hf.half_diag.astype(np.float64)
+    diag_f = hf.half_diag.astype(np.complex128)  # same dtype as the state: no cast per term
     psi = uniform_initial_state(params.n_qubits)
     step = 1.0 / n_seg
     terms: list[int] = []

@@ -146,6 +146,23 @@ def test_lindblad_capacity_exits_1(capsys):
     assert "error" in err
 
 
+def test_single_capacity_exits_1(capsys):
+    code = run_cli(["single", "--qubits", "21", "--time", "2", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err
+
+
+def test_ensemble_lindblad_capacity_exits_1(tmp_path, capsys):
+    code = run_cli(["ensemble", "--qubits", "11", "--time", "2", "--runs", "2",
+                    "--seed", "1", "--mode", "lindblad", "--workers", "2",
+                    "--out", str(tmp_path / "ens.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err
+    assert not (tmp_path / "ens.json").exists()
+
+
 def test_lz_prints_paper_value(capsys):
     code = run_cli(["lz", "--delta", "1", "--time", "20", "--segments", "2",
                     "--tol", "1e-14"])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -44,18 +45,29 @@ def test_ensemble_determinism_repeat_and_workers():
 
 
 def test_ensemble_failure_policy():
-    # max_terms=2 cannot converge at this T: every instance must be counted
-    # as a failure and the histogram stays empty
-    cfg = EnsembleConfig(3, 6.0, runs=5, master_seed=1,
-                         schedule=SegmentSchedule(max_terms=2))
-    res = run_ensemble(cfg, workers=1)
-    assert res.failure_count == 5
-    assert res.probabilities.size == 0
-    assert res.histogram.sum() == 0
-    assert len(res.records) == 5
-    record = run_record(cfg, res, 0.0)
-    assert len(record["failures"]) == 5
-    assert record["summary"]["mean_p"] is None
+    cases = [
+        # max_terms=2 cannot converge at this T
+        (3, 6.0, SegmentSchedule(max_terms=2), False),
+        # one segment this long overflows (TaylorOverflowError) in every instance
+        (6, 60.0, SegmentSchedule(segments=1), True),
+    ]
+    for n_qubits, t_anneal, schedule, overflows in cases:
+        # every instance must be counted as a failure, with its seed, and the
+        # histogram stays empty; no failure aborts the ensemble
+        cfg = EnsembleConfig(n_qubits, t_anneal, runs=5, master_seed=1, schedule=schedule)
+        res = run_ensemble(cfg, workers=1)
+        assert res.failure_count == 5
+        assert res.probabilities.size == 0
+        assert res.histogram.sum() == 0
+        assert len(res.records) == 5
+        assert [r.seed for r in res.failures] == [instance_seed(1, k) for k in range(5)]
+        assert all(math.isnan(r.success_p) for r in res.failures) == overflows
+        record = run_record(cfg, res, 0.0)
+        assert len(record["failures"]) == 5
+        assert record["summary"]["mean_p"] is None
+        json.dumps(record, allow_nan=False)  # NaN fields are written as null
+        # repr compares NaN fields too, which == on the records would not
+        assert repr(run_ensemble(cfg, workers=2).records) == repr(res.records)
 
 
 def test_ensemble_histogram_consistency():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,10 +75,29 @@ def test_apply_initial_matches_dense_full_space(n):
     tf = transverse_field_half(n)
     hi_full = full_flip_matrix(n).toarray()
     rng = np.random.default_rng(n)
-    half = rng.normal(size=1 << (n - 1)) + 1j * rng.normal(size=1 << (n - 1))
-    ref = hi_full @ lift_to_full(half)
-    got = lift_to_full(apply_initial(tf, half))
-    assert np.max(np.abs(ref - got)) < 1e-13
+    dim = 1 << (n - 1)
+    # random complex inputs over a range of magnitudes, then a real input
+    cases = [(scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim)), scale)
+             for scale in (1.0, 1e-12, 1e12)]
+    cases.append((rng.normal(size=dim), 1.0))
+    for half, scale in cases:
+        ref = hi_full @ lift_to_full(half)
+        got = lift_to_full(apply_initial(tf, half))
+        assert np.max(np.abs(ref - got)) < 1e-13 * scale
+
+
+def test_apply_initial_allocates_no_matrix_copy():
+    # a product that upcast the driver matrix would allocate its complex copy
+    # (1.7 MB at N=14); only the output vector may be allocated
+    tf = transverse_field_half(14)
+    psi = np.random.default_rng(0).normal(size=1 << 13) * (1 + 1j)
+    tracemalloc.start()
+    try:
+        apply_initial(tf, psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * psi.nbytes
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

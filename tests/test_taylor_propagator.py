@@ -5,6 +5,7 @@ from annealsim.errors import TaylorOverflowError
 from annealsim.spin_system import (
     GroundSpace,
     IsingDiagonal,
+    apply_initial,
     ground_space,
     lift_to_full,
     random_ising_half,
@@ -78,26 +79,28 @@ def test_segment_overflow_raises():
         taylor_segment(big, zero, np.ones(2, dtype=complex), 1.0, 1e-12, 500)
 
 
-def test_specialized_segment_matches_generic():
-    n, t_anneal, s0, step = 4, 3.0, 0.25, 0.25
+@pytest.mark.parametrize("s0", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_specialized_segment_matches_generic(n, s0):
+    t_anneal = 3.0
     inst = random_ising_half(n, 9)
     tf = transverse_field_half(n)
-    diag_f = inst.half_diag.astype(float)
-    psi_in = uniform_initial_state(n)
+    diag_f = inst.half_diag.astype(complex)
+    # step chosen so that step * T * (||H_i|| + ||H_f||) = 4 at every size
+    step = 4.0 / (t_anneal * (n + np.abs(inst.half_diag).max()))
+    rng = np.random.default_rng(n)
+    psi_in = uniform_initial_state(n) * np.exp(1j * rng.uniform(0, 2 * np.pi, 1 << (n - 1)))
     c = -1j * t_anneal
 
     def apply_const(v):
-        from annealsim.spin_system import apply_initial
-
         return c * ((1 - s0) * apply_initial(tf, v) + s0 * diag_f * v)
 
     def apply_ramp(v):
-        from annealsim.spin_system import apply_initial
-
         return c * (diag_f * v - apply_initial(tf, v))
 
-    ref, t_ref, _ = taylor_segment(apply_const, apply_ramp, psi_in, step, 1e-13, 400)
-    got, t_got, _ = _ising_segment(tf, diag_f, t_anneal, s0, psi_in, step, 1e-13, 400)
+    ref, t_ref, ok_ref = taylor_segment(apply_const, apply_ramp, psi_in, step, 1e-13, 400)
+    got, t_got, ok_got = _ising_segment(tf, diag_f, t_anneal, s0, psi_in, step, 1e-13, 400)
+    assert ok_ref and ok_got
     assert t_ref == t_got
     assert np.max(np.abs(ref - got)) < 1e-13
 
