@@ -1,104 +1,38 @@
-"""Recursive Taylor-series simulator for adiabatic quantum annealing."""
+"""Recursive Taylor-series simulator for adiabatic quantum annealing (run-level API)."""
 
 from .ensemble import (
     EnsembleConfig,
     EnsembleResult,
-    TCurve,
-    histogram,
     instance_seed,
     run_ensemble,
     scaling_sweep,
     sweep_T,
 )
 from .errors import CapacityError, TaylorOverflowError
-from .lindblad_propagator import (
-    DensityPropagationResult,
-    LindbladOp,
-    SuperopContext,
-    apply_liouvillian_const,
-    apply_liouvillian_ramp,
-    build_energy_lowering_op,
-    lindblad_segment,
-    propagate_density,
-)
-from .oracle import (
-    LZParams,
-    SpectralSlice,
-    dense_spectrum,
-    lz_gap,
-    lz_propagate,
-    rk4_lindblad,
-    rk4_schrodinger,
-)
-from .spin_system import (
-    GroundSpace,
-    IsingDiagonal,
-    TransverseField,
-    apply_initial,
-    ground_space,
-    ising_half_diag,
-    lift_to_full,
-    random_ising_half,
-    transverse_field_half,
-    uniform_initial_state,
-)
-from .taylor_propagator import (
-    AnnealParams,
-    BoundSequence,
-    PropagationResult,
-    SegmentSchedule,
-    coefficient_bound_closed,
-    coefficient_bound_recurrence,
-    propagate,
-    success_probability,
-    taylor_segment,
-)
+from .lindblad_propagator import DensityPropagationResult, propagate_density
+from .oracle import LZParams, lz_propagate
+from .spin_system import IsingDiagonal, random_ising_half
+from .taylor_propagator import AnnealParams, PropagationResult, SegmentSchedule, propagate
 
 __all__ = [
     "AnnealParams",
-    "BoundSequence",
     "CapacityError",
     "DensityPropagationResult",
     "EnsembleConfig",
     "EnsembleResult",
-    "GroundSpace",
     "IsingDiagonal",
     "LZParams",
-    "LindbladOp",
     "PropagationResult",
     "SegmentSchedule",
-    "SpectralSlice",
-    "SuperopContext",
-    "TCurve",
     "TaylorOverflowError",
-    "TransverseField",
-    "apply_initial",
-    "apply_liouvillian_const",
-    "apply_liouvillian_ramp",
-    "build_energy_lowering_op",
-    "coefficient_bound_closed",
-    "coefficient_bound_recurrence",
-    "dense_spectrum",
-    "ground_space",
-    "histogram",
     "instance_seed",
-    "ising_half_diag",
-    "lift_to_full",
-    "lindblad_segment",
-    "lz_gap",
     "lz_propagate",
     "propagate",
     "propagate_density",
     "random_ising_half",
-    "rk4_lindblad",
-    "rk4_schrodinger",
     "run_ensemble",
     "scaling_sweep",
-    "success_probability",
     "sweep_T",
-    "taylor_segment",
-    "transverse_field_half",
-    "uniform_initial_state",
 ]
 
 __version__ = "0.1.0"

@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from .ensemble import (
-    SCHEMA_VERSION,
     EnsembleConfig,
     TCurve,
+    record,
     run_ensemble,
     run_record,
     scaling_sweep,
@@ -34,7 +35,13 @@ from .errors import CapacityError
 from .lindblad_propagator import propagate_density
 from .oracle import LZParams, lz_propagate
 from .spin_system import random_ising_half
-from .taylor_propagator import AnnealParams, SegmentSchedule, propagate
+from .taylor_propagator import (
+    DEFAULT_MAX_TERMS,
+    DEFAULT_TOL,
+    AnnealParams,
+    SegmentSchedule,
+    propagate,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,9 +66,9 @@ def _schedule_from(args) -> SegmentSchedule:
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--segments", type=int, default=None,
                    help="segment count (default: ceil(T))")
-    p.add_argument("--tol", type=float, default=1e-12,
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="per-term stopping tolerance")
-    p.add_argument("--max-terms", type=int, default=500,
+    p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
                    help="coefficient budget per segment")
 
 
@@ -132,39 +139,33 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_single(parser, args) -> int:
+def _run_one(parser, args, kind, run, config, drifts):
+    """Anneal the instance named by the flags with ``run(params, inst,
+    schedule=...)``, print the result and write its JSON record.
+
+    ``drifts`` names the result's drift fields: the first is printed, all
+    are recorded.  Returns the exit code and the result.
+    """
     _validate_qubits(parser, args.qubits)
     schedule = _schedule_from(args)
     inst = random_ising_half(args.qubits, args.seed)
     t0 = time.perf_counter()
-    res = propagate(AnnealParams(args.qubits, args.time), inst, schedule)
+    res = run(AnnealParams(args.qubits, args.time), inst, schedule=schedule)
     wall = time.perf_counter() - t0
     print(f"P = {res.success_p!r}")
-    print(f"norm_drift = {res.norm_drift!r}")
+    print(f"{drifts[0]} = {getattr(res, drifts[0])!r}")
     print(f"terms_per_segment = {res.terms_per_segment}")
     print(f"converged = {res.converged}")
     if args.out:
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "single",
-            "config": {
-                "qubits": args.qubits,
-                "time": args.time,
-                "seed": args.seed,
-                "segments": schedule.resolve(args.time),
-                "tol": schedule.tol,
-                "max_terms": schedule.max_terms,
-            },
-            "result": {
-                "p": res.success_p,
-                "norm_drift": res.norm_drift,
-                "terms_per_segment": res.terms_per_segment,
-                "converged": res.converged,
-            },
-            "timing": {"wall_seconds": wall},
-        }
-        write_json(args.out, record)
-    return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
+        config = {"qubits": args.qubits, "time": args.time, "seed": args.seed, **config}
+        result = {"p": res.success_p, **{d: getattr(res, d) for d in drifts},
+                  "terms_per_segment": res.terms_per_segment, "converged": res.converged}
+        write_json(args.out, record(kind, config, schedule, args.time, wall, result=result))
+    return (EXIT_OK if res.converged else EXIT_NOT_CONVERGED), res
+
+
+def _cmd_single(parser, args) -> int:
+    return _run_one(parser, args, "single", propagate, {}, ["norm_drift"])[0]
 
 
 def _cmd_ensemble(parser, args) -> int:
@@ -199,46 +200,16 @@ def _cmd_ensemble(parser, args) -> int:
 
 
 def _cmd_lindblad(parser, args) -> int:
-    _validate_qubits(parser, args.qubits)
-    schedule = _schedule_from(args)
-    inst = random_ising_half(args.qubits, args.seed)
-    t0 = time.perf_counter()
-    res = propagate_density(AnnealParams(args.qubits, args.time), inst, args.lscale, schedule)
-    wall = time.perf_counter() - t0
-    print(f"P = {res.success_p!r}")
-    print(f"trace_drift = {res.trace_drift!r}")
-    print(f"terms_per_segment = {res.terms_per_segment}")
-    print(f"converged = {res.converged}")
-    if args.out:
-        record = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "lindblad",
-            "config": {
-                "qubits": args.qubits,
-                "time": args.time,
-                "lscale": args.lscale,
-                "seed": args.seed,
-                "segments": schedule.resolve(args.time),
-                "tol": schedule.tol,
-                "max_terms": schedule.max_terms,
-            },
-            "result": {
-                "p": res.success_p,
-                "trace_drift": res.trace_drift,
-                "hermiticity_drift": res.hermiticity_drift,
-                "terms_per_segment": res.terms_per_segment,
-                "converged": res.converged,
-            },
-            "timing": {"wall_seconds": wall},
-        }
-        write_json(args.out, record)
+    run = partial(propagate_density, l_scale=args.lscale)
+    code, res = _run_one(parser, args, "lindblad", run, {"lscale": args.lscale},
+                         ["trace_drift", "hermiticity_drift"])
     if args.csv:
         populations = np.diag(res.rho_final).real
         with open(args.csv, "w") as fh:
             fh.write("state,population\n")
             for i, p in enumerate(populations):
                 fh.write(f"{i},{float(p)!r}\n")
-    return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
+    return code
 
 
 def _cmd_lz(parser, args) -> int:
@@ -261,10 +232,9 @@ def _cmd_lz_sweep(parser, args) -> int:
     if not args.out:
         parser.error("--out must not be empty")
     t_values = np.linspace(args.tmin, args.tmax, args.points)
+    schedule = _schedule_from(args)
     ps = []
     for t in t_values:
-        schedule = SegmentSchedule(segments=args.segments, tol=args.tol,
-                                   max_terms=args.max_terms)
         res = lz_propagate(LZParams(args.delta, float(t)), schedule)
         ps.append(res.success_p if res.converged else float("nan"))
     write_tcurve_csv(args.out, TCurve(t_values, np.asarray(ps)))

@@ -85,7 +85,6 @@ class ScalingResult:
     n_values: list[int]
     mean_seconds: list[float]
     fit_slope: float | None
-    fit_intercept: float | None
 
 
 def instance_seed(master_seed: int, k: int) -> int:
@@ -132,18 +131,8 @@ def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> Ensemble
     coefficient overflow is recorded as a non-converged instance.
     """
     n_workers = resolve_workers(workers)
-    tasks = [
-        (
-            config.n_qubits,
-            config.t_anneal,
-            config.mode,
-            config.l_scale,
-            config.schedule,
-            k,
-            instance_seed(config.master_seed, k),
-        )
-        for k in range(config.runs)
-    ]
+    shared = (config.n_qubits, config.t_anneal, config.mode, config.l_scale, config.schedule)
+    tasks = [(*shared, k, instance_seed(config.master_seed, k)) for k in range(config.runs)]
     if n_workers == 1 or config.runs == 1:
         records = [_run_instance(t) for t in tasks]
     else:
@@ -160,9 +149,7 @@ def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> Ensemble
 def histogram(ps: np.ndarray, bins: int) -> np.ndarray:
     """Counts over uniform bins on [0, 1]; out-of-range values are an error."""
     ps = np.asarray(ps, dtype=np.float64)
-    if ps.size == 0:
-        return np.zeros(bins, dtype=np.int64)
-    if ps.min() < 0.0 or ps.max() > 1.0:
+    if ps.size and (ps.min() < 0.0 or ps.max() > 1.0):
         raise ValueError("probabilities outside [0, 1]; upstream invariant violated")
     idx = np.floor(ps * bins).astype(np.int64)
     idx[idx == bins] = bins - 1
@@ -179,18 +166,13 @@ def sweep_T(
 ) -> TCurve:
     """Success probability of one fixed instance across anneal times.
 
-    Failed points (non-convergence) are recorded as NaN, never dropped
-    silently.
+    Failed points (non-convergence or overflow) are recorded as NaN, never
+    dropped silently.
     """
-    inst = random_ising_half(n_qubits, hf_seed)
     ps = []
     for t in t_list:
-        params = AnnealParams(n_qubits, float(t))
-        if mode == "unitary":
-            res = propagate(params, inst, schedule)
-        else:
-            res = propagate_density(params, inst, l_scale, schedule)
-        ps.append(res.success_p if res.converged else math.nan)
+        rec = _run_instance((n_qubits, float(t), mode, l_scale, schedule, 0, hf_seed))
+        ps.append(rec.success_p if rec.converged else math.nan)
     return TCurve(np.asarray(list(t_list), dtype=np.float64), np.asarray(ps))
 
 
@@ -211,16 +193,16 @@ def scaling_sweep(
     for n in n_values:
         t0 = time.perf_counter()
         for k in range(runs_per_n):
-            inst = random_ising_half(n, instance_seed(master_seed, k))
-            propagate(AnnealParams(n, t_anneal), inst, schedule)
+            seed = instance_seed(master_seed, k)
+            _run_instance((n, t_anneal, "unitary", 0.0, schedule, k, seed))
         means.append((time.perf_counter() - t0) / runs_per_n)
-    slope = intercept = None
+    slope = None
     if len(n_values) >= 3:
         order = np.argsort(n_values)[-3:]
         xs = np.asarray(n_values, dtype=np.float64)[order]
         ys = np.log(np.asarray(means)[order])
-        slope, intercept = (float(v) for v in np.polyfit(xs, ys, 1))
-    return ScalingResult(n_values, means, slope, intercept)
+        slope = float(np.polyfit(xs, ys, 1)[0])
+    return ScalingResult(n_values, means, slope)
 
 
 def _json_float(x: float) -> float | None:
@@ -239,37 +221,60 @@ def record_to_dict(rec: InstanceRecord) -> dict:
     }
 
 
-def run_record(config: EnsembleConfig, result: EnsembleResult, wall_seconds: float) -> dict:
-    """JSON-ready run record; all timing lives in the separate block."""
-    bins = config.bins
+def record(
+    kind: str,
+    config: dict,
+    schedule: SegmentSchedule,
+    t_anneal: float,
+    wall_seconds: float,
+    **sections,
+) -> dict:
+    """JSON-ready run record: ``config`` gains the resolved schedule, the
+    ``sections`` become top-level entries, and all timing lives in the
+    separate block."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": "ensemble",
+        "kind": kind,
         "config": {
+            **config,
+            "segments": schedule.resolve(t_anneal),
+            "tol": schedule.tol,
+            "max_terms": schedule.max_terms,
+        },
+        **sections,
+        "timing": {"wall_seconds": wall_seconds},
+    }
+
+
+def run_record(config: EnsembleConfig, result: EnsembleResult, wall_seconds: float) -> dict:
+    """JSON-ready record of an ensemble run."""
+    bins = config.bins
+    return record(
+        "ensemble",
+        {
             "qubits": config.n_qubits,
             "time": config.t_anneal,
             "runs": config.runs,
             "master_seed": config.master_seed,
-            "segments": config.schedule.resolve(config.t_anneal),
-            "tol": config.schedule.tol,
-            "max_terms": config.schedule.max_terms,
             "bins": bins,
             "mode": config.mode,
             "l_scale": config.l_scale,
         },
-        "histogram": {
+        config.schedule,
+        config.t_anneal,
+        wall_seconds,
+        histogram={
             "bin_edges": [i / bins for i in range(bins + 1)],
             "counts": [int(c) for c in result.histogram],
         },
-        "instances": [record_to_dict(r) for r in result.records],
-        "failures": [{"index": r.index, "seed": r.seed} for r in result.failures],
-        "summary": {
+        instances=[record_to_dict(r) for r in result.records],
+        failures=[{"index": r.index, "seed": r.seed} for r in result.failures],
+        summary={
             "converged": len(result.probabilities),
             "failed": result.failure_count,
             "mean_p": float(result.probabilities.mean()) if result.probabilities.size else None,
         },
-        "timing": {"wall_seconds": wall_seconds},
-    }
+    )
 
 
 def write_json(path: str, record: dict) -> None:

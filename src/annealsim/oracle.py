@@ -2,8 +2,11 @@
 
 The fixed-step RK4 integrators here share nothing with the recurrence code
 except the Hamiltonian constructors, so agreement between the two routes is
-evidence of correctness rather than a tautology.  Also hosts dense spectral
-analysis and the two-level avoided-crossing (Landau-Zener) benchmark.
+evidence of correctness rather than a tautology.  The dense superoperator
+route (:class:`SuperopContext`, :func:`lindblad_segment`) runs the Taylor
+kernel on full matrices, as the reference that the structured Lindblad pair
+is checked against.  Also hosts dense spectral analysis and the two-level
+avoided-crossing (Landau-Zener) benchmark.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .lindblad_propagator import SuperopContext
 from .spin_system import IsingDiagonal, full_flip_matrix, lift_to_full, uniform_initial_state
-from .taylor_propagator import SegmentSchedule, taylor_segment
+from .taylor_propagator import SegmentSchedule, run_segments, taylor_segment
 
 MAX_DENSE_QUBITS = 10
 
@@ -37,6 +39,35 @@ class LZParams:
 
 
 @dataclass(frozen=True)
+class SuperopContext:
+    """Generator pieces for one expansion point of the master equation.
+
+    ``const_op`` is -iT*H(s0) (segment shift already folded in), ``ramp_op``
+    is -iT*(H_f - H_i).  ``lindblad`` is the effective (scaled) jump operator
+    or None for closed evolution; ``lind_sq`` caches L^dag L.
+    """
+
+    const_op: np.ndarray
+    ramp_op: np.ndarray
+    lindblad: np.ndarray | None
+    t_anneal: float
+    lind_sq: np.ndarray | None = None
+
+    @staticmethod
+    def create(
+        const_op: np.ndarray,
+        ramp_op: np.ndarray,
+        lindblad: np.ndarray | None,
+        t_anneal: float,
+    ) -> "SuperopContext":
+        lind_sq = None
+        if lindblad is not None:
+            lindblad = np.asarray(lindblad, dtype=np.complex128)
+            lind_sq = lindblad.conj().T @ lindblad
+        return SuperopContext(const_op, ramp_op, lindblad, t_anneal, lind_sq)
+
+
+@dataclass(frozen=True)
 class SpectralSlice:
     s: float
     eigenvalues: np.ndarray
@@ -49,11 +80,6 @@ class LZResult:
     success_p: float
     terms_per_segment: list[int]
     converged: bool
-
-
-def default_rk4_steps(t_anneal: float, n_qubits: int) -> int:
-    """Step count keeping T*||H||/steps well below 1: max(1e4, 100*T*N^2)."""
-    return max(10_000, math.ceil(100.0 * t_anneal * n_qubits**2))
 
 
 def _rk4_fixed(rhs, y0: np.ndarray, steps: int) -> np.ndarray:
@@ -74,7 +100,6 @@ def rk4_schrodinger_batch(
     full_diags: np.ndarray,
     t_anneal: float,
     steps: int | None = None,
-    psi0_full: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fixed-step RK4 for a batch of Ising instances sharing the driver.
 
@@ -87,14 +112,11 @@ def rk4_schrodinger_batch(
     dim = 1 << n_qubits
     hi = full_flip_matrix(n_qubits).toarray().astype(np.complex128)
     diags = np.atleast_2d(np.asarray(full_diags, dtype=np.float64))
-    if steps is None:
-        steps = default_rk4_steps(t_anneal, n_qubits)
-    if psi0_full is None:
-        psi0 = np.tile(lift_to_full(uniform_initial_state(n_qubits)), (diags.shape[0], 1))
-    else:
-        psi0 = np.atleast_2d(np.asarray(psi0_full, dtype=np.complex128))
-    if psi0.shape[1] != dim or diags.shape[1] != dim:
-        raise ValueError("state/diagonal length does not match 2**N")
+    if steps is None:  # keeps T*||H||/steps well below 1
+        steps = max(10_000, math.ceil(100.0 * t_anneal * n_qubits**2))
+    if diags.shape[1] != dim:
+        raise ValueError("diagonal length does not match 2**N")
+    psi0 = np.tile(lift_to_full(uniform_initial_state(n_qubits)), (diags.shape[0], 1))
     c = -1j * t_anneal
 
     def rhs(s, psi):
@@ -108,17 +130,9 @@ def rk4_schrodinger(
     hf: IsingDiagonal,
     t_anneal: float,
     steps: int | None = None,
-    psi0_full: np.ndarray | None = None,
 ) -> np.ndarray:
     """Full-space RK4 integration of one annealing instance."""
-    out = rk4_schrodinger_batch(
-        n_qubits,
-        hf.full_diag()[None, :],
-        t_anneal,
-        steps,
-        None if psi0_full is None else psi0_full[None, :],
-    )
-    return out[0]
+    return rk4_schrodinger_batch(n_qubits, hf.full_diag()[None, :], t_anneal, steps)[0]
 
 
 def rk4_lindblad(
@@ -127,26 +141,53 @@ def rk4_lindblad(
     """Fixed-step RK4 for the master equation over the whole s-interval.
 
     ``ctx`` supplies the global generator pieces (segment shift zero); the
-    right-hand side is written out here, independent of the recurrence
-    module's superoperator code.
+    right-hand side is written out here, independent of
+    :func:`apply_liouvillian_const` and the Taylor kernel.
     """
     const_op = np.asarray(ctx.const_op)
     ramp_op = np.asarray(ctx.ramp_op)
-    lind = None if ctx.lindblad is None else np.asarray(ctx.lindblad)
-    if lind is not None:
-        lind_dag = lind.conj().T
-        lind_sq = lind_dag @ lind
+    lind, lind_sq = ctx.lindblad, ctx.lind_sq
 
     def rhs(s, rho):
         gen = const_op + s * ramp_op
         out = gen @ rho - rho @ gen
         if lind is not None:
             out = out + ctx.t_anneal * (
-                lind @ rho @ lind_dag - 0.5 * (lind_sq @ rho + rho @ lind_sq)
+                lind @ rho @ lind.conj().T - 0.5 * (lind_sq @ rho + rho @ lind_sq)
             )
         return out
 
     return _rk4_fixed(rhs, rho0.astype(np.complex128), steps)
+
+
+def apply_liouvillian_const(rho: np.ndarray, ctx: SuperopContext) -> np.ndarray:
+    """Constant generator piece: commutator plus dissipator."""
+    out = ctx.const_op @ rho - rho @ ctx.const_op
+    if ctx.lindblad is not None:
+        lind = ctx.lindblad
+        out = out + ctx.t_anneal * (
+            lind @ rho @ lind.conj().T - 0.5 * (ctx.lind_sq @ rho + rho @ ctx.lind_sq)
+        )
+    return out
+
+
+def apply_liouvillian_ramp(rho: np.ndarray, ctx: SuperopContext) -> np.ndarray:
+    """Ramp generator piece: commutator with the Hamiltonian difference."""
+    return ctx.ramp_op @ rho - rho @ ctx.ramp_op
+
+
+def lindblad_segment(
+    ctx: SuperopContext,
+    rho_in: np.ndarray,
+    step: float,
+    tol: float,
+    max_terms: int,
+) -> tuple[np.ndarray, int, bool]:
+    """One Taylor segment of the master equation (Hilbert-Schmidt norm stop)."""
+    def apply(rho):
+        return apply_liouvillian_const(rho, ctx), apply_liouvillian_ramp(rho, ctx)
+
+    return taylor_segment(apply, 1.0, rho_in, step, tol, max_terms)
 
 
 def dense_spectrum(n_qubits: int, hf: IsingDiagonal, s: float) -> SpectralSlice:
@@ -185,30 +226,18 @@ def lz_propagate(params: LZParams, schedule: SegmentSchedule | None = None) -> L
     and the run comes back non-converged with a wildly large state; that
     pathology is reported as-is, never masked.
     """
-    if schedule is None:
-        schedule = SegmentSchedule()
     t = params.t_anneal
     h0 = lz_hamiltonian(params.delta, 0.0)
-    h1 = lz_hamiltonian(params.delta, 1.0)
-    const_base = -1j * t * h0
-    ramp = -1j * t * (h1 - h0)
-    psi = lz_ground_state(params.delta, 0.0)
-    n_seg = schedule.resolve(t)
-    step = 1.0 / n_seg
-    terms: list[int] = []
-    converged = True
-    for k in range(n_seg):
-        shifted = const_base + (k * step) * ramp
-        psi, n_terms, ok = taylor_segment(
-            lambda v: shifted @ v,
-            lambda v: ramp @ v,
-            psi,
-            step,
-            schedule.tol,
-            schedule.max_terms,
-        )
-        terms.append(n_terms)
-        converged = converged and ok
+    const = -1j * t * h0
+    ramp = -1j * t * (lz_hamiltonian(params.delta, 1.0) - h0)
+
+    def make_apply(s0):
+        shifted = const + s0 * ramp
+        return lambda v: (shifted @ v, ramp @ v)
+
+    psi0 = lz_ground_state(params.delta, 0.0)
+    for psi, terms, converged in run_segments(make_apply, 1.0, psi0, t, schedule):
+        pass  # only the state at s = 1 is needed
     g1 = lz_ground_state(params.delta, 1.0)
     p = float(np.abs(np.vdot(g1, psi)) ** 2)
     return LZResult(psi, p, terms, converged)

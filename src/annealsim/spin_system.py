@@ -80,22 +80,29 @@ class GroundSpace:
     degeneracy: int
 
 
+def _flip_matrix(n_bits: int, value: float | complex) -> csr_matrix:
+    """CSR matrix with ``value`` at ``(i, i ^ 2**k)`` for i < 2**n_bits, k < n_bits.
+
+    Every row holds n_bits entries, so the CSR arrays are written directly
+    (column indices sorted within each row) rather than assembled from
+    coordinates, which would hold several index arrays of the full entry
+    count at once.
+    """
+    dim = 1 << n_bits
+    idx = np.arange(dim, dtype=np.int32)
+    cols = np.sort(idx[:, None] ^ (1 << np.arange(n_bits, dtype=np.int32)), axis=1)
+    indptr = np.arange(0, cols.size + 1, n_bits, dtype=np.int32)
+    return csr_matrix((np.full(cols.size, value), cols.ravel(), indptr), shape=(dim, dim))
+
+
 def transverse_field_half(n_qubits: int) -> TransverseField:
     """Build the half-space flip structure for ``n_qubits`` qubits.
 
     The matrix acts on vectors of length 2**(N-1) and carries exactly
-    (N-1) * 2**(N-1) entries, all equal to -1.  Every row holds N-1 entries,
-    so the CSR arrays are written directly (column indices sorted within
-    each row) rather than assembled from coordinates, which would hold
-    several index arrays of the full entry count at once.
+    (N-1) * 2**(N-1) entries, all equal to -1.
     """
     _check_qubits(n_qubits)
-    dim = 1 << (n_qubits - 1)
-    idx = np.arange(dim, dtype=np.int32)
-    cols = np.sort(idx[:, None] ^ (1 << np.arange(n_qubits - 1, dtype=np.int32)), axis=1)
-    indptr = np.arange(0, cols.size + 1, n_qubits - 1, dtype=np.int32)
-    vals = np.full(cols.size, -1.0 + 0.0j)
-    return TransverseField(n_qubits, csr_matrix((vals, cols.ravel(), indptr), shape=(dim, dim)))
+    return TransverseField(n_qubits, _flip_matrix(n_qubits - 1, -1.0 + 0.0j))
 
 
 def apply_initial(tf: TransverseField, psi: np.ndarray) -> np.ndarray:
@@ -120,19 +127,29 @@ def apply_initial(tf: TransverseField, psi: np.ndarray) -> np.ndarray:
     return out
 
 
+def _spins(count: int, n_bits: int) -> np.ndarray:
+    """``spins[i, q]`` = +1/-1 from bit q of i, for i < count (int64)."""
+    return 1 - 2 * ((np.arange(count, dtype=np.int64)[:, None] >> np.arange(n_bits)) & 1)
+
+
 def ising_half_diag(n_qubits: int, couplings: np.ndarray) -> np.ndarray:
     """Evaluate ``-sum_{k<l} J_kl z_k z_l`` over the first 2**(N-1) states.
 
-    ``couplings`` is an (N, N) array read on the upper triangle only.
+    ``couplings`` is an (N, N) array read on the upper triangle only.  The
+    half index ``i = hi * 2**m + lo`` splits the spins into the low m and
+    the rest (top spin up), so ``E[hi, lo] = E_high[hi] + E_low[lo] +``
+    the couplings between the parts, one small matrix product.  Only the
+    result is as large as the output; the arithmetic is exact in int64.
     """
-    dim = 1 << (n_qubits - 1)
-    idx = np.arange(dim, dtype=np.int64)
-    # spins[i, q] = +1/-1 from bit q of i; the top qubit is spin up throughout.
-    spins = 1 - 2 * ((idx[:, None] >> np.arange(n_qubits)) & 1)
-    j_sym = np.triu(couplings, k=1)
-    j_sym = j_sym + j_sym.T
-    energies = -0.5 * np.einsum("ik,kl,il->i", spins, j_sym, spins)
-    return np.rint(energies).astype(np.int64)
+    m = n_qubits // 2
+    j = np.triu(couplings, k=1).astype(np.int64)
+    z_low = _spins(1 << m, m)
+    z_high = _spins(1 << (n_qubits - 1 - m), n_qubits - m)
+    energy = (z_high @ j[:m, m:].T) @ z_low.T
+    energy += np.einsum("ik,kl,il->i", z_high, j[m:, m:], z_high)[:, None]
+    energy += np.einsum("ik,kl,il->i", z_low, j[:m, :m], z_low)
+    np.negative(energy, out=energy)
+    return energy.ravel()
 
 
 def random_ising_half(n_qubits: int, seed: int) -> IsingDiagonal:
@@ -181,9 +198,4 @@ def full_flip_matrix(n_qubits: int) -> csr_matrix:
 
     Used by the Lindblad module and the dense oracles; no symmetry reduction.
     """
-    dim = 1 << n_qubits
-    idx = np.arange(dim, dtype=np.int64)
-    rows = np.concatenate([idx for _ in range(n_qubits)])
-    cols = np.concatenate([idx ^ (1 << k) for k in range(n_qubits)])
-    vals = np.full(rows.shape, -1.0)
-    return csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    return _flip_matrix(n_qubits, -1.0)

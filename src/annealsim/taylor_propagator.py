@@ -1,16 +1,18 @@
-"""Recursive Taylor-coefficient propagation of the annealing Schroedinger equation.
+"""Segmented Taylor-coefficient propagation: the one recurrence kernel.
 
-The reduced-time equation  d/ds psi = (C + s R) psi  with constant operators
-C (the generator at the expansion point) and R (the ramp direction) admits a
-power-series solution whose coefficients obey a three-term recurrence:
+Every evolution here reads d/ds x = f (A_0 + s B) x with a scalar f and
+constant maps A_0, B: the Schroedinger equation in the half space (f = -iT,
+A_0 = H_i, B = H_f - H_i), the master equation (the same pair as
+commutators, plus i*D for the s-independent dissipator D) and the two-level
+benchmark.  Around s0, with A = A_0 + s0*B, the Taylor coefficients obey
 
-    psi_1 = C psi_0,     psi_n = (C psi_{n-1} + R psi_{n-2}) / n   (n >= 2).
+    psi_1 = f A psi_0,     psi_n = (f/n) (A psi_{n-1} + B psi_{n-2})   (n >= 2).
 
-The series converges for every s, but for large anneal times the intermediate
-partial sums grow like exp(T*||H||) and drown the result in roundoff.  The
-cure is to split [0, 1] into segments: on the segment starting at s0 the same
-recurrence applies with C replaced by C + s0*R and the series summed at the
-local step length.
+:func:`taylor_segment` is the only loop that runs this recurrence, for a
+closure ``apply(v) -> (A v, B v)``; :func:`run_segments` is the only loop
+over segments.  The partial sums grow like exp(T*||H||) and drown the
+result in roundoff for large T, so [0, 1] is split into segments, each
+summed at its local step length.
 
 Two stopping rules are known.  The production rule, used here, stops at the
 first n >= 2 whose contribution ||psi_n * step**n|| drops below ``tol``; it
@@ -23,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -40,6 +43,9 @@ from .spin_system import (
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 500
+
+# apply(v) -> (A v, B v): the generator pair of one segment, see taylor_segment
+Apply = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -58,8 +64,10 @@ class AnnealParams:
 class SegmentSchedule:
     """Segmentation of the s-interval and per-segment stopping parameters.
 
-    ``segments=None`` resolves to ceil(T), the empirically best choice of
-    roughly one segment per unit of anneal time.
+    ``segments=None`` resolves to ceil(T), one segment per unit of anneal
+    time.  That count ignores ||H||, which grows as N**2/2: from N = 14 on
+    it loses accuracy while runs are still flagged converged (|dP| 5e-3 at
+    N = 16, T = 10), so large registers need an explicit count.
     """
 
     segments: int | None = None
@@ -114,8 +122,8 @@ def _l2(x: np.ndarray) -> float:
 
 
 def taylor_segment(
-    apply_const: Callable[[np.ndarray], np.ndarray],
-    apply_ramp: Callable[[np.ndarray], np.ndarray],
+    apply: Apply,
+    factor: complex,
     psi_in: np.ndarray,
     step: float,
     tol: float = DEFAULT_TOL,
@@ -123,9 +131,10 @@ def taylor_segment(
 ) -> tuple[np.ndarray, int, bool]:
     """Sum the coefficient recurrence over one segment of length ``step``.
 
-    ``apply_const`` must already include the segment shift (C + s0*R for a
-    segment starting at s0); ``apply_ramp`` applies the bare ramp operator.
-    Works on any ndarray state (vectors or density matrices, flat 2-norm).
+    ``apply(v)`` returns ``(A v, B v)``, A shifted to the segment start, as
+    two new arrays of the state's dtype that the kernel owns and overwrites;
+    ``B psi_{n-1}`` is kept as the (n-2) product of the next term.  Works on
+    any ndarray state (vectors or density matrices, flat 2-norm).
 
     Returns ``(state, terms, converged)`` where ``terms`` is the index of the
     last computed coefficient.  ``converged`` is False when ``max_terms`` was
@@ -136,91 +145,74 @@ def taylor_segment(
     """
     if max_terms < 2:
         raise ValueError("max_terms must be >= 2")
-    term_prev = apply_const(psi_in)
-    term_prev2 = psi_in
-    acc = psi_in + step * term_prev
-    n = 1
-    converged = False
-    while n < max_terms:
-        n += 1
-        term = (apply_const(term_prev) + apply_ramp(term_prev2)) / n
+    term, ramp_prev = apply(psi_in)
+    term *= factor
+    acc = psi_in + step * term
+    for n in range(2, max_terms + 1):
+        new, ramp = apply(term)
+        new += ramp_prev
+        new *= factor / n  # psi_n
         scale = step**n
-        acc = acc + term * scale
-        nrm = scale * _l2(term)
+        np.multiply(new, scale, out=ramp_prev)  # the retired (n-2) product is scratch
+        acc += ramp_prev
+        nrm = scale * _l2(new)
         if not math.isfinite(nrm):
             raise TaylorOverflowError(
                 f"coefficient {n} overflowed; split the interval into more segments"
             )
-        term_prev2, term_prev = term_prev, term
         if nrm <= tol:
-            converged = True
-            break
-    return acc, n, converged
+            return acc, n, True
+        term, ramp_prev = new, ramp
+    return acc, max_terms, False
 
 
-def _ising_segment(
-    tf: TransverseField,
-    diag_f: np.ndarray,
+def run_segments(
+    make_apply: Callable[[float], Apply],
+    factor: complex,
+    state: np.ndarray,
     t_anneal: float,
-    s0: float,
-    psi_in: np.ndarray,
-    step: float,
-    tol: float,
-    max_terms: int,
-) -> tuple[np.ndarray, int, bool]:
-    """Segment recurrence specialised to the annealing Hamiltonian pair.
+    schedule: SegmentSchedule | None = None,
+) -> Iterator[tuple[np.ndarray, list[int], bool]]:
+    """Run :func:`taylor_segment` over the K segments of [0, 1].
 
-    Identical algebra to :func:`taylor_segment` with
-    C = -iT[(1-s0) H_i + s0 H_f] and R = -iT(H_f - H_i), written as
-
-        psi_n = (-iT/n) [H_i psi_{n-1} + s0 (H_f - H_i) psi_{n-1}
-                         + (H_f - H_i) psi_{n-2}],
-
-    so that the ramp product (H_f - H_i) psi_{n-1} made for one term is
-    kept as the (n-2) product of the next.  A term costs one driver product
-    (:func:`apply_initial`, the only allocation), one diagonal product and
-    in-place vector updates.  Nothing is upcast: the driver matrix is
-    stored complex and ``propagate`` passes the diagonal as complex128, like
-    the states.  Nothing calls BLAS: the norm is :func:`_l2`.
-
-    Four vectors besides the accumulator live across terms: the last
-    coefficient, the cached ramp product, one scratch vector and the fresh
-    driver product.  The new coefficient is built in the buffer of the
-    retired ramp product, the new ramp product in the scratch vector, and
-    the retired coefficient becomes the next scratch vector.  The driver
-    product, once folded in, holds ``step**n * psi_n`` for the accumulator.
-    The stop test is ``step**n * ||psi_n||``.
+    Segment k expands around s0 = k/K with the pair ``make_apply(s0)``.
+    Yields at each boundary the state, the term counts so far and whether
+    all segments so far converged; the last yield is the result at s = 1.
     """
-    c = -1j * t_anneal
-    drv = apply_initial(tf, psi_in)
-    ramp = diag_f * psi_in - drv
-    term_prev = c * (drv + s0 * ramp)
-    acc = psi_in + step * term_prev
-    scratch = np.empty_like(acc)
-    n = 1
-    converged = False
-    while n < max_terms:
-        n += 1
-        drv = apply_initial(tf, term_prev)
-        np.multiply(diag_f, term_prev, out=scratch)
-        scratch -= drv  # (H_f - H_i) psi_{n-1}, the next ramp product
-        ramp += drv
-        np.multiply(scratch, s0, out=drv)
-        ramp += drv
-        ramp *= c / n  # psi_n
-        term_prev, ramp, scratch = ramp, scratch, term_prev
-        scale = step**n
-        np.multiply(term_prev, scale, out=drv)
-        acc += drv
-        nrm = scale * _l2(term_prev)
-        if not math.isfinite(nrm):
-            raise TaylorOverflowError(
-                f"coefficient {n} overflowed; split the interval into more segments"
-            )
-        if nrm <= tol:
-            converged = True
-            break
-    return acc, n, converged
+    if schedule is None:
+        schedule = SegmentSchedule()
+    n_seg = schedule.resolve(t_anneal)
+    step = 1.0 / n_seg
+    terms: list[int] = []
+    converged = True
+    for k in range(n_seg):
+        state, n_terms, ok = taylor_segment(
+            make_apply(k * step), factor, state, step, schedule.tol, schedule.max_terms
+        )
+        terms.append(n_terms)
+        converged = converged and ok
+        yield state, terms, converged
+
+
+def _ising_apply(tf: TransverseField, diag_f: np.ndarray, s0: float) -> Apply:
+    """The annealing pair A = H_i + s0 (H_f - H_i), B = H_f - H_i (factor -iT).
+
+    One driver product (:func:`apply_initial`, through this module's global
+    so that it can be traced) and one diagonal product.  Nothing is upcast:
+    the driver matrix is stored complex and ``propagate`` passes the
+    diagonal as complex128, like the states.
+    """
+    shifted = np.empty_like(diag_f)
+
+    def apply(v):
+        drv = apply_initial(tf, v)
+        ramp = diag_f * v
+        ramp -= drv  # (H_f - H_i) v
+        np.multiply(ramp, s0, out=shifted)
+        drv += shifted
+        return drv, ramp
+
+    return apply
 
 
 def propagate(
@@ -230,71 +222,62 @@ def propagate(
 ) -> PropagationResult:
     """Evolve the uniform superposition from s=0 to s=1 in the half space.
 
-    The interval is split into K equal segments; segment k (0-based) expands
-    around s0 = k/K with local step 1/K.  The final success probability is
-    the lifted overlap with the Ising ground space.
+    The final success probability is the lifted overlap with the Ising
+    ground space.
 
     For a non-converged run ``success_p`` holds the raw (unclamped) ground
     weight of whatever state the truncated series produced; it is reported
     for diagnosis only and is excluded from ensemble statistics upstream.
     """
-    if schedule is None:
-        schedule = SegmentSchedule()
     if params.n_qubits != hf.n_qubits:
         raise ValueError("params and Ising instance disagree on qubit count")
-    n_seg = schedule.resolve(params.t_anneal)
     tf = transverse_field_half(params.n_qubits)
     diag_f = hf.half_diag.astype(np.complex128)  # same dtype as the state: no cast per term
-    psi = uniform_initial_state(params.n_qubits)
-    step = 1.0 / n_seg
-    terms: list[int] = []
-    converged = True
-    for k in range(n_seg):
-        s0 = k * step
-        psi, n_terms, ok = _ising_segment(
-            tf, diag_f, params.t_anneal, s0, psi, step, schedule.tol, schedule.max_terms
-        )
-        terms.append(n_terms)
-        converged = converged and ok
+    psi0 = uniform_initial_state(params.n_qubits)
+    for psi, terms, converged in run_segments(
+        partial(_ising_apply, tf, diag_f), -1j * params.t_anneal, psi0, params.t_anneal, schedule
+    ):
+        pass  # only the state at s = 1 is needed
     gs = ground_space(hf)
     p = success_probability(psi, gs, strict=converged)
     norm_drift = abs(2.0 * float(np.vdot(psi, psi).real) - 1.0)
     return PropagationResult(psi, p, norm_drift, terms, converged)
 
 
+def clamp_probability(raw: float, strict: bool = True) -> float:
+    """Absorb truncation noise within 1e-9 of the edges of [0, 1].
+
+    A larger excursion means the evolution blew up: ValueError when
+    ``strict``, otherwise the raw value is returned for diagnosis.
+    """
+    if -1e-9 <= raw <= 1.0 + 1e-9:
+        return min(max(raw, 0.0), 1.0)
+    if strict:
+        raise ValueError(f"probability {raw} outside [0, 1]; the evolution blew up")
+    return raw
+
+
 def success_probability(psi: np.ndarray, gs: GroundSpace, strict: bool = True) -> float:
     """Lifted squared overlap of a half vector with the ground space.
 
     The factor 2 accounts for the mirrored half of the palindromic full
-    vector.  Values marginally above 1 (within 1e-9, truncation noise) are
-    clamped; larger excesses mean the norm blew up and raise ValueError
-    unless ``strict=False``.
+    vector.  The value passes through :func:`clamp_probability`.
     """
-    raw = 2.0 * float(np.sum(np.abs(psi[gs.indices]) ** 2))
-    if raw <= 1.0:
-        return raw
-    if raw <= 1.0 + 1e-9:
-        return 1.0
-    if strict:
-        raise ValueError(f"success probability {raw} exceeds 1; state norm blew up")
-    return raw
+    return clamp_probability(2.0 * float(np.sum(np.abs(psi[gs.indices]) ** 2)), strict)
 
 
 def coefficient_bound_recurrence(a: float, b: float, n_max: int) -> BoundSequence:
     """Majorant sequence p_n/n! from the scalar three-term recurrence.
 
-    p_{n+1} = a p_n + n b p_{n-1} with p_0 = 1, p_1 = a, evaluated with a
-    running division by n so no factorial overflows:
-    q_{n+1} = (a q_n + b q_{n-1}) / (n+1) for q_n = p_n/n!.
+    p_{n+1} = a p_n + n b p_{n-1} with p_0 = 1, p_1 = a.  The values
+    q_n = p_n/n! obey q_{n+1} = (a q_n + b q_{n-1}) / (n+1), the kernel's
+    recurrence for the scalar pair (a, b), so no factorial overflows.  They
+    are exact from about 1e-154 to 1e154, where their square is a normal
+    float; above that the kernel raises TaylorOverflowError.
     """
     if a <= 0 or b < 0:
         raise ValueError("need a > 0 and b >= 0")
-    values = np.empty(n_max + 1)
-    values[0] = 1.0
-    if n_max >= 1:
-        values[1] = a
-    for n in range(1, n_max):
-        values[n + 1] = (a * values[n] + b * values[n - 1]) / (n + 1)
+    values = segment_coefficient_norms(lambda v: a * v, lambda v: b * v, np.ones(1), n_max)
     return BoundSequence(a, b, values)
 
 
@@ -324,20 +307,19 @@ def segment_coefficient_norms(
 ) -> np.ndarray:
     """Diagnostic: norms ||psi_n|| of the first ``n_terms`` coefficients.
 
-    No early stopping; feed the result to :func:`power_rule_stop_index` to
-    evaluate the alternative eps-power stopping rule.
+    Runs :func:`taylor_segment` (factor 1, unit step) with no early stop,
+    recording the norm of every coefficient ``apply`` is given; feed the
+    result to :func:`power_rule_stop_index` to evaluate the alternative
+    eps-power stopping rule.
     """
-    norms = np.empty(n_terms + 1)
-    norms[0] = _l2(psi_in)
-    term_prev = apply_const(psi_in)
-    term_prev2 = psi_in
-    if n_terms >= 1:
-        norms[1] = _l2(term_prev)
-    for n in range(2, n_terms + 1):
-        term = (apply_const(term_prev) + apply_ramp(term_prev2)) / n
-        norms[n] = _l2(term)
-        term_prev2, term_prev = term_prev, term
-    return norms
+    norms = []
+
+    def apply(v):
+        norms.append(_l2(v))
+        return apply_const(v), apply_ramp(v)
+
+    taylor_segment(apply, 1.0, psi_in, 1.0, -math.inf, max(n_terms + 1, 2))
+    return np.array(norms[: n_terms + 1])
 
 
 def power_rule_stop_index(coeff_norms: np.ndarray, eps: float) -> int | None:

@@ -12,8 +12,14 @@ import numpy as np
 
 from annealsim.cli import main as cli_main
 from annealsim.ensemble import EnsembleConfig, instance_seed, run_ensemble, scaling_sweep, sweep_T
-from annealsim.lindblad_propagator import SuperopContext, lindblad_segment, propagate_density
-from annealsim.oracle import LZParams, lz_propagate, rk4_schrodinger_batch
+from annealsim.lindblad_propagator import propagate_density
+from annealsim.oracle import (
+    LZParams,
+    SuperopContext,
+    lindblad_segment,
+    lz_propagate,
+    rk4_schrodinger_batch,
+)
 from annealsim.spin_system import lift_to_full, random_ising_half
 from annealsim.taylor_propagator import (
     AnnealParams,

@@ -2,9 +2,9 @@ import json
 
 import numpy as np
 
-from annealsim.cli import main
+from annealsim.cli import _schedule_from, build_parser, main
 from annealsim.spin_system import random_ising_half
-from annealsim.taylor_propagator import AnnealParams, propagate
+from annealsim.taylor_propagator import AnnealParams, SegmentSchedule, propagate
 
 LZ_P_PAPER = 0.999801214304354
 
@@ -21,6 +21,14 @@ def canonical_record(path):
         record = json.load(fh)
     record.pop("timing")
     return json.dumps(record, sort_keys=True)
+
+
+def test_default_schedule_flags():
+    parser = build_parser()
+    for argv in (["single", "--qubits", "4", "--time", "1", "--seed", "0"],
+                 ["lz"],
+                 ["lz-sweep", "--out", "x.csv"]):
+        assert _schedule_from(parser.parse_args(argv)) == SegmentSchedule()
 
 
 def test_single_matches_library(tmp_path, capsys):

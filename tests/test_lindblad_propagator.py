@@ -3,14 +3,15 @@ import pytest
 
 from annealsim.errors import CapacityError
 from annealsim.lindblad_propagator import (
+    _density_pair,
+    build_energy_lowering_op,
+    propagate_density,
+)
+from annealsim.oracle import (
     SuperopContext,
-    _density_segment,
-    _FastDensityAction,
     apply_liouvillian_const,
     apply_liouvillian_ramp,
-    build_energy_lowering_op,
     lindblad_segment,
-    propagate_density,
 )
 from annealsim.spin_system import (
     full_flip_matrix,
@@ -18,19 +19,19 @@ from annealsim.spin_system import (
     random_ising_half,
     uniform_initial_state,
 )
-from annealsim.taylor_propagator import AnnealParams, SegmentSchedule, propagate
+from annealsim.taylor_propagator import AnnealParams, SegmentSchedule, propagate, taylor_segment
 
 
 def test_lowering_op_two_levels():
     op = build_energy_lowering_op(np.array([0, 1]))
-    assert np.array_equal(op.matrix, [[0, 1], [0, 0]])
+    assert np.array_equal(op, [[0, 1], [0, 0]])
 
 
 def test_lowering_op_sorted_superdiagonal():
     diag = np.array([3, -1, 0, 2])
     op = build_energy_lowering_op(diag)
     order = np.argsort(diag, kind="stable")
-    sorted_mat = op.matrix[np.ix_(order, order)]
+    sorted_mat = op[np.ix_(order, order)]
     expected = np.zeros((4, 4))
     expected[[0, 1, 2], [1, 2, 3]] = np.sqrt([1, 2, 3])
     assert np.allclose(sorted_mat, expected)
@@ -43,13 +44,13 @@ def test_lowering_op_degenerate_ordering():
     op = build_energy_lowering_op(diag)
     order = np.argsort(diag, kind="stable")
     assert list(order) == [0, 3, 1, 2]
-    sorted_mat = op.matrix[np.ix_(order, order)]
+    sorted_mat = op[np.ix_(order, order)]
     assert np.allclose(np.diag(sorted_mat, k=1), np.sqrt([1, 2, 3]))
-    ada = op.matrix.conj().T @ op.matrix
+    ada = op.conj().T @ op
     # number operator: diagonal, spectrum {0, 1, 2, 3}
     assert np.allclose(ada, np.diag(np.diag(ada)))
     assert np.allclose(sorted(np.linalg.eigvalsh(ada).real), [0, 1, 2, 3], atol=1e-12)
-    aad = op.matrix @ op.matrix.conj().T
+    aad = op @ op.conj().T
     assert np.allclose(np.diag(aad).real, [1, 3, 0, 2])
 
 
@@ -136,14 +137,13 @@ def test_fast_segment_matches_generic():
     ctx = SuperopContext.create(
         c * ((1 - s0) * hi + s0 * np.diag(fd.astype(float))),
         c * (np.diag(fd.astype(float)) - hi),
-        lop.effective(),
+        lop,
         t_anneal,
     )
     psi0 = lift_to_full(uniform_initial_state(n))
     rho0 = np.outer(psi0, psi0.conj())
     ref, t_ref, _ = lindblad_segment(ctx, rho0, 0.5, 1e-13, 300)
-    act = _FastDensityAction(n, fd, t_anneal, 0.1)
-    got, t_got, _ = _density_segment(act, s0, rho0, 0.5, 1e-13, 300)
+    got, t_got, _ = taylor_segment(_density_pair(n, fd, 0.1)(s0), c, rho0, 0.5, 1e-13, 300)
     assert t_ref == t_got
     assert np.linalg.norm(ref - got) < 1e-13
 

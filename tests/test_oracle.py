@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from annealsim.errors import CapacityError
-from annealsim.lindblad_propagator import SuperopContext, build_energy_lowering_op, lindblad_segment
+from annealsim.lindblad_propagator import build_energy_lowering_op
 from annealsim.oracle import (
     LZParams,
+    SuperopContext,
     dense_spectrum,
+    lindblad_segment,
     lz_gap,
     lz_ground_state,
     lz_propagate,
@@ -88,14 +90,14 @@ def test_rk4_lindblad_cross_checks_taylor_recurrence():
     psi0 = lift_to_full(uniform_initial_state(n))
     rho0 = np.outer(psi0, psi0.conj())
 
-    ctx_global = SuperopContext.create(c * hi, ramp, lop.effective(), t)
+    ctx_global = SuperopContext.create(c * hi, ramp, lop, t)
     rho_rk = rk4_lindblad(ctx_global, t, 40_000, rho0)
 
     rho = rho0
     for k in range(2):
         s0 = k * 0.5
         ctx = SuperopContext.create(
-            c * ((1 - s0) * hi + s0 * np.diag(fd)), ramp, lop.effective(), t
+            c * ((1 - s0) * hi + s0 * np.diag(fd)), ramp, lop, t
         )
         rho, _, conv = lindblad_segment(ctx, rho, 0.5, 1e-13, 400)
         assert conv

@@ -100,6 +100,24 @@ def test_apply_initial_allocates_no_matrix_copy():
     assert peak < 3 * psi.nbytes
 
 
+def test_ising_half_diag_allocates_no_spin_matrix():
+    # a (2**(N-1), N) int64 spin table alone would be 16x the output at N=16
+    n = 16
+    j = np.zeros((n, n), dtype=np.int64)
+    j[np.triu_indices(n, 1)] = np.random.default_rng(3).choice([-1, 1], size=n * (n - 1) // 2)
+    tracemalloc.start()
+    try:
+        half = ising_half_diag(n, j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * half.nbytes
+    # reference: the energy evaluated from the full spin table
+    spins = 1 - 2 * ((np.arange(1 << (n - 1))[:, None] >> np.arange(n)) & 1)
+    expected = -np.einsum("ik,kl,il->i", spins, np.triu(j, 1), spins)
+    assert half.dtype == np.int64 and np.array_equal(half, expected)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_full_driver_operator_norm_is_n(n):
     hi = full_flip_matrix(n).toarray()

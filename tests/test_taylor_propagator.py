@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import annealsim.taylor_propagator as tp
 from annealsim.errors import TaylorOverflowError
 from annealsim.spin_system import (
     GroundSpace,
@@ -14,7 +15,8 @@ from annealsim.spin_system import (
 from annealsim.taylor_propagator import (
     AnnealParams,
     SegmentSchedule,
-    _ising_segment,
+    _ising_apply,
+    clamp_probability,
     coefficient_bound_closed,
     coefficient_bound_recurrence,
     power_rule_stop_index,
@@ -39,7 +41,7 @@ def test_segment_sigma_x_rotation():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     a = -1j * (np.pi / 2) * sx
     psi, terms, conv = taylor_segment(
-        lambda v: a @ v, lambda v: np.zeros_like(v), np.array([1.0 + 0j, 0.0]), 1.0, 1e-14, 100
+        lambda v: (a @ v, np.zeros_like(v)), 1.0, np.array([1.0 + 0j, 0.0]), 1.0, 1e-14, 100
     )
     assert conv
     assert np.max(np.abs(psi - np.array([0.0, -1.0j]))) < 1e-14
@@ -48,7 +50,7 @@ def test_segment_sigma_x_rotation():
 def test_segment_zero_operators_identity():
     zero = lambda v: np.zeros_like(v)
     psi_in = np.array([0.3 + 0.1j, -0.2, 0.5])
-    psi, terms, conv = taylor_segment(zero, zero, psi_in, 0.5, 1e-12, 50)
+    psi, terms, conv = taylor_segment(lambda v: (zero(v), zero(v)), 1.0, psi_in, 0.5, 1e-12, 50)
     assert conv and terms == 2
     assert np.array_equal(psi, psi_in)
 
@@ -65,7 +67,7 @@ def test_segment_landau_zener_paper_value():
     for k in range(2):
         shifted = base + (k * 0.5) * ramp
         psi, terms, conv = taylor_segment(
-            lambda v: shifted @ v, lambda v: ramp @ v, psi, 0.5, 1e-14, 500
+            lambda v: (shifted @ v, ramp @ v), 1.0, psi, 0.5, 1e-14, 500
         )
         assert conv and terms <= 350
     assert np.max(np.abs(psi - LZ_PSI_PAPER) / np.abs(LZ_PSI_PAPER)) < 1e-10
@@ -76,7 +78,9 @@ def test_segment_overflow_raises():
     big = lambda v: 1e150 * v
     zero = lambda v: np.zeros_like(v)
     with pytest.raises(TaylorOverflowError):
-        taylor_segment(big, zero, np.ones(2, dtype=complex), 1.0, 1e-12, 500)
+        taylor_segment(
+            lambda v: (big(v), zero(v)), 1.0, np.ones(2, dtype=complex), 1.0, 1e-12, 500
+        )
 
 
 @pytest.mark.parametrize("s0", [0.0, 0.5, 0.9])
@@ -98,11 +102,28 @@ def test_specialized_segment_matches_generic(n, s0):
     def apply_ramp(v):
         return c * (diag_f * v - apply_initial(tf, v))
 
-    ref, t_ref, ok_ref = taylor_segment(apply_const, apply_ramp, psi_in, step, 1e-13, 400)
-    got, t_got, ok_got = _ising_segment(tf, diag_f, t_anneal, s0, psi_in, step, 1e-13, 400)
+    ref, t_ref, ok_ref = taylor_segment(
+        lambda v: (apply_const(v), apply_ramp(v)), 1.0, psi_in, step, 1e-13, 400
+    )
+    got, t_got, ok_got = taylor_segment(_ising_apply(tf, diag_f, s0), c, psi_in, step, 1e-13, 400)
     assert ok_ref and ok_got
     assert t_ref == t_got
     assert np.max(np.abs(ref - got)) < 1e-13
+
+
+def test_one_driver_product_per_term(monkeypatch):
+    # the kernel's cost invariant, and the module global through which the
+    # driver product is traced
+    calls = []
+
+    def counted(tf, psi):
+        calls.append(1)
+        return apply_initial(tf, psi)
+
+    monkeypatch.setattr(tp, "apply_initial", counted)
+    res = propagate(AnnealParams(6, 5.0), random_ising_half(6, 2))
+    assert res.converged
+    assert len(calls) == sum(res.terms_per_segment) == 182
 
 
 def test_propagate_no_evolution_limit():
@@ -166,6 +187,16 @@ def test_success_probability_clamp_and_error():
     with pytest.raises(ValueError):
         success_probability(psi_bad, gs)
     assert success_probability(psi_bad, gs, strict=False) == pytest.approx(2.0)
+
+
+def test_clamp_probability_both_edges():
+    assert clamp_probability(0.25) == 0.25
+    assert clamp_probability(1.0 + 5e-10) == 1.0
+    assert clamp_probability(-5e-10) == 0.0
+    for raw in (1.0 + 2e-9, -2e-9, float("nan")):
+        with pytest.raises(ValueError):
+            clamp_probability(raw)
+    assert clamp_probability(-2e-9, strict=False) == -2e-9
 
 
 def test_success_probability_global_phase_invariance():
