@@ -4,11 +4,12 @@ Subcommands: ``single`` (one unitary run), ``ensemble`` (random-instance
 sweep with histogram), ``lindblad`` (one dissipative run), ``lz`` and
 ``lz-sweep`` (two-level benchmark), ``scaling`` (wall-time sweep over N).
 
-Exit codes: 0 success, 1 invalid flags, 2 completed but non-converged.
-Outputs are deterministic for identical flags; wall-clock measurements are
-isolated in the ``timing`` block of JSON records.  Worker count for
-ensembles comes from --workers or the ANNEALSIM_WORKERS environment
-variable (default: all cores).
+Exit codes: 0 success; 1 invalid flags, including every value or size the
+library rejects; 2 completed but non-converged, which covers runs that
+overflow or blow up (no run failure raises).  Outputs are deterministic for
+identical flags; wall-clock measurements are isolated in the ``timing``
+block of JSON records.  Worker count for ensembles comes from --workers or
+the ANNEALSIM_WORKERS environment variable (default: all cores).
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ import numpy as np
 
 from .ensemble import (
     EnsembleConfig,
-    TCurve,
+    _json_float,
     record,
     run_ensemble,
     run_record,
     scaling_sweep,
-    write_histogram_csv,
+    write_csv,
     write_json,
-    write_tcurve_csv,
 )
 from .errors import CapacityError
 from .lindblad_propagator import propagate_density
@@ -70,11 +70,6 @@ def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
                    help="per-term stopping tolerance")
     p.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS,
                    help="coefficient budget per segment")
-
-
-def _validate_qubits(parser, n, minimum=2):
-    if n < minimum:
-        parser.error(f"--qubits must be >= {minimum}, got {n}")
 
 
 def build_parser() -> _Parser:
@@ -139,14 +134,13 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run_one(parser, args, kind, run, config, drifts):
+def _run_one(args, kind, run, config, drifts):
     """Anneal the instance named by the flags with ``run(params, inst,
     schedule=...)``, print the result and write its JSON record.
 
     ``drifts`` names the result's drift fields: the first is printed, all
     are recorded.  Returns the exit code and the result.
     """
-    _validate_qubits(parser, args.qubits)
     schedule = _schedule_from(args)
     inst = random_ising_half(args.qubits, args.seed)
     t0 = time.perf_counter()
@@ -158,20 +152,18 @@ def _run_one(parser, args, kind, run, config, drifts):
     print(f"converged = {res.converged}")
     if args.out:
         config = {"qubits": args.qubits, "time": args.time, "seed": args.seed, **config}
-        result = {"p": res.success_p, **{d: getattr(res, d) for d in drifts},
+        result = {"p": _json_float(res.success_p),
+                  **{d: _json_float(getattr(res, d)) for d in drifts},
                   "terms_per_segment": res.terms_per_segment, "converged": res.converged}
         write_json(args.out, record(kind, config, schedule, args.time, wall, result=result))
     return (EXIT_OK if res.converged else EXIT_NOT_CONVERGED), res
 
 
 def _cmd_single(parser, args) -> int:
-    return _run_one(parser, args, "single", propagate, {}, ["norm_drift"])[0]
+    return _run_one(args, "single", propagate, {}, ["norm_drift"])[0]
 
 
 def _cmd_ensemble(parser, args) -> int:
-    _validate_qubits(parser, args.qubits)
-    if args.runs < 1:
-        parser.error("--runs must be >= 1")
     if not args.out:
         parser.error("--out must not be empty")
     schedule = _schedule_from(args)
@@ -191,7 +183,9 @@ def _cmd_ensemble(parser, args) -> int:
     if args.format == "json":
         write_json(args.out, run_record(config, result, wall))
     else:
-        write_histogram_csv(args.out, result.histogram)
+        bins = config.bins
+        write_csv(args.out, ["bin_low", "bin_high", "count"],
+                  [(i / bins, (i + 1) / bins, int(c)) for i, c in enumerate(result.histogram)])
     print(
         f"ensemble done: {len(result.probabilities)} converged, "
         f"{result.failure_count} failed, wrote {args.out}"
@@ -201,14 +195,12 @@ def _cmd_ensemble(parser, args) -> int:
 
 def _cmd_lindblad(parser, args) -> int:
     run = partial(propagate_density, l_scale=args.lscale)
-    code, res = _run_one(parser, args, "lindblad", run, {"lscale": args.lscale},
+    code, res = _run_one(args, "lindblad", run, {"lscale": args.lscale},
                          ["trace_drift", "hermiticity_drift"])
     if args.csv:
         populations = np.diag(res.rho_final).real
-        with open(args.csv, "w") as fh:
-            fh.write("state,population\n")
-            for i, p in enumerate(populations):
-                fh.write(f"{i},{float(p)!r}\n")
+        write_csv(args.csv, ["state", "population"],
+                  [(i, float(p)) for i, p in enumerate(populations)])
     return code
 
 
@@ -233,11 +225,11 @@ def _cmd_lz_sweep(parser, args) -> int:
         parser.error("--out must not be empty")
     t_values = np.linspace(args.tmin, args.tmax, args.points)
     schedule = _schedule_from(args)
-    ps = []
+    rows = []
     for t in t_values:
         res = lz_propagate(LZParams(args.delta, float(t)), schedule)
-        ps.append(res.success_p if res.converged else float("nan"))
-    write_tcurve_csv(args.out, TCurve(t_values, np.asarray(ps)))
+        rows.append((float(t), res.success_p if res.converged else float("nan")))
+    write_csv(args.out, ["T", "P"], rows)
     print(f"wrote {args.points} points to {args.out}")
     return EXIT_OK
 
@@ -247,8 +239,8 @@ def _cmd_scaling(parser, args) -> int:
         n_list = [int(tok) for tok in args.qubits_list.split(",") if tok.strip()]
     except ValueError:
         parser.error(f"cannot parse --qubits-list {args.qubits_list!r}")
-    if not n_list or any(n < 2 for n in n_list):
-        parser.error("--qubits-list needs integers >= 2")
+    if not n_list:
+        parser.error("--qubits-list needs at least one size")
     schedule = _schedule_from(args)
     result = scaling_sweep(n_list, args.time, args.runs, schedule)
     for n, sec in zip(result.n_values, result.mean_seconds):
@@ -256,10 +248,7 @@ def _cmd_scaling(parser, args) -> int:
     if result.fit_slope is not None:
         print(f"fitted log-time slope over largest three N: {result.fit_slope:.4f}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("N,mean_seconds\n")
-            for n, sec in zip(result.n_values, result.mean_seconds):
-                fh.write(f"{n},{sec!r}\n")
+        write_csv(args.out, ["N", "mean_seconds"], zip(result.n_values, result.mean_seconds))
     return EXIT_OK
 
 
@@ -276,9 +265,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](parser, args)
-    except CapacityError as exc:  # an over-capacity size is a flag error, not a crash
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ValueError, CapacityError) as exc:  # input the library rejects is a flag error
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ to the last bin).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -23,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TaylorOverflowError
 from .lindblad_propagator import propagate_density
 from .spin_system import random_ising_half
 from .taylor_propagator import AnnealParams, SegmentSchedule, propagate
@@ -50,6 +48,10 @@ class EnsembleConfig:
             raise ValueError("bins must be >= 2")
         if self.mode not in ("unitary", "lindblad"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.l_scale < 0:
+            raise ValueError(f"l_scale must be >= 0, got {self.l_scale}")
+        if self.mode == "unitary" and self.l_scale != 0:
+            raise ValueError("l_scale applies to lindblad mode only; unitary needs 0")
 
 
 @dataclass(frozen=True)
@@ -94,20 +96,16 @@ def instance_seed(master_seed: int, k: int) -> int:
 
 
 def _run_instance(args: tuple) -> InstanceRecord:
-    """Anneal one instance.  A segment whose coefficients overflow yields a
-    non-converged record with NaN probability, drift and zero terms."""
+    """Anneal one instance; a failed run gives a non-converged record."""
     n_qubits, t_anneal, mode, l_scale, schedule, index, seed = args
     inst = random_ising_half(n_qubits, seed)
     params = AnnealParams(n_qubits, t_anneal)
-    try:
-        if mode == "unitary":
-            res = propagate(params, inst, schedule)
-            drift = res.norm_drift
-        else:
-            res = propagate_density(params, inst, l_scale, schedule)
-            drift = res.trace_drift
-    except TaylorOverflowError:
-        return InstanceRecord(index, seed, math.nan, 0, math.nan, False)
+    if mode == "unitary":
+        res = propagate(params, inst, schedule)
+        drift = res.norm_drift
+    else:
+        res = propagate_density(params, inst, l_scale, schedule)
+        drift = res.trace_drift
     return InstanceRecord(
         index, seed, res.success_p, int(sum(res.terms_per_segment)), drift, res.converged
     )
@@ -128,7 +126,7 @@ def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> Ensemble
     The per-instance records come back ordered by instance index regardless
     of scheduling; a single-worker run and a pooled run produce identical
     results.  Individual instance failures never abort the ensemble: a
-    coefficient overflow is recorded as a non-converged instance.
+    run that overflows or blows up is recorded as a non-converged instance.
     """
     n_workers = resolve_workers(workers)
     shared = (config.n_qubits, config.t_anneal, config.mode, config.l_scale, config.schedule)
@@ -166,8 +164,8 @@ def sweep_T(
 ) -> TCurve:
     """Success probability of one fixed instance across anneal times.
 
-    Failed points (non-convergence or overflow) are recorded as NaN, never
-    dropped silently.
+    Failed points (non-convergence, blow-up or overflow) are recorded as
+    NaN, never dropped silently.
     """
     ps = []
     for t in t_list:
@@ -188,6 +186,8 @@ def scaling_sweep(
     With three or more sizes, fits log(mean time) against the largest three
     N values; the slope is the exponential growth rate per qubit.
     """
+    if runs_per_n < 1:
+        raise ValueError("runs_per_n must be >= 1")
     n_values = list(n_list)
     means = []
     for n in n_values:
@@ -206,7 +206,7 @@ def scaling_sweep(
 
 
 def _json_float(x: float) -> float | None:
-    # JSON has no NaN; an overflowed instance's NaN fields are written as null
+    # JSON has no NaN; an overflowed run's NaN fields are written as null
     return None if math.isnan(x) else x
 
 
@@ -283,18 +283,10 @@ def write_json(path: str, record: dict) -> None:
         fh.write("\n")
 
 
-def write_histogram_csv(path: str, counts: np.ndarray) -> None:
-    bins = len(counts)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low", "bin_high", "count"])
-        for i, c in enumerate(counts):
-            writer.writerow([i / bins, (i + 1) / bins, int(c)])
-
-
-def write_tcurve_csv(path: str, curve: TCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T", "P"])
-        for t, p in zip(curve.t_values, curve.p_values):
-            writer.writerow([float(t), float(p)])
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Comma-separated text with LF line ends; cells of ``rows`` (Python ints
+    and floats) are written as their ``repr``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")

@@ -24,8 +24,9 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import CapacityError
-from .spin_system import IsingDiagonal, full_flip_matrix, lift_to_full, uniform_initial_state
+from .spin_system import (
+    IsingDiagonal, _check_qubits, full_flip_matrix, lift_to_full, uniform_initial_state
+)
 from .taylor_propagator import (
     AnnealParams,
     Apply,
@@ -115,28 +116,31 @@ def propagate_density(
     The success probability is the total ground-space population
     Tr(Pi rho(1)), read off the real diagonal.  Trace and Hermiticity drifts
     are recorded at every segment boundary as fidelity diagnostics; nothing
-    is renormalised.
+    is renormalised.  A success probability outside [0, 1] flags the run
+    non-converged.
     """
     n = params.n_qubits
-    if n > MAX_DENSITY_QUBITS:
-        raise CapacityError(
-            f"density evolution needs 2**(2N) storage; limit is {MAX_DENSITY_QUBITS} qubits"
-        )
+    _check_qubits(n, MAX_DENSITY_QUBITS)
     if n != hf.n_qubits:
         raise ValueError("params and Ising instance disagree on qubit count")
+    if l_scale < 0:
+        raise ValueError(f"l_scale must be >= 0, got {l_scale}")
     full_diag = hf.full_diag()
     make_apply = _density_pair(n, full_diag, l_scale)
     psi0 = lift_to_full(uniform_initial_state(n))
     boundary_traces: list[float] = []
-    herm_drift = 0.0
+    herm_drifts: list[float] = []
     for rho, terms, converged in run_segments(
         make_apply, -1j * params.t_anneal, np.outer(psi0, psi0.conj()), params.t_anneal, schedule
     ):
         boundary_traces.append(float(np.trace(rho).real))
-        herm_drift = max(herm_drift, _l2(rho - rho.conj().T))
+        herm_drifts.append(_l2(rho - rho.conj().T))
     gs_full = np.flatnonzero(full_diag == full_diag.min())
-    success_p = clamp_probability(float(np.sum(np.diag(rho).real[gs_full])), converged)
-    trace_drift = max(abs(t - 1.0) for t in boundary_traces)
+    success_p = clamp_probability(float(np.sum(np.diag(rho).real[gs_full])))
+    converged = converged and 0.0 <= success_p <= 1.0
+    # np.max, unlike the builtin, propagates a NaN wherever it sits
+    trace_drift = float(np.max(np.abs(np.array(boundary_traces) - 1.0)))
+    herm_drift = float(np.max(herm_drifts))
     return DensityPropagationResult(
         rho, success_p, trace_drift, herm_drift, terms, converged, boundary_traces
     )

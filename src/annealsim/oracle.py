@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
-from .spin_system import IsingDiagonal, full_flip_matrix, lift_to_full, uniform_initial_state
+from .spin_system import (
+    IsingDiagonal, _check_qubits, full_flip_matrix, lift_to_full, uniform_initial_state
+)
 from .taylor_propagator import SegmentSchedule, run_segments, taylor_segment
 
 MAX_DENSE_QUBITS = 10
@@ -107,8 +108,7 @@ def rk4_schrodinger_batch(
     Batching turns the 4 evaluations per step into small dense matmuls,
     which is what makes the oracle-equivalence sweeps affordable.
     """
-    if n_qubits > MAX_DENSE_QUBITS:
-        raise CapacityError(f"dense oracle limited to {MAX_DENSE_QUBITS} qubits")
+    _check_qubits(n_qubits, MAX_DENSE_QUBITS)
     dim = 1 << n_qubits
     hi = full_flip_matrix(n_qubits).toarray().astype(np.complex128)
     diags = np.atleast_2d(np.asarray(full_diags, dtype=np.float64))
@@ -192,8 +192,7 @@ def lindblad_segment(
 
 def dense_spectrum(n_qubits: int, hf: IsingDiagonal, s: float) -> SpectralSlice:
     """Eigenvalues of (1-s) H_i + s H_f in the full space, ascending."""
-    if n_qubits > MAX_DENSE_QUBITS:
-        raise CapacityError(f"dense spectra limited to {MAX_DENSE_QUBITS} qubits")
+    _check_qubits(n_qubits, MAX_DENSE_QUBITS)
     h = (1.0 - s) * full_flip_matrix(n_qubits).toarray()
     h[np.diag_indices_from(h)] += s * hf.full_diag()
     eigenvalues = np.linalg.eigvalsh(h)

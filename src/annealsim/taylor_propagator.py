@@ -178,6 +178,8 @@ def run_segments(
     Segment k expands around s0 = k/K with the pair ``make_apply(s0)``.
     Yields at each boundary the state, the term counts so far and whether
     all segments so far converged; the last yield is the result at s = 1.
+    A segment that overflows ends the run with a NaN state of the same
+    shape, flagged non-converged; its terms are not counted.
     """
     if schedule is None:
         schedule = SegmentSchedule()
@@ -186,9 +188,13 @@ def run_segments(
     terms: list[int] = []
     converged = True
     for k in range(n_seg):
-        state, n_terms, ok = taylor_segment(
-            make_apply(k * step), factor, state, step, schedule.tol, schedule.max_terms
-        )
+        try:
+            state, n_terms, ok = taylor_segment(
+                make_apply(k * step), factor, state, step, schedule.tol, schedule.max_terms
+            )
+        except TaylorOverflowError:
+            yield np.full_like(state, np.nan), terms, False
+            return
         terms.append(n_terms)
         converged = converged and ok
         yield state, terms, converged
@@ -225,9 +231,10 @@ def propagate(
     The final success probability is the lifted overlap with the Ising
     ground space.
 
-    For a non-converged run ``success_p`` holds the raw (unclamped) ground
-    weight of whatever state the truncated series produced; it is reported
-    for diagnosis only and is excluded from ensemble statistics upstream.
+    A ground weight outside [0, 1] (a blown-up series) flags the run
+    non-converged.  A non-converged run reports the raw, unclamped weight of
+    whatever state the series produced, for diagnosis only; ensemble
+    statistics exclude it.
     """
     if params.n_qubits != hf.n_qubits:
         raise ValueError("params and Ising instance disagree on qubit count")
@@ -239,31 +246,31 @@ def propagate(
     ):
         pass  # only the state at s = 1 is needed
     gs = ground_space(hf)
-    p = success_probability(psi, gs, strict=converged)
+    p = success_probability(psi, gs)
+    converged = converged and 0.0 <= p <= 1.0
     norm_drift = abs(2.0 * float(np.vdot(psi, psi).real) - 1.0)
     return PropagationResult(psi, p, norm_drift, terms, converged)
 
 
-def clamp_probability(raw: float, strict: bool = True) -> float:
+def clamp_probability(raw: float) -> float:
     """Absorb truncation noise within 1e-9 of the edges of [0, 1].
 
-    A larger excursion means the evolution blew up: ValueError when
-    ``strict``, otherwise the raw value is returned for diagnosis.
+    Any other value, a larger excursion or NaN, means the evolution blew
+    up; it is returned raw for diagnosis, and the propagators flag such a
+    run non-converged.
     """
     if -1e-9 <= raw <= 1.0 + 1e-9:
         return min(max(raw, 0.0), 1.0)
-    if strict:
-        raise ValueError(f"probability {raw} outside [0, 1]; the evolution blew up")
     return raw
 
 
-def success_probability(psi: np.ndarray, gs: GroundSpace, strict: bool = True) -> float:
+def success_probability(psi: np.ndarray, gs: GroundSpace) -> float:
     """Lifted squared overlap of a half vector with the ground space.
 
     The factor 2 accounts for the mirrored half of the palindromic full
     vector.  The value passes through :func:`clamp_probability`.
     """
-    return clamp_probability(2.0 * float(np.sum(np.abs(psi[gs.indices]) ** 2)), strict)
+    return clamp_probability(2.0 * float(np.sum(np.abs(psi[gs.indices]) ** 2)))
 
 
 def coefficient_bound_recurrence(a: float, b: float, n_max: int) -> BoundSequence:

@@ -222,3 +222,64 @@ def test_scaling_bad_list_exits_1(capsys):
     assert run_cli(["scaling", "--qubits-list", "8,ten", "--time", "2"]) == 1
     capsys.readouterr()
     assert run_cli(["scaling", "--qubits-list", "1,4", "--time", "2"]) == 1
+
+
+def test_rejected_input_exits_1(tmp_path, capsys):
+    # every value the library rejects is a flag error: exit 1, no traceback
+    out = str(tmp_path / "x.json")
+    table = [
+        ["single", "--qubits", "4", "--time", "0", "--seed", "1"],
+        ["single", "--qubits", "4", "--time", "2", "--seed", "1", "--segments", "0"],
+        ["single", "--qubits", "4", "--time", "2", "--seed", "1", "--tol", "2"],
+        ["single", "--qubits", "1", "--time", "2", "--seed", "1"],
+        ["ensemble", "--qubits", "3", "--time", "2", "--runs", "2", "--seed", "1",
+         "--bins", "1", "--out", out],
+        ["ensemble", "--qubits", "3", "--time", "2", "--runs", "0", "--seed", "1",
+         "--out", out],
+        ["ensemble", "--qubits", "3", "--time", "2", "--runs", "2", "--seed", "1",
+         "--lscale", "0.5", "--out", out],
+        ["lindblad", "--qubits", "3", "--time", "2", "--seed", "1", "--lscale", "-1"],
+        ["lz", "--delta", "0"],
+        ["scaling", "--qubits-list", "4", "--time", "0"],
+        ["scaling", "--qubits-list", "4", "--time", "2", "--runs", "0"],
+    ]
+    for argv in table:
+        code = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert "error:" in err, argv
+        assert "Traceback" not in err, argv
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_overflowing_runs_exit_2(tmp_path, capsys):
+    # one segment this long overflows; the run is reported, never raised
+    def reject(constant):
+        raise ValueError(f"{constant} in a JSON record")
+
+    cases = [
+        (["single", "--qubits", "6", "--time", "60", "--seed", "1", "--segments", "1"], True),
+        (["lindblad", "--qubits", "3", "--time", "80", "--seed", "1", "--segments", "1"], True),
+        (["lz", "--time", "400", "--segments", "1"], False),
+    ]
+    for argv, writes_record in cases:
+        out = tmp_path / f"{argv[0]}.json"
+        code = run_cli(argv + (["--out", str(out)] if writes_record else []))
+        stdout = capsys.readouterr().out
+        assert code == 2, argv
+        assert "converged = False" in stdout
+        if writes_record:
+            record = json.loads(out.read_text(), parse_constant=reject)
+            assert record["result"]["converged"] is False
+            assert record["result"]["p"] is None
+
+
+def test_csv_outputs_use_lf(tmp_path, capsys):
+    hist, curve = tmp_path / "hist.csv", tmp_path / "curve.csv"
+    assert run_cli(["ensemble", "--qubits", "3", "--time", "2", "--runs", "4", "--seed", "1",
+                    "--format", "csv", "--out", str(hist)]) == 0
+    assert run_cli(["lz-sweep", "--tmin", "20", "--tmax", "21", "--points", "2",
+                    "--out", str(curve)]) == 0
+    capsys.readouterr()
+    for path in (hist, curve):
+        assert b"\r" not in path.read_bytes()

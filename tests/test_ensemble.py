@@ -143,3 +143,28 @@ def test_config_validation():
         EnsembleConfig(4, 2.0, runs=1, master_seed=0, bins=1)
     with pytest.raises(ValueError):
         EnsembleConfig(4, 2.0, runs=1, master_seed=0, mode="thermal")
+
+
+def test_blown_up_instances_are_recorded():
+    # one segment at T=10 blows the N=6 series up to P ~ 1e35 without an
+    # overflow; each instance is a recorded failure and the run completes
+    cfg = EnsembleConfig(6, 10.0, runs=3, master_seed=1, schedule=SegmentSchedule(segments=1))
+    res = run_ensemble(cfg, workers=1)
+    assert res.failure_count == 3
+    assert res.histogram.sum() == 0
+    assert all(r.success_p > 1.0 for r in res.records)
+    assert repr(run_ensemble(cfg, workers=2).records) == repr(res.records)
+    json.dumps(run_record(cfg, res, 0.0), allow_nan=False)
+
+
+def test_sweep_T_blown_up_point_is_nan():
+    curve = sweep_T(6, 1, [10.0], schedule=SegmentSchedule(segments=1))
+    assert math.isnan(curve.p_values[0])
+
+
+def test_l_scale_needs_lindblad_mode():
+    with pytest.raises(ValueError):
+        EnsembleConfig(3, 2.0, runs=2, master_seed=1, l_scale=0.5)
+    with pytest.raises(ValueError):
+        EnsembleConfig(3, 2.0, runs=2, master_seed=1, mode="lindblad", l_scale=-0.1)
+    assert EnsembleConfig(3, 2.0, runs=2, master_seed=1, mode="lindblad", l_scale=0.1).l_scale == 0.1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,19 @@ def test_diminishing_lindblad_approaches_unitary():
         p_small = propagate_density(params, inst, 0.02).success_p
         p_large = propagate_density(params, inst, 0.1).success_p
         assert abs(p_small - p0) < abs(p_large - p0)
+
+
+def test_propagate_density_overflow_reports_nan():
+    # one segment this long overflows: a NaN density, flagged, not raised
+    res = propagate_density(AnnealParams(3, 80.0), random_ising_half(3, 1), 0.1,
+                            SegmentSchedule(segments=1))
+    assert not res.converged
+    assert res.terms_per_segment == []
+    assert math.isnan(res.success_p)
+    assert math.isnan(res.trace_drift)
+    assert math.isnan(res.hermiticity_drift)
+
+
+def test_propagate_density_rejects_negative_l_scale():
+    with pytest.raises(ValueError):
+        propagate_density(AnnealParams(3, 2.0), random_ising_half(3, 1), -0.1)

@@ -184,9 +184,7 @@ def test_success_probability_clamp_and_error():
     psi = np.array([np.sqrt(0.5 * (1 + 4e-10)), 0.0], dtype=complex)
     assert success_probability(psi, gs) == 1.0
     psi_bad = np.array([1.0, 0.0], dtype=complex)
-    with pytest.raises(ValueError):
-        success_probability(psi_bad, gs)
-    assert success_probability(psi_bad, gs, strict=False) == pytest.approx(2.0)
+    assert success_probability(psi_bad, gs) == pytest.approx(2.0)
 
 
 def test_clamp_probability_both_edges():
@@ -194,9 +192,8 @@ def test_clamp_probability_both_edges():
     assert clamp_probability(1.0 + 5e-10) == 1.0
     assert clamp_probability(-5e-10) == 0.0
     for raw in (1.0 + 2e-9, -2e-9, float("nan")):
-        with pytest.raises(ValueError):
-            clamp_probability(raw)
-    assert clamp_probability(-2e-9, strict=False) == -2e-9
+        assert repr(clamp_probability(raw)) == repr(raw)  # returned raw, NaN included
+    assert clamp_probability(-2e-9) == -2e-9
 
 
 def test_success_probability_global_phase_invariance():
