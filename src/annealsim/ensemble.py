@@ -6,6 +6,15 @@ identical no matter how many workers execute the ensemble or in what order
 they finish.  Non-converged instances are excluded from the histogram but
 counted and reported with their seeds for replay.
 
+Unitary instances are annealed in blocks: a task takes a contiguous range
+of instance indices and runs them as the columns of one half-space state
+(:func:`annealsim.taylor_propagator.propagate_block`).  The block width
+depends on the worker count, but no result can: no column's arithmetic
+reads another column (the driver product, the diagonal product and the
+updates act column by column, and each column has its own stop test, term
+count and overflow check), so every record equals that of a one-instance
+run, and the records are put back together in index order.
+
 Histogram convention: ``bins`` uniform bins over [0, 1], each bin right-open
 except the last, which is closed at 1 (bin index floor(p * bins), p = 1 maps
 to the last bin).
@@ -24,10 +33,14 @@ import numpy as np
 
 from .lindblad_propagator import propagate_density
 from .spin_system import random_ising_half
-from .taylor_propagator import AnnealParams, SegmentSchedule, propagate
+from .taylor_propagator import AnnealParams, SegmentSchedule, propagate, propagate_block
 
 SCHEMA_VERSION = 1
 WORKERS_ENV_VAR = "ANNEALSIM_WORKERS"
+# Half-space entries of one unitary block: 64 columns at N = 8, 4 at N = 12,
+# one (a plain per-instance run) from N = 15 on.  Twice as wide measured no
+# faster at N = 8, 10 or 12.
+BLOCK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -48,8 +61,8 @@ class EnsembleConfig:
             raise ValueError("bins must be >= 2")
         if self.mode not in ("unitary", "lindblad"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.l_scale < 0:
-            raise ValueError(f"l_scale must be >= 0, got {self.l_scale}")
+        if not 0 <= self.l_scale < math.inf:  # NaN too
+            raise ValueError(f"l_scale must be finite and >= 0, got {self.l_scale}")
         if self.mode == "unitary" and self.l_scale != 0:
             raise ValueError("l_scale applies to lindblad mode only; unitary needs 0")
 
@@ -70,6 +83,8 @@ class EnsembleResult:
     histogram: np.ndarray
     records: list[InstanceRecord]
     failures: list[InstanceRecord]
+    workers: int  # processes that ran tasks
+    blocks: int  # tasks
 
     @property
     def failure_count(self) -> int:
@@ -102,13 +117,39 @@ def _run_instance(args: tuple) -> InstanceRecord:
     params = AnnealParams(n_qubits, t_anneal)
     if mode == "unitary":
         res = propagate(params, inst, schedule)
-        drift = res.norm_drift
-    else:
-        res = propagate_density(params, inst, l_scale, schedule)
-        drift = res.trace_drift
+        return _record(index, seed, res, res.norm_drift)
+    res = propagate_density(params, inst, l_scale, schedule)
+    return _record(index, seed, res, res.trace_drift)
+
+
+def _run_block(args: tuple) -> list[InstanceRecord]:
+    """Anneal instances ``first, first + 1, ...``: two or more unitary ones
+    as the columns of one block, others one by one."""
+    n_qubits, t_anneal, mode, l_scale, schedule, first, seeds = args
+    if mode != "unitary" or len(seeds) == 1:
+        return [
+            _run_instance((n_qubits, t_anneal, mode, l_scale, schedule, first + j, seed))
+            for j, seed in enumerate(seeds)
+        ]
+    instances = [random_ising_half(n_qubits, seed) for seed in seeds]
+    results = propagate_block(AnnealParams(n_qubits, t_anneal), instances, schedule)
+    return [
+        _record(first + j, seed, res, res.norm_drift)
+        for j, (seed, res) in enumerate(zip(seeds, results))
+    ]
+
+
+def _record(index: int, seed: int, res, drift: float) -> InstanceRecord:
     return InstanceRecord(
         index, seed, res.success_p, int(sum(res.terms_per_segment)), drift, res.converged
     )
+
+
+def block_width(n_qubits: int, runs: int, workers: int) -> int:
+    """Instances per unitary task: ``BLOCK_ENTRIES // 2**(N-1)`` columns, but
+    no more than an even share of the runs per worker, so that every worker
+    gets a block."""
+    return max(1, min(BLOCK_ENTRIES >> (n_qubits - 1), -(-runs // workers)))
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -123,25 +164,33 @@ def resolve_workers(workers: int | None = None) -> int:
 def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> EnsembleResult:
     """Propagate all instances and aggregate converged success probabilities.
 
-    The per-instance records come back ordered by instance index regardless
-    of scheduling; a single-worker run and a pooled run produce identical
-    results.  Individual instance failures never abort the ensemble: a
-    run that overflows or blows up is recorded as a non-converged instance.
+    A task is a contiguous range of instance indices: a block of
+    :func:`block_width` columns in unitary mode, one instance in Lindblad
+    mode.  The per-instance records come back ordered by instance index
+    regardless of scheduling; a single-worker run and a pooled run produce
+    identical results.  Individual instance failures never abort the
+    ensemble: a run that overflows or blows up is recorded as a
+    non-converged instance.
     """
     n_workers = resolve_workers(workers)
+    width = block_width(config.n_qubits, config.runs, n_workers) if config.mode == "unitary" else 1
     shared = (config.n_qubits, config.t_anneal, config.mode, config.l_scale, config.schedule)
-    tasks = [(*shared, k, instance_seed(config.master_seed, k)) for k in range(config.runs)]
-    if n_workers == 1 or config.runs == 1:
-        records = [_run_instance(t) for t in tasks]
+    seeds = [instance_seed(config.master_seed, k) for k in range(config.runs)]
+    tasks = [(*shared, k, seeds[k : k + width]) for k in range(0, config.runs, width)]
+    if n_workers == 1 or len(tasks) == 1:
+        blocks = [_run_block(t) for t in tasks]
     else:
-        chunk = max(1, config.runs // (n_workers * 8))
+        chunk = max(1, len(tasks) // (n_workers * 8))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            records = list(pool.map(_run_instance, tasks, chunksize=chunk))
+            blocks = list(pool.map(_run_block, tasks, chunksize=chunk))
+    records = [r for block in blocks for r in block]
     good = [r for r in records if r.converged]
     failures = [r for r in records if not r.converged]
     probabilities = np.array([r.success_p for r in good], dtype=np.float64)
     counts = histogram(probabilities, config.bins)
-    return EnsembleResult(probabilities, counts, records, failures)
+    return EnsembleResult(
+        probabilities, counts, records, failures, min(n_workers, len(tasks)), len(tasks)
+    )
 
 
 def histogram(ps: np.ndarray, bins: int) -> np.ndarray:
@@ -249,7 +298,7 @@ def record(
 def run_record(config: EnsembleConfig, result: EnsembleResult, wall_seconds: float) -> dict:
     """JSON-ready record of an ensemble run."""
     bins = config.bins
-    return record(
+    out = record(
         "ensemble",
         {
             "qubits": config.n_qubits,
@@ -275,6 +324,8 @@ def run_record(config: EnsembleConfig, result: EnsembleResult, wall_seconds: flo
             "mean_p": float(result.probabilities.mean()) if result.probabilities.size else None,
         },
     )
+    out["timing"].update(workers=result.workers, blocks=result.blocks)
+    return out
 
 
 def write_json(path: str, record: dict) -> None:

@@ -18,6 +18,7 @@ this one against is in :mod:`annealsim.oracle`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,12 +73,15 @@ def _density_pair(
 ) -> Callable[[float], Apply]:
     """Closure factory ``make_apply(s0)`` for the master-equation pair.
 
-    The commutators split into driver products (sparse flip matrix; rho H_i
+    The pair acts on rho flattened to one vector, which the kernel treats as
+    one problem (a 2-D state would be read as independent columns).  The
+    commutators split into driver products (sparse flip matrix; rho H_i
     through the Hermitian-transpose trick) and field products (diagonal, so
     row and column scalings), and L^dag L of the ladder operator is diagonal
     in the computational basis.  Per term this costs four sparse-dense
     products instead of eight dense matmuls.
     """
+    dim = full_diag.shape[0]
     hi = full_flip_matrix(n_qubits).astype(np.complex128)  # no upcast per product
     diag = full_diag.astype(np.float64)
     field_gaps = diag[:, None] - diag  # [H_f, rho] = field_gaps * rho
@@ -90,7 +94,8 @@ def _density_pair(
         lind_sq_sums = 0.5 * (lind_sq[:, None] + lind_sq)  # {L^dag L, rho}/2 = this * rho
 
     def make_apply(s0: float) -> Apply:
-        def apply(rho):
+        def apply(flat):
+            rho = flat.reshape(dim, dim)
             drv = hi @ rho - (hi @ rho.conj().T).conj().T  # [H_i, rho]
             fld = field_gaps * rho  # [H_f, rho]
             const = (1.0 - s0) * drv + s0 * fld
@@ -98,7 +103,7 @@ def _density_pair(
                 # a new array, not +=: in place, the heap was re-faulted every term
                 # (28x the page faults, 1.5x the time at N=8 on x86-64 Linux, glibc)
                 const = const + 1j * ((lind @ (lind @ rho).conj().T).conj().T - lind_sq_sums * rho)
-            return const, fld - drv
+            return const.ravel(), (fld - drv).ravel()
 
         return apply
 
@@ -123,16 +128,18 @@ def propagate_density(
     _check_qubits(n, MAX_DENSITY_QUBITS)
     if n != hf.n_qubits:
         raise ValueError("params and Ising instance disagree on qubit count")
-    if l_scale < 0:
-        raise ValueError(f"l_scale must be >= 0, got {l_scale}")
+    if not 0 <= l_scale < math.inf:  # NaN too
+        raise ValueError(f"l_scale must be finite and >= 0, got {l_scale}")
     full_diag = hf.full_diag()
     make_apply = _density_pair(n, full_diag, l_scale)
     psi0 = lift_to_full(uniform_initial_state(n))
     boundary_traces: list[float] = []
     herm_drifts: list[float] = []
-    for rho, terms, converged in run_segments(
-        make_apply, -1j * params.t_anneal, np.outer(psi0, psi0.conj()), params.t_anneal, schedule
+    rho0 = np.outer(psi0, psi0.conj()).ravel()
+    for flat, terms, converged in run_segments(
+        make_apply, -1j * params.t_anneal, rho0, params.t_anneal, schedule
     ):
+        rho = flat.reshape(psi0.size, psi0.size)
         boundary_traces.append(float(np.trace(rho).real))
         herm_drifts.append(_l2(rho - rho.conj().T))
     gs_full = np.flatnonzero(full_diag == full_diag.min())

@@ -35,8 +35,10 @@ class LZParams:
     t_anneal: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < math.inf:  # NaN too
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if not 0 < self.t_anneal < math.inf:  # NaN too
+            raise ValueError(f"anneal time must be positive and finite, got {self.t_anneal}")
 
 
 @dataclass(frozen=True)
@@ -184,10 +186,14 @@ def lindblad_segment(
     max_terms: int,
 ) -> tuple[np.ndarray, int, bool]:
     """One Taylor segment of the master equation (Hilbert-Schmidt norm stop)."""
-    def apply(rho):
-        return apply_liouvillian_const(rho, ctx), apply_liouvillian_ramp(rho, ctx)
+    shape = rho_in.shape
 
-    return taylor_segment(apply, 1.0, rho_in, step, tol, max_terms)
+    def apply(flat):  # the kernel takes rho flattened: one problem, not columns
+        rho = flat.reshape(shape)
+        return apply_liouvillian_const(rho, ctx).ravel(), apply_liouvillian_ramp(rho, ctx).ravel()
+
+    rho, terms, ok = taylor_segment(apply, 1.0, rho_in.ravel(), step, tol, max_terms)
+    return rho.reshape(shape), terms, ok
 
 
 def dense_spectrum(n_qubits: int, hf: IsingDiagonal, s: float) -> SpectralSlice:

@@ -10,7 +10,9 @@ benchmark.  Around s0, with A = A_0 + s0*B, the Taylor coefficients obey
 
 :func:`taylor_segment` is the only loop that runs this recurrence, for a
 closure ``apply(v) -> (A v, B v)``; :func:`run_segments` is the only loop
-over segments.  The partial sums grow like exp(T*||H||) and drown the
+over segments.  A 2-D state is a block of independent problems, one per
+column, each with its own stop test (:func:`propagate_block` anneals many
+Ising instances this way).  The partial sums grow like exp(T*||H||) and drown the
 result in roundoff for large T, so [0, 1] is split into segments, each
 summed at its local step length.
 
@@ -56,8 +58,8 @@ class AnnealParams:
     t_anneal: float
 
     def __post_init__(self):
-        if self.t_anneal <= 0:
-            raise ValueError(f"anneal time must be positive, got {self.t_anneal}")
+        if not 0 < self.t_anneal < math.inf:  # NaN too
+            raise ValueError(f"anneal time must be positive and finite, got {self.t_anneal}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,62 @@ def _l2(x: np.ndarray) -> float:
     return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
+class _Columns:
+    """Per-column bookkeeping of :func:`taylor_segment` on a (dim, B) block.
+
+    Column j is an independent problem.  Its stop test is taken on the same
+    ``_l2`` of a contiguous copy as a one-column run, so it stops at the same
+    term; the vectorised column norms of :meth:`norm` only decide when that
+    test is worth taking.  A column that stops is frozen: its result is
+    copied out, and its term and (n-2) product are zeroed, so it adds
+    nothing and never trips the test again.
+    """
+
+    # a column is rechecked once its approximate norm is within this factor of tol
+    NEAR = 1.0 + 1e-6
+
+    def __init__(self, acc: np.ndarray):
+        width = acc.shape[1]
+        self.frozen_pad = np.zeros(width)  # +inf on frozen columns, for the min
+        self.out = np.empty_like(acc)
+        self.terms = np.zeros(width, dtype=np.int64)
+        self.ok = np.zeros(width, dtype=bool)
+
+    def norm(self, v: np.ndarray) -> float:
+        """Least approximate column norm among the live columns; NaN if any
+        live column is not finite (frozen columns are zero)."""
+        flat = v.view(v.real.dtype)  # a complex column is two adjacent float columns
+        sq = np.einsum("ij,ij->j", flat, flat).reshape(v.shape[1], -1)
+        self.sq = np.einsum("jk->j", sq)  # einsum, unlike sum, does not warn on overflow
+        if not self.sq.max() < math.inf:
+            return math.nan
+        return math.sqrt(np.min(self.sq + self.frozen_pad))
+
+    def freeze(self, n, scale, tol, acc, new, ramp) -> bool:
+        """Freeze the columns that stop or overflow at term n; True when all are frozen."""
+        near = scale * np.sqrt(self.sq)
+        live = self.frozen_pad == 0
+        for j in np.flatnonzero(live & ~((near > tol * self.NEAR) & (near < math.inf))):
+            nrm = scale * _l2(new[:, j].copy())
+            if nrm <= tol:
+                self.out[:, j] = acc[:, j]
+                self.terms[j], self.ok[j] = n, True
+            elif not math.isfinite(nrm):
+                self.out[:, j] = math.nan  # overflowed: no terms counted
+            else:
+                continue
+            self.frozen_pad[j] = math.inf
+            new[:, j] = 0
+            ramp[:, j] = 0
+        return bool(np.all(self.frozen_pad))
+
+    def result(self, acc: np.ndarray, max_terms: int):
+        live = self.frozen_pad == 0  # columns that used up max_terms
+        self.out[:, live] = acc[:, live]
+        self.terms[live] = max_terms
+        return self.out, self.terms, self.ok
+
+
 def taylor_segment(
     apply: Apply,
     factor: complex,
@@ -128,26 +186,36 @@ def taylor_segment(
     step: float,
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int | np.ndarray, bool | np.ndarray]:
     """Sum the coefficient recurrence over one segment of length ``step``.
 
     ``apply(v)`` returns ``(A v, B v)``, A shifted to the segment start, as
-    two new arrays of the state's dtype that the kernel owns and overwrites;
-    ``B psi_{n-1}`` is kept as the (n-2) product of the next term.  Works on
-    any ndarray state (vectors or density matrices, flat 2-norm).
+    two new arrays of the state's shape and dtype that the kernel owns and
+    overwrites; ``B psi_{n-1}`` is kept as the (n-2) product of the next
+    term.
 
-    Returns ``(state, terms, converged)`` where ``terms`` is the index of the
-    last computed coefficient.  ``converged`` is False when ``max_terms`` was
-    exhausted with the last contribution still above ``tol``.
+    A 1-D state is one problem (flatten a density matrix first).  Returns
+    ``(state, terms, converged)`` where ``terms`` is the index of the last
+    computed coefficient.  ``converged`` is False when ``max_terms`` was
+    exhausted with the last contribution still above ``tol``.  Raises
+    :class:`TaylorOverflowError` if a coefficient turns non-finite, which
+    signals that the segment is too long.
 
-    Raises :class:`TaylorOverflowError` if a coefficient turns non-finite,
-    which signals that the segment is too long.
+    A C-contiguous 2-D state of shape (dim, B) is B independent problems,
+    one per column, and ``apply`` must act on each column alone.  Every
+    column gets the stop test, term count and flag of its own one-column
+    run, and ``terms`` and ``converged`` are length-B arrays.  A column that
+    overflows comes back NaN with 0 terms and not converged, and its
+    neighbours run on.
     """
     if max_terms < 2:
         raise ValueError("max_terms must be >= 2")
     term, ramp_prev = apply(psi_in)
     term *= factor
     acc = psi_in + step * term
+    block = None if psi_in.ndim == 1 else _Columns(acc)
+    norm, trigger = (_l2, tol) if block is None else (block.norm, tol * block.NEAR)
+    inf = math.inf
     for n in range(2, max_terms + 1):
         new, ramp = apply(term)
         new += ramp_prev
@@ -155,15 +223,20 @@ def taylor_segment(
         scale = step**n
         np.multiply(new, scale, out=ramp_prev)  # the retired (n-2) product is scratch
         acc += ramp_prev
-        nrm = scale * _l2(new)
-        if not math.isfinite(nrm):
-            raise TaylorOverflowError(
-                f"coefficient {n} overflowed; split the interval into more segments"
-            )
-        if nrm <= tol:
-            return acc, n, True
+        nrm = scale * norm(new)
+        if not trigger < nrm < inf:  # a problem may stop or overflow here
+            if block is None:
+                if nrm <= tol:
+                    return acc, n, True
+                raise TaylorOverflowError(
+                    f"coefficient {n} overflowed; split the interval into more segments"
+                )
+            if block.freeze(n, scale, tol, acc, new, ramp):
+                return block.result(acc, max_terms)
         term, ramp_prev = new, ramp
-    return acc, max_terms, False
+    if block is None:
+        return acc, max_terms, False
+    return block.result(acc, max_terms)
 
 
 def run_segments(
@@ -179,7 +252,9 @@ def run_segments(
     Yields at each boundary the state, the term counts so far and whether
     all segments so far converged; the last yield is the result at s = 1.
     A segment that overflows ends the run with a NaN state of the same
-    shape, flagged non-converged; its terms are not counted.
+    shape, flagged non-converged; its terms are not counted.  A 2-D block
+    runs on with per-column counts and flags (see :func:`taylor_segment`):
+    an overflowed column stays NaN, counting 0 terms in every later segment.
     """
     if schedule is None:
         schedule = SegmentSchedule()
@@ -196,7 +271,7 @@ def run_segments(
             yield np.full_like(state, np.nan), terms, False
             return
         terms.append(n_terms)
-        converged = converged and ok
+        converged = converged & ok
         yield state, terms, converged
 
 
@@ -206,7 +281,8 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray, s0: float) -> Apply:
     One driver product (:func:`apply_initial`, through this module's global
     so that it can be traced) and one diagonal product.  Nothing is upcast:
     the driver matrix is stored complex and ``propagate`` passes the
-    diagonal as complex128, like the states.
+    diagonal as complex128, like the states.  A (dim, B) diagonal block and
+    state run B instances, column by column.
     """
     shifted = np.empty_like(diag_f)
 
@@ -238,15 +314,53 @@ def propagate(
     """
     if params.n_qubits != hf.n_qubits:
         raise ValueError("params and Ising instance disagree on qubit count")
-    tf = transverse_field_half(params.n_qubits)
     diag_f = hf.half_diag.astype(np.complex128)  # same dtype as the state: no cast per term
     psi0 = uniform_initial_state(params.n_qubits)
+    return _result(hf, *_anneal(params, diag_f, psi0, schedule))
+
+
+def propagate_block(
+    params: AnnealParams,
+    instances: list[IsingDiagonal],
+    schedule: SegmentSchedule | None = None,
+) -> list[PropagationResult]:
+    """:func:`propagate` for several instances at once, as the columns of one state.
+
+    The instances share the driver, and their half diagonals form one
+    complex (2**(N-1), B) block, so one driver product per term serves all
+    of them.  Each column stops, overflows and is counted on its own, and
+    its result equals the :func:`propagate` of its instance bit for bit.
+    """
+    if any(hf.n_qubits != params.n_qubits for hf in instances):
+        raise ValueError("params and Ising instance disagree on qubit count")
+    diag_f = np.stack([hf.half_diag for hf in instances], axis=1).astype(np.complex128)
+    psi0 = uniform_initial_state(params.n_qubits)
+    psi, terms, converged = _anneal(
+        params, diag_f, np.repeat(psi0[:, None], len(instances), axis=1), schedule
+    )
+    # a 0 marks a segment at or after the column's overflow, which a
+    # one-column run does not list; a finished segment has at least 2 terms
+    return [
+        _result(hf, psi[:, j].copy(), [int(t[j]) for t in terms if t[j]], bool(converged[j]))
+        for j, hf in enumerate(instances)
+    ]
+
+
+def _anneal(params: AnnealParams, diag_f: np.ndarray, psi0: np.ndarray, schedule):
+    """The final state, term counts and flags of a half-space anneal of one
+    vector or of a block of columns."""
+    tf = transverse_field_half(params.n_qubits)
     for psi, terms, converged in run_segments(
         partial(_ising_apply, tf, diag_f), -1j * params.t_anneal, psi0, params.t_anneal, schedule
     ):
         pass  # only the state at s = 1 is needed
-    gs = ground_space(hf)
-    p = success_probability(psi, gs)
+    return psi, terms, converged
+
+
+def _result(hf: IsingDiagonal, psi: np.ndarray, terms: list[int], converged: bool):
+    """Success probability and norm drift of a final half vector (contiguous,
+    so a block column reads exactly as a one-column run)."""
+    p = success_probability(psi, ground_space(hf))
     converged = converged and 0.0 <= p <= 1.0
     norm_drift = abs(2.0 * float(np.vdot(psi, psi).real) - 1.0)
     return PropagationResult(psi, p, norm_drift, terms, converged)

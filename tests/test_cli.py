@@ -239,7 +239,17 @@ def test_rejected_input_exits_1(tmp_path, capsys):
         ["ensemble", "--qubits", "3", "--time", "2", "--runs", "2", "--seed", "1",
          "--lscale", "0.5", "--out", out],
         ["lindblad", "--qubits", "3", "--time", "2", "--seed", "1", "--lscale", "-1"],
+        ["lindblad", "--qubits", "3", "--time", "2", "--seed", "1", "--lscale", "nan"],
+        ["lindblad", "--qubits", "3", "--time", "2", "--seed", "1", "--lscale", "inf"],
+        ["ensemble", "--qubits", "3", "--time", "2", "--runs", "2", "--seed", "1",
+         "--mode", "lindblad", "--lscale", "nan", "--out", out],
+        ["single", "--qubits", "4", "--time", "inf", "--seed", "1"],
+        ["single", "--qubits", "4", "--time", "nan", "--seed", "1"],
         ["lz", "--delta", "0"],
+        ["lz", "--delta", "nan"],
+        ["lz", "--time", "-5"],
+        ["lz", "--time", "inf"],
+        ["lz", "--time", "nan"],
         ["scaling", "--qubits-list", "4", "--time", "0"],
         ["scaling", "--qubits-list", "4", "--time", "2", "--runs", "0"],
     ]

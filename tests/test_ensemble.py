@@ -6,6 +6,8 @@ import pytest
 
 from annealsim.ensemble import (
     EnsembleConfig,
+    InstanceRecord,
+    block_width,
     histogram,
     instance_seed,
     resolve_workers,
@@ -42,6 +44,26 @@ def test_ensemble_determinism_repeat_and_workers():
     assert a.records == b.records == c.records
     assert np.array_equal(a.probabilities, c.probabilities)
     assert np.array_equal(a.histogram, c.histogram)
+
+
+def test_unitary_blocks_match_direct_propagate():
+    # 131 runs fill blocks of 64, 64, 3 (workers 1 and 2) and 44, 44, 43 (3)
+    n, t_anneal, runs = 8, 10.0, 131
+    params = AnnealParams(n, t_anneal)
+    direct = []
+    for k in range(runs):
+        seed = instance_seed(7, k)
+        res = propagate(params, random_ising_half(n, seed))
+        direct.append(InstanceRecord(
+            k, seed, res.success_p, sum(res.terms_per_segment), res.norm_drift, res.converged
+        ))
+    for workers, width in ((1, 64), (2, 64), (3, 44)):
+        assert block_width(n, runs, workers) == width
+        config = EnsembleConfig(n, t_anneal, runs, master_seed=7)
+        result = run_ensemble(config, workers)
+        assert repr(result.records) == repr(direct)
+        timing = run_record(config, result, 1.5)["timing"]
+        assert timing == {"wall_seconds": 1.5, "workers": workers, "blocks": 3}
 
 
 def test_ensemble_failure_policy():

@@ -111,6 +111,40 @@ def test_specialized_segment_matches_generic(n, s0):
     assert np.max(np.abs(ref - got)) < 1e-13
 
 
+@pytest.mark.parametrize("scale", [4.0, 1e200])
+def test_block_column_failure_leaves_neighbour_bitwise(scale):
+    # one bad problem in a block must not touch its neighbour: column 1's
+    # generator is scaled until it runs out of terms (4) or overflows (1e200)
+    n, t_anneal, step, s0, max_terms = 6, 3.0, 0.25, 0.5, 60
+    tf = transverse_field_half(n)
+    diag = random_ising_half(n, 4).half_diag.astype(complex)
+    psi = uniform_initial_state(n)
+    c = -1j * t_anneal
+
+    def one_column(d):
+        return taylor_segment(_ising_apply(tf, d, s0), c, psi, step, 1e-12, max_terms)
+
+    block_diag = np.stack([diag, scale * diag], axis=1)
+    block_psi = np.repeat(psi[:, None], 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, terms, ok = taylor_segment(
+            _ising_apply(tf, block_diag, s0), c, block_psi, step, 1e-12, max_terms
+        )
+    ref, t_ref, ok_ref = one_column(diag)
+    assert ok_ref and ok[0] and t_ref < max_terms
+    assert terms[0] == t_ref
+    assert np.array_equal(got[:, 0], ref)
+    assert not ok[1]
+    if scale > 1e100:
+        assert np.isnan(got[:, 1]).all() and terms[1] == 0
+        with pytest.raises(TaylorOverflowError), np.errstate(over="ignore", invalid="ignore"):
+            one_column(scale * diag)
+    else:
+        ref1, t_ref1, ok_ref1 = one_column(scale * diag)
+        assert not ok_ref1 and terms[1] == t_ref1 == max_terms
+        assert np.array_equal(got[:, 1], ref1)
+
+
 def test_one_driver_product_per_term(monkeypatch):
     # the kernel's cost invariant, and the module global through which the
     # driver product is traced
