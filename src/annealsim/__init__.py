@@ -8,7 +8,7 @@ from .ensemble import (
     scaling_sweep,
     sweep_T,
 )
-from .errors import CapacityError, TaylorOverflowError
+from .errors import CapacityError
 from .lindblad_propagator import DensityPropagationResult, propagate_density
 from .oracle import LZParams, lz_propagate
 from .spin_system import IsingDiagonal, random_ising_half
@@ -24,7 +24,6 @@ __all__ = [
     "LZParams",
     "PropagationResult",
     "SegmentSchedule",
-    "TaylorOverflowError",
     "instance_seed",
     "lz_propagate",
     "propagate",

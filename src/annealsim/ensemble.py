@@ -123,10 +123,10 @@ def _run_instance(args: tuple) -> InstanceRecord:
 
 
 def _run_block(args: tuple) -> list[InstanceRecord]:
-    """Anneal instances ``first, first + 1, ...``: two or more unitary ones
-    as the columns of one block, others one by one."""
+    """Anneal instances ``first, first + 1, ...``: unitary ones as the
+    columns of one block, Lindblad ones one by one."""
     n_qubits, t_anneal, mode, l_scale, schedule, first, seeds = args
-    if mode != "unitary" or len(seeds) == 1:
+    if mode != "unitary":
         return [
             _run_instance((n_qubits, t_anneal, mode, l_scale, schedule, first + j, seed))
             for j, seed in enumerate(seeds)
@@ -153,12 +153,20 @@ def block_width(n_qubits: int, runs: int, workers: int) -> int:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """``workers``, else $ANNEALSIM_WORKERS, else the CPU count.  A count that
+    is not an integer >= 1 is a ValueError naming its source."""
+    source, value = "workers", workers
+    if workers is None:
+        source, value = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR)
+        if not value:
+            return os.cpu_count() or 1
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
+    return count
 
 
 def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> EnsembleResult:

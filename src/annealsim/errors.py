@@ -1,14 +1,6 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator.  A run that fails
+numerically raises none: it comes back flagged non-converged."""
 
 
 class CapacityError(RuntimeError):
     """Requested system size exceeds the documented memory limits."""
-
-
-class TaylorOverflowError(ArithmeticError):
-    """A Taylor coefficient became non-finite.
-
-    Intermediate partial sums grow like exp(T*||H||/segments); hitting
-    inf/NaN means the segment is too long and the interval must be split
-    into more segments.
-    """

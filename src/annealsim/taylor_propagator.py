@@ -32,7 +32,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import TaylorOverflowError
 from .spin_system import (
     GroundSpace,
     IsingDiagonal,
@@ -123,31 +122,40 @@ def _l2(x: np.ndarray) -> float:
     return math.sqrt(np.einsum("i,i->", flat, flat))
 
 
-class _Columns:
-    """Per-column bookkeeping of :func:`taylor_segment` on a (dim, B) block.
+def _columns(x: np.ndarray) -> np.ndarray:
+    """The problems of a state as columns: a (dim, 1) view of a vector."""
+    return x.reshape(x.shape[0], -1)
 
-    Column j is an independent problem.  Its stop test is taken on the same
-    ``_l2`` of a contiguous copy as a one-column run, so it stops at the same
-    term; the vectorised column norms of :meth:`norm` only decide when that
-    test is worth taking.  A column that stops is frozen: its result is
-    copied out, and its term and (n-2) product are zeroed, so it adds
-    nothing and never trips the test again.
+
+class _Problems:
+    """Per-problem bookkeeping of :func:`taylor_segment`.
+
+    A 1-D state is one problem and a (dim, B) block is B, one per column;
+    both are indexed as the columns of :func:`_columns`.  A problem's stop
+    test is taken on the ``_l2`` of its contiguous column, so a block column
+    stops at the same term as a one-column run; the norms of :meth:`norm`
+    (exact for a vector, vectorised per column for a block) only decide when
+    that test is worth taking.  A problem that stops or overflows (its sum
+    is then set to NaN) is frozen: its term and (n-2) product are zeroed, so
+    its sum only gains zeros and it never trips the test again.
     """
 
-    # a column is rechecked once its approximate norm is within this factor of tol
+    # a problem is rechecked once its norm is within this factor of tol
     NEAR = 1.0 + 1e-6
 
     def __init__(self, acc: np.ndarray):
-        width = acc.shape[1]
-        self.frozen_pad = np.zeros(width)  # +inf on frozen columns, for the min
-        self.out = np.empty_like(acc)
+        self.n_live = width = _columns(acc).shape[1]
+        self.frozen_pad = np.zeros(width)  # +inf on frozen problems, for the min
         self.terms = np.zeros(width, dtype=np.int64)
         self.ok = np.zeros(width, dtype=bool)
 
     def norm(self, v: np.ndarray) -> float:
-        """Least approximate column norm among the live columns; NaN if any
-        live column is not finite (frozen columns are zero)."""
+        """Least norm among the live problems; NaN if any live problem is not
+        finite (frozen columns are zero)."""
         flat = v.view(v.real.dtype)  # a complex column is two adjacent float columns
+        if v.ndim == 1:  # as a (dim, 1) block this costs 6x at N = 18
+            self.sq = np.einsum("i,i->", flat, flat)
+            return math.sqrt(self.sq)
         sq = np.einsum("ij,ij->j", flat, flat).reshape(v.shape[1], -1)
         self.sq = np.einsum("jk->j", sq)  # einsum, unlike sum, does not warn on overflow
         if not self.sq.max() < math.inf:
@@ -155,28 +163,29 @@ class _Columns:
         return math.sqrt(np.min(self.sq + self.frozen_pad))
 
     def freeze(self, n, scale, tol, acc, new, ramp) -> bool:
-        """Freeze the columns that stop or overflow at term n; True when all are frozen."""
+        """Freeze the problems that stop or overflow at term n; True when all are frozen."""
+        acc, new, ramp = _columns(acc), _columns(new), _columns(ramp)
         near = scale * np.sqrt(self.sq)
         live = self.frozen_pad == 0
         for j in np.flatnonzero(live & ~((near > tol * self.NEAR) & (near < math.inf))):
-            nrm = scale * _l2(new[:, j].copy())
+            nrm = scale * _l2(np.ascontiguousarray(new[:, j]))
             if nrm <= tol:
-                self.out[:, j] = acc[:, j]
                 self.terms[j], self.ok[j] = n, True
             elif not math.isfinite(nrm):
-                self.out[:, j] = math.nan  # overflowed: no terms counted
+                acc[:, j] = math.nan  # overflowed: no terms counted
             else:
                 continue
             self.frozen_pad[j] = math.inf
+            self.n_live -= 1
             new[:, j] = 0
             ramp[:, j] = 0
-        return bool(np.all(self.frozen_pad))
+        return not self.n_live
 
     def result(self, acc: np.ndarray, max_terms: int):
-        live = self.frozen_pad == 0  # columns that used up max_terms
-        self.out[:, live] = acc[:, live]
-        self.terms[live] = max_terms
-        return self.out, self.terms, self.ok
+        self.terms[self.frozen_pad == 0] = max_terms  # problems that used up max_terms
+        if acc.ndim == 1:
+            return acc, int(self.terms[0]), bool(self.ok[0])
+        return acc, self.terms, self.ok
 
 
 def taylor_segment(
@@ -194,28 +203,25 @@ def taylor_segment(
     overwrites; ``B psi_{n-1}`` is kept as the (n-2) product of the next
     term.
 
-    A 1-D state is one problem (flatten a density matrix first).  Returns
-    ``(state, terms, converged)`` where ``terms`` is the index of the last
-    computed coefficient.  ``converged`` is False when ``max_terms`` was
-    exhausted with the last contribution still above ``tol``.  Raises
-    :class:`TaylorOverflowError` if a coefficient turns non-finite, which
-    signals that the segment is too long.
-
-    A C-contiguous 2-D state of shape (dim, B) is B independent problems,
-    one per column, and ``apply`` must act on each column alone.  Every
-    column gets the stop test, term count and flag of its own one-column
-    run, and ``terms`` and ``converged`` are length-B arrays.  A column that
-    overflows comes back NaN with 0 terms and not converged, and its
-    neighbours run on.
+    A 1-D state is one problem (flatten a density matrix first), and a
+    C-contiguous 2-D state of shape (dim, B) is B independent problems, one
+    per column; ``apply`` must then act on each column alone.  Returns
+    ``(state, terms, converged)``: for a vector an int and a bool, for a
+    block length-B arrays, every column with the stop test, term count and
+    flag of its own one-column run.  ``terms`` is the index of the last
+    computed coefficient, and ``converged`` is False when ``max_terms`` was
+    exhausted with the last contribution still above ``tol``.  A problem
+    whose coefficient turns non-finite (the segment is too long) comes back
+    NaN with 0 terms and not converged, and any others run on; nothing is
+    raised.
     """
     if max_terms < 2:
         raise ValueError("max_terms must be >= 2")
     term, ramp_prev = apply(psi_in)
     term *= factor
     acc = psi_in + step * term
-    block = None if psi_in.ndim == 1 else _Columns(acc)
-    norm, trigger = (_l2, tol) if block is None else (block.norm, tol * block.NEAR)
-    inf = math.inf
+    problems = _Problems(acc)
+    trigger = tol * problems.NEAR
     for n in range(2, max_terms + 1):
         new, ramp = apply(term)
         new += ramp_prev
@@ -223,20 +229,12 @@ def taylor_segment(
         scale = step**n
         np.multiply(new, scale, out=ramp_prev)  # the retired (n-2) product is scratch
         acc += ramp_prev
-        nrm = scale * norm(new)
-        if not trigger < nrm < inf:  # a problem may stop or overflow here
-            if block is None:
-                if nrm <= tol:
-                    return acc, n, True
-                raise TaylorOverflowError(
-                    f"coefficient {n} overflowed; split the interval into more segments"
-                )
-            if block.freeze(n, scale, tol, acc, new, ramp):
-                return block.result(acc, max_terms)
+        nrm = scale * problems.norm(new)
+        if not trigger < nrm < math.inf:  # a problem may stop or overflow here
+            if problems.freeze(n, scale, tol, acc, new, ramp):
+                break
         term, ramp_prev = new, ramp
-    if block is None:
-        return acc, max_terms, False
-    return block.result(acc, max_terms)
+    return problems.result(acc, max_terms)
 
 
 def run_segments(
@@ -251,10 +249,11 @@ def run_segments(
     Segment k expands around s0 = k/K with the pair ``make_apply(s0)``.
     Yields at each boundary the state, the term counts so far and whether
     all segments so far converged; the last yield is the result at s = 1.
-    A segment that overflows ends the run with a NaN state of the same
-    shape, flagged non-converged; its terms are not counted.  A 2-D block
-    runs on with per-column counts and flags (see :func:`taylor_segment`):
-    an overflowed column stays NaN, counting 0 terms in every later segment.
+    Counts and flags are per column for a 2-D block (see
+    :func:`taylor_segment`).  A problem that overflows stays NaN and
+    non-converged, counting 0 terms in every later segment.  A segment in
+    which every problem has overflowed ends the run: its NaN state is the
+    last yield, and its terms are not listed.
     """
     if schedule is None:
         schedule = SegmentSchedule()
@@ -263,15 +262,14 @@ def run_segments(
     terms: list[int] = []
     converged = True
     for k in range(n_seg):
-        try:
-            state, n_terms, ok = taylor_segment(
-                make_apply(k * step), factor, state, step, schedule.tol, schedule.max_terms
-            )
-        except TaylorOverflowError:
-            yield np.full_like(state, np.nan), terms, False
+        state, n_terms, ok = taylor_segment(
+            make_apply(k * step), factor, state, step, schedule.tol, schedule.max_terms
+        )
+        converged = converged & ok
+        if not np.count_nonzero(n_terms):  # every problem overflowed
+            yield state, terms, converged
             return
         terms.append(n_terms)
-        converged = converged & ok
         yield state, terms, converged
 
 
@@ -312,11 +310,7 @@ def propagate(
     whatever state the series produced, for diagnosis only; ensemble
     statistics exclude it.
     """
-    if params.n_qubits != hf.n_qubits:
-        raise ValueError("params and Ising instance disagree on qubit count")
-    diag_f = hf.half_diag.astype(np.complex128)  # same dtype as the state: no cast per term
-    psi0 = uniform_initial_state(params.n_qubits)
-    return _result(hf, *_anneal(params, diag_f, psi0, schedule))
+    return propagate_block(params, [hf], schedule)[0]
 
 
 def propagate_block(
@@ -329,41 +323,35 @@ def propagate_block(
     The instances share the driver, and their half diagonals form one
     complex (2**(N-1), B) block, so one driver product per term serves all
     of them.  Each column stops, overflows and is counted on its own, and
-    its result equals the :func:`propagate` of its instance bit for bit.
+    its result equals that of its instance run alone bit for bit (a stopped
+    column only gains zeros, so a -0.0 entry could turn +0.0).  A lone
+    instance runs as a vector: as a (dim, 1) block it costs up to 1.5x.
     """
     if any(hf.n_qubits != params.n_qubits for hf in instances):
         raise ValueError("params and Ising instance disagree on qubit count")
+    width = len(instances)
+    # the diagonal has the state's dtype: no cast per term
     diag_f = np.stack([hf.half_diag for hf in instances], axis=1).astype(np.complex128)
-    psi0 = uniform_initial_state(params.n_qubits)
-    psi, terms, converged = _anneal(
-        params, diag_f, np.repeat(psi0[:, None], len(instances), axis=1), schedule
-    )
-    # a 0 marks a segment at or after the column's overflow, which a
-    # one-column run does not list; a finished segment has at least 2 terms
-    return [
-        _result(hf, psi[:, j].copy(), [int(t[j]) for t in terms if t[j]], bool(converged[j]))
-        for j, hf in enumerate(instances)
-    ]
-
-
-def _anneal(params: AnnealParams, diag_f: np.ndarray, psi0: np.ndarray, schedule):
-    """The final state, term counts and flags of a half-space anneal of one
-    vector or of a block of columns."""
+    psi0 = np.repeat(uniform_initial_state(params.n_qubits)[:, None], width, axis=1)
+    if width == 1:
+        diag_f, psi0 = diag_f[:, 0], psi0[:, 0]
     tf = transverse_field_half(params.n_qubits)
     for psi, terms, converged in run_segments(
         partial(_ising_apply, tf, diag_f), -1j * params.t_anneal, psi0, params.t_anneal, schedule
     ):
         pass  # only the state at s = 1 is needed
-    return psi, terms, converged
-
-
-def _result(hf: IsingDiagonal, psi: np.ndarray, terms: list[int], converged: bool):
-    """Success probability and norm drift of a final half vector (contiguous,
-    so a block column reads exactly as a one-column run)."""
-    p = success_probability(psi, ground_space(hf))
-    converged = converged and 0.0 <= p <= 1.0
-    norm_drift = abs(2.0 * float(np.vdot(psi, psi).real) - 1.0)
-    return PropagationResult(psi, p, norm_drift, terms, converged)
+    terms = np.array(terms, dtype=np.int64).reshape(-1, width)
+    converged = np.reshape(converged, width)
+    results = []
+    for j, hf in enumerate(instances):
+        col = np.ascontiguousarray(_columns(psi)[:, j])  # reads as a one-column run
+        p = success_probability(col, ground_space(hf))
+        ok = bool(converged[j]) and 0.0 <= p <= 1.0
+        drift = abs(2.0 * float(np.vdot(col, col).real) - 1.0)
+        # a 0 marks a segment at or after the column's overflow, which a
+        # one-column run does not list; a finished segment has at least 2 terms
+        results.append(PropagationResult(col, p, drift, [int(t) for t in terms[:, j] if t], ok))
+    return results
 
 
 def clamp_probability(raw: float) -> float:
@@ -394,7 +382,8 @@ def coefficient_bound_recurrence(a: float, b: float, n_max: int) -> BoundSequenc
     q_n = p_n/n! obey q_{n+1} = (a q_n + b q_{n-1}) / (n+1), the kernel's
     recurrence for the scalar pair (a, b), so no factorial overflows.  They
     are exact from about 1e-154 to 1e154, where their square is a normal
-    float; above that the kernel raises TaylorOverflowError.
+    float; above that :func:`segment_coefficient_norms` raises
+    :class:`OverflowError`, so no value returned is ever non-finite.
     """
     if a <= 0 or b < 0:
         raise ValueError("need a > 0 and b >= 0")
@@ -431,7 +420,8 @@ def segment_coefficient_norms(
     Runs :func:`taylor_segment` (factor 1, unit step) with no early stop,
     recording the norm of every coefficient ``apply`` is given; feed the
     result to :func:`power_rule_stop_index` to evaluate the alternative
-    eps-power stopping rule.
+    eps-power stopping rule.  Raises :class:`OverflowError` if a coefficient
+    overflows.
     """
     norms = []
 
@@ -439,7 +429,9 @@ def segment_coefficient_norms(
         norms.append(_l2(v))
         return apply_const(v), apply_ramp(v)
 
-    taylor_segment(apply, 1.0, psi_in, 1.0, -math.inf, max(n_terms + 1, 2))
+    _, terms, _ = taylor_segment(apply, 1.0, psi_in, 1.0, -math.inf, max(n_terms + 1, 2))
+    if not np.all(terms):  # psi_n overflowed after the n norms recorded
+        raise OverflowError(f"coefficient {len(norms)} overflowed")
     return np.array(norms[: n_terms + 1])
 
 

@@ -224,10 +224,14 @@ def test_scaling_bad_list_exits_1(capsys):
     assert run_cli(["scaling", "--qubits-list", "1,4", "--time", "2"]) == 1
 
 
-def test_rejected_input_exits_1(tmp_path, capsys):
+def test_rejected_input_exits_1(tmp_path, capsys, monkeypatch):
     # every value the library rejects is a flag error: exit 1, no traceback
     out = str(tmp_path / "x.json")
+    ensemble = ["ensemble", "--qubits", "3", "--time", "2", "--runs", "2", "--seed", "1",
+                "--out", out]
     table = [
+        ensemble + ["--workers", "-3"],
+        ensemble + ["--workers", "0"],
         ["single", "--qubits", "4", "--time", "0", "--seed", "1"],
         ["single", "--qubits", "4", "--time", "2", "--seed", "1", "--segments", "0"],
         ["single", "--qubits", "4", "--time", "2", "--seed", "1", "--tol", "2"],
@@ -259,6 +263,12 @@ def test_rejected_input_exits_1(tmp_path, capsys):
         assert code == 1, argv
         assert "error:" in err, argv
         assert "Traceback" not in err, argv
+    for value in ("0", "-1", "two"):  # a bad worker count from the environment
+        monkeypatch.setenv("ANNEALSIM_WORKERS", value)
+        code = run_cli(ensemble)
+        err = capsys.readouterr().err
+        assert code == 1, value
+        assert "error: ANNEALSIM_WORKERS" in err, value
     assert not (tmp_path / "x.json").exists()
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import annealsim.taylor_propagator as tp
 from annealsim.ensemble import (
     EnsembleConfig,
     InstanceRecord,
@@ -16,7 +17,7 @@ from annealsim.ensemble import (
     scaling_sweep,
     sweep_T,
 )
-from annealsim.spin_system import ground_space, random_ising_half
+from annealsim.spin_system import apply_initial, ground_space, random_ising_half
 from annealsim.taylor_propagator import AnnealParams, SegmentSchedule, propagate
 
 
@@ -70,7 +71,7 @@ def test_ensemble_failure_policy():
     cases = [
         # max_terms=2 cannot converge at this T
         (3, 6.0, SegmentSchedule(max_terms=2), False),
-        # one segment this long overflows (TaylorOverflowError) in every instance
+        # one segment this long overflows (a NaN result) in every instance
         (6, 60.0, SegmentSchedule(segments=1), True),
     ]
     for n_qubits, t_anneal, schedule, overflows in cases:
@@ -154,8 +155,31 @@ def test_resolve_workers_env_var(monkeypatch):
     monkeypatch.setenv("ANNEALSIM_WORKERS", "3")
     assert resolve_workers() == 3
     assert resolve_workers(5) == 5  # explicit argument wins
+    for bad in ("0", "-2", "two", "1.5"):
+        monkeypatch.setenv("ANNEALSIM_WORKERS", bad)
+        with pytest.raises(ValueError, match="ANNEALSIM_WORKERS"):
+            resolve_workers()
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="workers must be"):
+            resolve_workers(bad)
     monkeypatch.delenv("ANNEALSIM_WORKERS")
     assert resolve_workers() >= 1
+
+
+def test_lone_instance_reaches_kernel_as_vector(monkeypatch):
+    # a one-run unitary task anneals as a 1-D state, a two-run task as a
+    # (dim, 2) block; both through the one block entry point
+    shapes = []
+
+    def spy(tf, v):
+        shapes.append(v.shape)
+        return apply_initial(tf, v)
+
+    monkeypatch.setattr(tp, "apply_initial", spy)
+    for runs, shape in ((1, (4,)), (2, (4, 2))):
+        shapes.clear()
+        run_ensemble(EnsembleConfig(3, 2.0, runs, master_seed=3), workers=1)
+        assert shapes and set(shapes) == {shape}
 
 
 def test_config_validation():

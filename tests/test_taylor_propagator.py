@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import annealsim.taylor_propagator as tp
-from annealsim.errors import TaylorOverflowError
 from annealsim.spin_system import (
     GroundSpace,
     IsingDiagonal,
@@ -21,6 +20,8 @@ from annealsim.taylor_propagator import (
     coefficient_bound_recurrence,
     power_rule_stop_index,
     propagate,
+    propagate_block,
+    run_segments,
     segment_coefficient_norms,
     success_probability,
     taylor_segment,
@@ -73,14 +74,16 @@ def test_segment_landau_zener_paper_value():
     assert np.max(np.abs(psi - LZ_PSI_PAPER) / np.abs(LZ_PSI_PAPER)) < 1e-10
 
 
-def test_segment_overflow_raises():
-    # enormous generator on one full-length segment must hit inf before 500 terms
+def test_segment_overflow_gives_nan():
+    # enormous generator on one full-length segment must hit inf before 500
+    # terms; the overflow is a result (NaN, 0 terms, not converged), not a raise
     big = lambda v: 1e150 * v
     zero = lambda v: np.zeros_like(v)
-    with pytest.raises(TaylorOverflowError):
-        taylor_segment(
-            lambda v: (big(v), zero(v)), 1.0, np.ones(2, dtype=complex), 1.0, 1e-12, 500
-        )
+    psi, terms, conv = taylor_segment(
+        lambda v: (big(v), zero(v)), 1.0, np.ones(2, dtype=complex), 1.0, 1e-12, 500
+    )
+    assert np.isnan(psi).all() and psi.shape == (2,)
+    assert terms == 0 and conv is False
 
 
 @pytest.mark.parametrize("s0", [0.0, 0.5, 0.9])
@@ -137,12 +140,43 @@ def test_block_column_failure_leaves_neighbour_bitwise(scale):
     assert not ok[1]
     if scale > 1e100:
         assert np.isnan(got[:, 1]).all() and terms[1] == 0
-        with pytest.raises(TaylorOverflowError), np.errstate(over="ignore", invalid="ignore"):
-            one_column(scale * diag)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref1, t_ref1, ok_ref1 = one_column(scale * diag)
+        assert np.isnan(ref1).all() and t_ref1 == 0 and not ok_ref1
     else:
         ref1, t_ref1, ok_ref1 = one_column(scale * diag)
         assert not ok_ref1 and terms[1] == t_ref1 == max_terms
         assert np.array_equal(got[:, 1], ref1)
+
+
+def test_all_columns_overflowing_end_the_run():
+    # every column overflows in segment 0 of 3: one NaN yield with no terms
+    # listed and every flag False, and no later segment is set up
+    n, t_anneal = 6, 180.0
+    tf = transverse_field_half(n)
+    diag = random_ising_half(n, 1).half_diag.astype(complex)
+    block = np.stack([diag, 2 * diag], axis=1)
+    starts = []
+
+    def make_apply(s0):
+        starts.append(s0)
+        return _ising_apply(tf, block, s0)
+
+    psi = np.repeat(uniform_initial_state(n)[:, None], 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        yields = [
+            (state, list(terms), ok)
+            for state, terms, ok in run_segments(
+                make_apply, -1j * t_anneal, psi, t_anneal, SegmentSchedule(segments=3)
+            )
+        ]
+        results = propagate_block(
+            AnnealParams(n, t_anneal), [random_ising_half(n, 1)] * 2, SegmentSchedule(segments=3)
+        )
+    assert len(yields) == 1 and starts == [0.0]
+    state, terms, ok = yields[0]
+    assert terms == [] and not np.any(ok) and np.isnan(state).all()
+    assert all(r.terms_per_segment == [] and not r.converged for r in results)
 
 
 def test_one_driver_product_per_term(monkeypatch):
@@ -254,6 +288,14 @@ def test_bound_recurrence_pure_exponential():
     seq = coefficient_bound_recurrence(a, 0.0, 20)
     expected = np.array([a**n / math.factorial(n) for n in range(21)])
     assert np.allclose(seq.values, expected, rtol=1e-13)
+
+
+def test_bound_recurrence_overflow_raises():
+    # q_n = 1e3**n / n! passes 1e154 at n = 113: the diagnostic raises there
+    # and never returns a non-finite value
+    with pytest.raises(ArithmeticError, match="coefficient 113"):
+        coefficient_bound_recurrence(1e3, 0.0, 2000)
+    assert np.isfinite(coefficient_bound_recurrence(1e3, 0.0, 100).values).all()
 
 
 def test_bound_closed_form_examples():
