@@ -27,8 +27,12 @@ from scipy.sparse import csr_matrix
 from .errors import CapacityError
 
 # Dimension caps: half-space vectors beyond 2**19 entries (N > 20) leave no
-# headroom for the propagator's work vectors on a desk-scale machine.
+# headroom for the propagator's work vectors on a desk-scale machine; the
+# driver matrix no longer grows with N, so the work vectors alone set the cap.
 MAX_QUBITS = 20
+# The driver matrix covers the low min(N-1, LOW_FLIP_BITS) bits: 2**12 rows
+# of 12 entries, about 1 MB, whatever N (see apply_initial).
+LOW_FLIP_BITS = 12
 
 
 def _check_qubits(n_qubits: int, limit: int = MAX_QUBITS) -> None:
@@ -40,13 +44,15 @@ def _check_qubits(n_qubits: int, limit: int = MAX_QUBITS) -> None:
 
 @dataclass(frozen=True)
 class TransverseField:
-    """Single-bit-flip coupling structure on the low N-1 qubits.
+    """Single-bit-flip coupling structure on the low m = min(N-1, 12) qubits.
 
     ``couplings`` is the sparse symmetric complex128 matrix with value -1 at
-    ``(i, i ^ 2**k)`` for every half-space index ``i`` and ``k < N-1``;
-    complex entries let it multiply complex states without an upcast copy.
-    The flip of the top qubit maps a half index to the reversal of the
-    half vector and is applied separately (see :func:`apply_initial`).
+    ``(i, i ^ 2**k)`` for every ``i < 2**m`` and ``k < m``; complex entries
+    let it multiply complex states without an upcast copy.  For N <= 13 it
+    is the whole half-space flip matrix.  Beyond, it acts on the low bits of
+    each contiguous run of 2**m half-space entries, and the flips of the
+    higher bits and of the top qubit (the reversal of the half vector) are
+    applied separately (see :func:`apply_initial`).
     """
 
     n_qubits: int
@@ -98,31 +104,52 @@ def _flip_matrix(n_bits: int, value: float | complex) -> csr_matrix:
 def transverse_field_half(n_qubits: int) -> TransverseField:
     """Build the half-space flip structure for ``n_qubits`` qubits.
 
-    The matrix acts on vectors of length 2**(N-1) and carries exactly
-    (N-1) * 2**(N-1) entries, all equal to -1.
+    The matrix is ``_flip_matrix(m, -1)`` for the low m = min(N-1, 12)
+    bits: 2**m rows of m entries, all equal to -1, so 1.0 MB at every
+    N >= 13 (the full half-space matrix would be 45 MB at N=18).
     """
     _check_qubits(n_qubits)
-    return TransverseField(n_qubits, _flip_matrix(n_qubits - 1, -1.0 + 0.0j))
+    return TransverseField(n_qubits, _flip_matrix(min(n_qubits - 1, LOW_FLIP_BITS), -1.0 + 0.0j))
 
 
 def apply_initial(tf: TransverseField, psi: np.ndarray) -> np.ndarray:
     """Apply the full transverse-field Hamiltonian within the half space.
 
-    Returns ``couplings @ psi - psi[::-1]``; the reversal term is the flip
-    of the top qubit routed through the palindromic identification.
+    ``psi`` is a half vector or a C-contiguous (2**(N-1), B) block of them;
+    each column is transformed on its own.  Three steps:
+
+    * the flips of the low m bits: ``couplings`` applied to the low-bit
+      axis of the (2**(N-1-m), 2**m, B) view, moved to the front by one
+      transposed copy in and one out (for N <= 13 there are no higher
+      bits, and this is ``couplings @ psi``);
+    * the flip of each bit k with m <= k < N-1: the two contiguous halves
+      of every 2**(k+1)-entry run swapped and subtracted;
+    * the flip of the top qubit: through the palindromic identification, the
+      reversal of the half vector, subtracted.
 
     The matrix is stored complex, like the states, so the product reads it
     as stored; a float64 matrix times a complex vector would make scipy
-    upcast a complex copy of the whole matrix on every call (35 MB at
-    N=18).  The product allocates only the returned vector, and the
-    reversal is subtracted from it in place.  A real vector gives a complex
+    upcast a complex copy of the matrix on every call.  At most two vectors
+    are allocated at once (the transposed input is freed before the output
+    is), and every subtraction is in place.  A real vector gives a complex
     result.
     """
-    if psi.shape[0] != tf.couplings.shape[0]:
-        raise ValueError(
-            f"state length {psi.shape[0]} does not match half dimension {tf.couplings.shape[0]}"
-        )
-    out = tf.couplings @ psi
+    dim = 1 << (tf.n_qubits - 1)
+    if psi.shape[0] != dim:
+        raise ValueError(f"state length {psi.shape[0]} does not match half dimension {dim}")
+    low = tf.couplings.shape[0]
+    if low == dim:  # N <= 13: no high bits, and no reshapes, whose overhead shows at N=8
+        out = tf.couplings @ psi
+    else:
+        lows = np.ascontiguousarray(psi.reshape(dim // low, low, -1).transpose(1, 0, 2))
+        flipped = tf.couplings @ lows.reshape(low, -1)
+        del lows
+        out = np.ascontiguousarray(flipped.reshape(low, dim // low, -1).transpose(1, 0, 2))
+        del flipped
+        out = out.reshape(psi.shape)
+        for k in range(low.bit_length() - 1, tf.n_qubits - 1):
+            o = out.reshape(dim >> (k + 1), 2, -1)
+            np.subtract(o, psi.reshape(dim >> (k + 1), 2, -1)[:, ::-1], out=o)
     out -= psi[::-1]
     return out
 

@@ -277,7 +277,8 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray, s0: float) -> Apply:
     """The annealing pair A = H_i + s0 (H_f - H_i), B = H_f - H_i (factor -iT).
 
     One driver product (:func:`apply_initial`, through this module's global
-    so that it can be traced) and one diagonal product.  Nothing is upcast:
+    so that it can be traced; a low-bit matrix of about 1 MB at any N plus
+    in-place updates) and one diagonal product.  Nothing is upcast:
     the driver matrix is stored complex and ``propagate`` passes the
     diagonal as complex128, like the states.  A (dim, B) diagonal block and
     state run B instances, column by column.
@@ -331,10 +332,12 @@ def propagate_block(
         raise ValueError("params and Ising instance disagree on qubit count")
     width = len(instances)
     # the diagonal has the state's dtype: no cast per term
-    diag_f = np.stack([hf.half_diag for hf in instances], axis=1).astype(np.complex128)
-    psi0 = np.repeat(uniform_initial_state(params.n_qubits)[:, None], width, axis=1)
+    psi0 = uniform_initial_state(params.n_qubits)
     if width == 1:
-        diag_f, psi0 = diag_f[:, 0], psi0[:, 0]
+        diag_f = instances[0].half_diag.astype(np.complex128)
+    else:
+        diag_f = np.stack([hf.half_diag for hf in instances], axis=1).astype(np.complex128)
+        psi0 = np.repeat(psi0[:, None], width, axis=1)
     tf = transverse_field_half(params.n_qubits)
     for psi, terms, converged in run_segments(
         partial(_ising_apply, tf, diag_f), -1j * params.t_anneal, psi0, params.t_anneal, schedule

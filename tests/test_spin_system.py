@@ -6,6 +6,7 @@ import pytest
 from annealsim.errors import CapacityError
 from annealsim.spin_system import (
     IsingDiagonal,
+    _flip_matrix,
     apply_initial,
     full_flip_matrix,
     ground_space,
@@ -86,11 +87,49 @@ def test_apply_initial_matches_dense_full_space(n):
         assert np.max(np.abs(ref - got)) < 1e-13 * scale
 
 
-def test_apply_initial_allocates_no_matrix_copy():
-    # a product that upcast the driver matrix would allocate its complex copy
-    # (1.7 MB at N=14); only the output vector may be allocated
-    tf = transverse_field_half(14)
-    psi = np.random.default_rng(0).normal(size=1 << 13) * (1 + 1j)
+@pytest.mark.parametrize("n", [14, 15])
+def test_apply_initial_high_bits_match_full_space(n):
+    # beyond N = 13 the low-bit matrix, the high-bit half-block swaps and the
+    # reversal together must give the full-space flip sum
+    tf = transverse_field_half(n)
+    hi_full = full_flip_matrix(n)
+    rng = np.random.default_rng(n)
+    dim = 1 << (n - 1)
+    cases = [(scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim)), scale)
+             for scale in (1.0, 1e-12, 1e12)]
+    cases.append((rng.normal(size=dim), 1.0))
+    cases.append((rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3)), 1.0))
+    for half, scale in cases:
+        ref = hi_full @ lift_to_full(half)
+        got = lift_to_full(apply_initial(tf, half))
+        assert got.shape == ref.shape
+        assert np.max(np.abs(ref - got)) < 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", [8, 13])
+def test_driver_matrix_is_whole_flip_matrix_up_to_n13(n):
+    # up to N = 13 the low bits are all the half-space bits: today's matrix
+    got = transverse_field_half(n).couplings
+    ref = _flip_matrix(n - 1, -1.0 + 0.0j)
+    assert got.shape == ref.shape and got.dtype == ref.dtype == np.complex128
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_driver_matrix_size_is_bounded(n):
+    # the whole half-space matrix would be 45 MB at N=18 and 201 MB at N=20
+    c = transverse_field_half(n).couplings
+    assert c.data.nbytes + c.indices.nbytes + c.indptr.nbytes < 1.1e6
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_apply_initial_allocates_no_matrix_copy(n):
+    # a product that upcast the driver matrix would allocate a complex copy
+    # of its 0.8 MB of entries; only two vectors may be live at once (the
+    # transposed input and the product, then the product and the output)
+    tf = transverse_field_half(n)
+    psi = np.random.default_rng(0).normal(size=1 << (n - 1)) * (1 + 1j)
     tracemalloc.start()
     try:
         apply_initial(tf, psi)

@@ -179,6 +179,20 @@ def test_all_columns_overflowing_end_the_run():
     assert all(r.terms_per_segment == [] and not r.converged for r in results)
 
 
+def test_block_matches_per_instance_beyond_low_bits():
+    # at N=14 the driver product moves a low-bit axis and swaps high-bit
+    # half-blocks; every column must still equal its instance run alone
+    params, schedule = AnnealParams(14, 2.0), SegmentSchedule(segments=8)
+    instances = [random_ising_half(14, seed) for seed in (3, 4)]
+    block = propagate_block(params, instances, schedule)
+    for got, hf in zip(block, instances):
+        alone = propagate(params, hf, schedule)
+        assert np.array_equal(got.psi_final, alone.psi_final)
+        assert got.success_p == alone.success_p and got.norm_drift == alone.norm_drift
+        assert got.terms_per_segment == alone.terms_per_segment
+        assert got.converged is alone.converged is True
+
+
 def test_one_driver_product_per_term(monkeypatch):
     # the kernel's cost invariant, and the module global through which the
     # driver product is traced
