@@ -28,6 +28,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -69,6 +70,8 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class InstanceRecord:
+    """One annealed instance; ``norm_drift`` holds the trace drift in Lindblad mode."""
+
     index: int
     seed: int
     success_p: float
@@ -110,39 +113,26 @@ def instance_seed(master_seed: int, k: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_instance(args: tuple) -> InstanceRecord:
-    """Anneal one instance; a failed run gives a non-converged record."""
-    n_qubits, t_anneal, mode, l_scale, schedule, index, seed = args
-    inst = random_ising_half(n_qubits, seed)
-    params = AnnealParams(n_qubits, t_anneal)
-    if mode == "unitary":
-        res = propagate(params, inst, schedule)
-        return _record(index, seed, res, res.norm_drift)
-    res = propagate_density(params, inst, l_scale, schedule)
-    return _record(index, seed, res, res.trace_drift)
-
-
-def _run_block(args: tuple) -> list[InstanceRecord]:
-    """Anneal instances ``first, first + 1, ...``: unitary ones as the
-    columns of one block, Lindblad ones one by one."""
-    n_qubits, t_anneal, mode, l_scale, schedule, first, seeds = args
-    if mode != "unitary":
-        return [
-            _run_instance((n_qubits, t_anneal, mode, l_scale, schedule, first + j, seed))
-            for j, seed in enumerate(seeds)
+def _run_block(config: EnsembleConfig, first: int, seeds: list[int]) -> list[InstanceRecord]:
+    """Anneal instances ``first, first + 1, ...`` with ``seeds``: unitary ones
+    as the columns of one block, Lindblad ones one by one.  A failed run gives
+    a non-converged record."""
+    params = AnnealParams(config.n_qubits, config.t_anneal)
+    instances = [random_ising_half(config.n_qubits, seed) for seed in seeds]
+    if config.mode == "unitary":
+        results = propagate_block(params, instances, config.schedule)
+        drifts = [res.norm_drift for res in results]
+    else:
+        results = [
+            propagate_density(params, inst, config.l_scale, config.schedule) for inst in instances
         ]
-    instances = [random_ising_half(n_qubits, seed) for seed in seeds]
-    results = propagate_block(AnnealParams(n_qubits, t_anneal), instances, schedule)
+        drifts = [res.trace_drift for res in results]
     return [
-        _record(first + j, seed, res, res.norm_drift)
-        for j, (seed, res) in enumerate(zip(seeds, results))
+        InstanceRecord(
+            first + j, seed, res.success_p, int(sum(res.terms_per_segment)), drift, res.converged
+        )
+        for j, (seed, res, drift) in enumerate(zip(seeds, results, drifts))
     ]
-
-
-def _record(index: int, seed: int, res, drift: float) -> InstanceRecord:
-    return InstanceRecord(
-        index, seed, res.success_p, int(sum(res.terms_per_segment)), drift, res.converged
-    )
 
 
 def block_width(n_qubits: int, runs: int, workers: int) -> int:
@@ -182,22 +172,22 @@ def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> Ensemble
     """
     n_workers = resolve_workers(workers)
     width = block_width(config.n_qubits, config.runs, n_workers) if config.mode == "unitary" else 1
-    shared = (config.n_qubits, config.t_anneal, config.mode, config.l_scale, config.schedule)
     seeds = [instance_seed(config.master_seed, k) for k in range(config.runs)]
-    tasks = [(*shared, k, seeds[k : k + width]) for k in range(0, config.runs, width)]
-    if n_workers == 1 or len(tasks) == 1:
-        blocks = [_run_block(t) for t in tasks]
+    firsts = range(0, config.runs, width)
+    chunks = [seeds[k : k + width] for k in firsts]
+    task = partial(_run_block, config)
+    if n_workers == 1 or len(chunks) == 1:
+        blocks = list(map(task, firsts, chunks))
     else:
-        chunk = max(1, len(tasks) // (n_workers * 8))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            blocks = list(pool.map(_run_block, tasks, chunksize=chunk))
+            blocks = list(pool.map(task, firsts, chunks))
     records = [r for block in blocks for r in block]
     good = [r for r in records if r.converged]
     failures = [r for r in records if not r.converged]
     probabilities = np.array([r.success_p for r in good], dtype=np.float64)
     counts = histogram(probabilities, config.bins)
     return EnsembleResult(
-        probabilities, counts, records, failures, min(n_workers, len(tasks)), len(tasks)
+        probabilities, counts, records, failures, min(n_workers, len(chunks)), len(chunks)
     )
 
 
@@ -222,13 +212,17 @@ def sweep_T(
     """Success probability of one fixed instance across anneal times.
 
     Failed points (non-convergence, blow-up or overflow) are recorded as
-    NaN, never dropped silently.
+    NaN, never dropped silently.  ``mode`` and ``l_scale`` are checked as
+    :class:`EnsembleConfig` checks them.
     """
+    t_values = np.asarray(list(t_list), dtype=np.float64)  # t_list may be an iterator
+    schedule = schedule or SegmentSchedule()
     ps = []
-    for t in t_list:
-        rec = _run_instance((n_qubits, float(t), mode, l_scale, schedule, 0, hf_seed))
+    for t in t_values:
+        cfg = EnsembleConfig(n_qubits, float(t), 1, hf_seed, schedule, mode=mode, l_scale=l_scale)
+        [rec] = _run_block(cfg, 0, [hf_seed])
         ps.append(rec.success_p if rec.converged else math.nan)
-    return TCurve(np.asarray(list(t_list), dtype=np.float64), np.asarray(ps))
+    return TCurve(t_values, np.asarray(ps))
 
 
 def scaling_sweep(
@@ -248,10 +242,10 @@ def scaling_sweep(
     n_values = list(n_list)
     means = []
     for n in n_values:
+        params = AnnealParams(n, t_anneal)
         t0 = time.perf_counter()
         for k in range(runs_per_n):
-            seed = instance_seed(master_seed, k)
-            _run_instance((n, t_anneal, "unitary", 0.0, schedule, k, seed))
+            propagate(params, random_ising_half(n, instance_seed(master_seed, k)), schedule)
         means.append((time.perf_counter() - t0) / runs_per_n)
     slope = None
     if len(n_values) >= 3:

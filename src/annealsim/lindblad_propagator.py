@@ -5,7 +5,7 @@ The master equation in reduced time,
     d/ds rho = -iT [H(s), rho] + T (L rho L^dag - {L^dag L, rho}/2),
 
 is the kernel's form (see :mod:`annealsim.taylor_propagator`) with factor
--iT, A rho = [H(s0), rho] + i D[rho] and B rho = [H_f - H_i, rho], where D
+-iT, A_0 rho = [H_i, rho] + i D[rho] and B rho = [H_f - H_i, rho], where D
 is the dissipator in brackets: it is s-independent, so it has no ramp part.
 The Hilbert-Schmidt norm controls truncation.
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -68,10 +67,8 @@ def build_energy_lowering_op(hf_full_diag: np.ndarray, scale: float = 1.0) -> np
     return mat
 
 
-def _density_pair(
-    n_qubits: int, full_diag: np.ndarray, l_scale: float
-) -> Callable[[float], Apply]:
-    """Closure factory ``make_apply(s0)`` for the master-equation pair.
+def _density_pair(n_qubits: int, full_diag: np.ndarray, l_scale: float) -> Apply:
+    """The master-equation pair A_0 rho = [H_i, rho] + i D[rho], B rho = [H_f - H_i, rho].
 
     The pair acts on rho flattened to one vector, which the kernel treats as
     one problem (a 2-D state would be read as independent columns).  The
@@ -93,21 +90,20 @@ def _density_pair(
         lind_sq = np.einsum("ij,ij->j", dense.conj(), dense).real
         lind_sq_sums = 0.5 * (lind_sq[:, None] + lind_sq)  # {L^dag L, rho}/2 = this * rho
 
-    def make_apply(s0: float) -> Apply:
-        def apply(flat):
-            rho = flat.reshape(dim, dim)
-            drv = hi @ rho - (hi @ rho.conj().T).conj().T  # [H_i, rho]
-            fld = field_gaps * rho  # [H_f, rho]
-            const = (1.0 - s0) * drv + s0 * fld
-            if lind is not None:
-                # a new array, not +=: in place, the heap was re-faulted every term
-                # (28x the page faults, 1.5x the time at N=8 on x86-64 Linux, glibc)
-                const = const + 1j * ((lind @ (lind @ rho).conj().T).conj().T - lind_sq_sums * rho)
-            return const.ravel(), (fld - drv).ravel()
+    def apply(flat):
+        rho = flat.reshape(dim, dim)
+        drv = hi @ rho - (hi @ rho.conj().T).conj().T  # [H_i, rho]
+        fld = field_gaps * rho  # [H_f, rho]
+        ramp = fld - drv  # [H_f - H_i, rho]
+        if lind is not None:
+            # new arrays, not +=, and fld held to the end: page faults follow
+            # glibc's heap layout (x86-64 Linux, N=8).  The dissipator added in
+            # place re-faulted the heap every term (28x the faults, 1.5x the
+            # time); an in-place ramp or a short-lived fld took 15% more faults
+            drv = drv + 1j * ((lind @ (lind @ rho).conj().T).conj().T - lind_sq_sums * rho)
+        return drv.ravel(), ramp.ravel()
 
-        return apply
-
-    return make_apply
+    return apply
 
 
 def propagate_density(
@@ -131,13 +127,13 @@ def propagate_density(
     if not 0 <= l_scale < math.inf:  # NaN too
         raise ValueError(f"l_scale must be finite and >= 0, got {l_scale}")
     full_diag = hf.full_diag()
-    make_apply = _density_pair(n, full_diag, l_scale)
+    apply = _density_pair(n, full_diag, l_scale)
     psi0 = lift_to_full(uniform_initial_state(n))
     boundary_traces: list[float] = []
     herm_drifts: list[float] = []
     rho0 = np.outer(psi0, psi0.conj()).ravel()
     for flat, terms, converged in run_segments(
-        make_apply, -1j * params.t_anneal, rho0, params.t_anneal, schedule
+        apply, -1j * params.t_anneal, rho0, params.t_anneal, schedule
     ):
         rho = flat.reshape(psi0.size, psi0.size)
         boundary_traces.append(float(np.trace(rho).real))

@@ -1,4 +1,4 @@
-"""Reference implementations used only to validate the Taylor propagators.
+"""Reference routes that validate the Taylor propagators, and the two-level benchmark.
 
 The fixed-step RK4 integrators here share nothing with the recurrence code
 except the Hamiltonian constructors, so agreement between the two routes is
@@ -6,7 +6,8 @@ evidence of correctness rather than a tautology.  The dense superoperator
 route (:class:`SuperopContext`, :func:`lindblad_segment`) runs the Taylor
 kernel on full matrices, as the reference that the structured Lindblad pair
 is checked against.  Also hosts dense spectral analysis and the two-level
-avoided-crossing (Landau-Zener) benchmark.
+avoided-crossing (Landau-Zener) benchmark with its production propagator
+:func:`lz_propagate` (the ``lz`` and ``lz-sweep`` commands).
 """
 
 from __future__ import annotations
@@ -236,12 +237,10 @@ def lz_propagate(params: LZParams, schedule: SegmentSchedule | None = None) -> L
     const = -1j * t * h0
     ramp = -1j * t * (lz_hamiltonian(params.delta, 1.0) - h0)
 
-    def make_apply(s0):
-        shifted = const + s0 * ramp
-        return lambda v: (shifted @ v, ramp @ v)
-
     psi0 = lz_ground_state(params.delta, 0.0)
-    for psi, terms, converged in run_segments(make_apply, 1.0, psi0, t, schedule):
+    for psi, terms, converged in run_segments(
+        lambda v: (const @ v, ramp @ v), 1.0, psi0, t, schedule
+    ):
         pass  # only the state at s = 1 is needed
     g1 = lz_ground_state(params.delta, 1.0)
     p = float(np.abs(np.vdot(g1, psi)) ** 2)

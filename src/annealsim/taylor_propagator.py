@@ -8,13 +8,16 @@ benchmark.  Around s0, with A = A_0 + s0*B, the Taylor coefficients obey
 
     psi_1 = f A psi_0,     psi_n = (f/n) (A psi_{n-1} + B psi_{n-2})   (n >= 2).
 
-:func:`taylor_segment` is the only loop that runs this recurrence, for a
-closure ``apply(v) -> (A v, B v)``; :func:`run_segments` is the only loop
-over segments.  A 2-D state is a block of independent problems, one per
-column, each with its own stop test (:func:`propagate_block` anneals many
-Ising instances this way).  The partial sums grow like exp(T*||H||) and drown the
-result in roundoff for large T, so [0, 1] is split into segments, each
-summed at its local step length.
+The schedule is linear in s, so a generator is one fixed pair, built once
+per run as a closure ``apply(v) -> (A_0 v, B v)``; only s0 moves from
+segment to segment, and the kernel applies the shift itself.
+:func:`taylor_segment` is the only loop that runs this recurrence and
+:func:`run_segments` the only loop over segments.  A 2-D state is a block
+of independent problems, one per column, each with its own stop test
+(:func:`propagate_block` anneals many Ising instances this way).  The
+partial sums grow like exp(T*||H||) and drown the result in roundoff for
+large T, so [0, 1] is split into segments, each summed at its local step
+length.
 
 Two stopping rules are known.  The production rule, used here, stops at the
 first n >= 2 whose contribution ||psi_n * step**n|| drops below ``tol``; it
@@ -27,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -45,7 +47,7 @@ from .spin_system import (
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 500
 
-# apply(v) -> (A v, B v): the generator pair of one segment, see taylor_segment
+# apply(v) -> (A_0 v, B v): the generator pair of a run, unshifted; see taylor_segment
 Apply = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -66,9 +68,11 @@ class SegmentSchedule:
     """Segmentation of the s-interval and per-segment stopping parameters.
 
     ``segments=None`` resolves to ceil(T), one segment per unit of anneal
-    time.  That count ignores ||H||, which grows as N**2/2: from N = 14 on
-    it loses accuracy while runs are still flagged converged (|dP| 5e-3 at
-    N = 16, T = 10), so large registers need an explicit count.
+    time.  That count ignores ||H|| <= N + max|E|, which grows with N (a
+    median of 23 at N = 8 and 74 at N = 18 over 8 random instances; the
+    N(N-1)/2 of max|E| is only the worst case): from N = 14 on it loses
+    accuracy while runs are still flagged converged (|dP| 5e-3 at N = 16,
+    T = 10), so large registers need an explicit count.
     """
 
     segments: int | None = None
@@ -195,13 +199,14 @@ def taylor_segment(
     step: float,
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
+    s0: float = 0.0,
 ) -> tuple[np.ndarray, int | np.ndarray, bool | np.ndarray]:
-    """Sum the coefficient recurrence over one segment of length ``step``.
+    """Sum the coefficient recurrence over one segment of length ``step`` from ``s0``.
 
-    ``apply(v)`` returns ``(A v, B v)``, A shifted to the segment start, as
-    two new arrays of the state's shape and dtype that the kernel owns and
-    overwrites; ``B psi_{n-1}`` is kept as the (n-2) product of the next
-    term.
+    ``apply(v)`` returns ``(A_0 v, B v)`` as two new arrays of the state's
+    shape and dtype that the kernel owns and overwrites.  The kernel shifts
+    the first to ``A v = A_0 v + s0 (B v)``, and keeps ``B psi_{n-1}`` as
+    the (n-2) product of the next term.
 
     A 1-D state is one problem (flatten a density matrix first), and a
     C-contiguous 2-D state of shape (dim, B) is B independent problems, one
@@ -217,13 +222,18 @@ def taylor_segment(
     """
     if max_terms < 2:
         raise ValueError("max_terms must be >= 2")
+    shifted = np.empty_like(psi_in)  # before the products: fewer page faults (Lindblad)
     term, ramp_prev = apply(psi_in)
+    np.multiply(ramp_prev, s0, out=shifted)
+    term += shifted
     term *= factor
     acc = psi_in + step * term
     problems = _Problems(acc)
     trigger = tol * problems.NEAR
     for n in range(2, max_terms + 1):
         new, ramp = apply(term)
+        np.multiply(ramp, s0, out=shifted)
+        new += shifted  # A psi_{n-1}
         new += ramp_prev
         new *= factor / n  # psi_n
         scale = step**n
@@ -238,7 +248,7 @@ def taylor_segment(
 
 
 def run_segments(
-    make_apply: Callable[[float], Apply],
+    apply: Apply,
     factor: complex,
     state: np.ndarray,
     t_anneal: float,
@@ -246,10 +256,10 @@ def run_segments(
 ) -> Iterator[tuple[np.ndarray, list[int], bool]]:
     """Run :func:`taylor_segment` over the K segments of [0, 1].
 
-    Segment k expands around s0 = k/K with the pair ``make_apply(s0)``.
-    Yields at each boundary the state, the term counts so far and whether
-    all segments so far converged; the last yield is the result at s = 1.
-    Counts and flags are per column for a 2-D block (see
+    Every segment runs the one pair ``apply``; segment k expands around
+    s0 = k/K.  Yields at each boundary the state, the term counts so far
+    and whether all segments so far converged; the last yield is the result
+    at s = 1.  Counts and flags are per column for a 2-D block (see
     :func:`taylor_segment`).  A problem that overflows stays NaN and
     non-converged, counting 0 terms in every later segment.  A segment in
     which every problem has overflowed ends the run: its NaN state is the
@@ -263,7 +273,7 @@ def run_segments(
     converged = True
     for k in range(n_seg):
         state, n_terms, ok = taylor_segment(
-            make_apply(k * step), factor, state, step, schedule.tol, schedule.max_terms
+            apply, factor, state, step, schedule.tol, schedule.max_terms, k * step
         )
         converged = converged & ok
         if not np.count_nonzero(n_terms):  # every problem overflowed
@@ -273,8 +283,8 @@ def run_segments(
         yield state, terms, converged
 
 
-def _ising_apply(tf: TransverseField, diag_f: np.ndarray, s0: float) -> Apply:
-    """The annealing pair A = H_i + s0 (H_f - H_i), B = H_f - H_i (factor -iT).
+def _ising_apply(tf: TransverseField, diag_f: np.ndarray) -> Apply:
+    """The annealing pair A_0 = H_i, B = H_f - H_i (factor -iT).
 
     One driver product (:func:`apply_initial`, through this module's global
     so that it can be traced; a low-bit matrix of about 1 MB at any N plus
@@ -283,14 +293,11 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray, s0: float) -> Apply:
     diagonal as complex128, like the states.  A (dim, B) diagonal block and
     state run B instances, column by column.
     """
-    shifted = np.empty_like(diag_f)
 
     def apply(v):
         drv = apply_initial(tf, v)
         ramp = diag_f * v
         ramp -= drv  # (H_f - H_i) v
-        np.multiply(ramp, s0, out=shifted)
-        drv += shifted
         return drv, ramp
 
     return apply
@@ -340,7 +347,7 @@ def propagate_block(
         psi0 = np.repeat(psi0[:, None], width, axis=1)
     tf = transverse_field_half(params.n_qubits)
     for psi, terms, converged in run_segments(
-        partial(_ising_apply, tf, diag_f), -1j * params.t_anneal, psi0, params.t_anneal, schedule
+        _ising_apply(tf, diag_f), -1j * params.t_anneal, psi0, params.t_anneal, schedule
     ):
         pass  # only the state at s = 1 is needed
     terms = np.array(terms, dtype=np.int64).reshape(-1, width)

@@ -19,13 +19,33 @@ missing = [f"{m.__name__}.{a}" for m, a, _ in layers.PATCHES if not hasattr(m, a
 assert not missing, missing
 """
 
+POOL_CHECK = """
+import layers
+import annealsim.ensemble as ens
+sizes = []
+ens.ProcessPoolExecutor = layers._pool_recording_task_sizes(sizes)
+result = ens.run_ensemble(ens.EnsembleConfig(4, 2.0, runs=6, master_seed=1), workers=2)
+assert result.blocks == 2 and len(sizes) == result.blocks, (result.blocks, sizes)
+"""
+
+
+def _run_in_perfbench(code: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(PERFBENCH)])}
+    return subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH, env=env,
+                          capture_output=True, text=True)
+
 
 def test_benchmark_patch_points_resolve():
     # the traced benchmark patches each (module, attribute) of
     # perfbench/layers.py PATCHES; a renamed or removed one breaks it
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(PERFBENCH)])}
-    proc = subprocess.run([sys.executable, "-c", CHECK], cwd=PERFBENCH, env=env,
-                          capture_output=True, text=True)
+    proc = _run_in_perfbench(CHECK)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_pool_hook_sees_each_task():
+    # ensemble.task_pickle_bytes comes from a pool whose map zips its
+    # positional iterables; it must record one argument tuple per task
+    proc = _run_in_perfbench(POOL_CHECK)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

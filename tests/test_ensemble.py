@@ -127,10 +127,11 @@ def test_histogram_uniform_statistics():
 
 
 def test_sweep_t_single_point_matches_propagate():
-    curve = sweep_T(4, 1, [4.0])
     direct = propagate(AnnealParams(4, 4.0), random_ising_half(4, 1))
-    assert curve.p_values.shape == (1,)
-    assert curve.p_values[0] == direct.success_p
+    for t_list in ([4.0], iter([4.0])):
+        curve = sweep_T(4, 1, t_list)
+        assert list(curve.t_values) == [4.0] and curve.p_values.shape == (1,)
+        assert curve.p_values[0] == direct.success_p
 
 
 def test_sweep_t_unitary_adiabatic_trend():
@@ -214,3 +215,8 @@ def test_l_scale_needs_lindblad_mode():
     with pytest.raises(ValueError):
         EnsembleConfig(3, 2.0, runs=2, master_seed=1, mode="lindblad", l_scale=-0.1)
     assert EnsembleConfig(3, 2.0, runs=2, master_seed=1, mode="lindblad", l_scale=0.1).l_scale == 0.1
+    # sweep_T checks its mode and l_scale the same way
+    with pytest.raises(ValueError, match="unknown mode"):
+        sweep_T(3, 1, [2.0], mode="lindbald")
+    with pytest.raises(ValueError, match="lindblad mode only"):
+        sweep_T(3, 1, [2.0], mode="unitary", l_scale=0.5)

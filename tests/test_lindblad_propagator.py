@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import annealsim.lindblad_propagator as lp
 from annealsim.errors import CapacityError
 from annealsim.lindblad_propagator import (
     _density_pair,
@@ -145,9 +146,25 @@ def test_fast_segment_matches_generic():
     psi0 = lift_to_full(uniform_initial_state(n))
     rho0 = np.outer(psi0, psi0.conj())
     ref, t_ref, _ = lindblad_segment(ctx, rho0, 0.5, 1e-13, 300)
-    flat, t_got, _ = taylor_segment(_density_pair(n, fd, 0.1)(s0), c, rho0.ravel(), 0.5, 1e-13, 300)
+    flat, t_got, _ = taylor_segment(
+        _density_pair(n, fd, 0.1), c, rho0.ravel(), 0.5, 1e-13, 300, s0
+    )
     assert t_ref == t_got
     assert np.linalg.norm(ref - flat.reshape(rho0.shape)) < 1e-13
+
+
+def test_propagate_density_builds_its_generator_once(monkeypatch):
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return _density_pair(*args)
+
+    monkeypatch.setattr(lp, "_density_pair", spy)
+    params, schedule = AnnealParams(3, 2.0), SegmentSchedule(segments=3)
+    res = propagate_density(params, random_ising_half(3, 1), 0.1, schedule)
+    assert res.converged and len(res.terms_per_segment) == 3
+    assert len(built) == 1
 
 
 def test_propagate_density_closed_matches_unitary():

@@ -86,6 +86,37 @@ def test_segment_overflow_gives_nan():
     assert terms == 0 and conv is False
 
 
+@pytest.mark.parametrize("shape", [(6,), (6, 3)])
+def test_segment_shift_equals_folded_pair(shape):
+    # the kernel's shift of the pair (A_0, B) to s0 equals the pair
+    # (A_0 + s0 B, B) folded by hand and run at s0 = 0, column by column
+    rng = np.random.default_rng(11)
+    a0, b = rng.normal(size=(2, 6, 6)) + 1j * rng.normal(size=(2, 6, 6))
+    s0 = 0.3
+    folded = a0 + s0 * b
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    psi /= np.linalg.norm(psi, axis=0)
+    c = -0.5j
+    got, t_got, ok_got = taylor_segment(lambda v: (a0 @ v, b @ v), c, psi, 0.5, 1e-13, 300, s0)
+    ref, t_ref, ok_ref = taylor_segment(lambda v: (folded @ v, b @ v), c, psi, 0.5, 1e-13, 300)
+    assert np.all(ok_got) and np.all(ok_ref)
+    assert np.array_equal(t_got, t_ref)
+    assert got.shape == shape and np.max(np.abs(got - ref)) < 1e-13
+
+
+def test_propagate_builds_its_generator_once(monkeypatch):
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return _ising_apply(*args)
+
+    monkeypatch.setattr(tp, "_ising_apply", spy)
+    res = propagate(AnnealParams(4, 2.0), random_ising_half(4, 1), SegmentSchedule(segments=3))
+    assert res.converged and len(res.terms_per_segment) == 3
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("s0", [0.0, 0.5, 0.9])
 @pytest.mark.parametrize("n", [4, 8, 12])
 def test_specialized_segment_matches_generic(n, s0):
@@ -108,7 +139,7 @@ def test_specialized_segment_matches_generic(n, s0):
     ref, t_ref, ok_ref = taylor_segment(
         lambda v: (apply_const(v), apply_ramp(v)), 1.0, psi_in, step, 1e-13, 400
     )
-    got, t_got, ok_got = taylor_segment(_ising_apply(tf, diag_f, s0), c, psi_in, step, 1e-13, 400)
+    got, t_got, ok_got = taylor_segment(_ising_apply(tf, diag_f), c, psi_in, step, 1e-13, 400, s0)
     assert ok_ref and ok_got
     assert t_ref == t_got
     assert np.max(np.abs(ref - got)) < 1e-13
@@ -125,13 +156,13 @@ def test_block_column_failure_leaves_neighbour_bitwise(scale):
     c = -1j * t_anneal
 
     def one_column(d):
-        return taylor_segment(_ising_apply(tf, d, s0), c, psi, step, 1e-12, max_terms)
+        return taylor_segment(_ising_apply(tf, d), c, psi, step, 1e-12, max_terms, s0)
 
     block_diag = np.stack([diag, scale * diag], axis=1)
     block_psi = np.repeat(psi[:, None], 2, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         got, terms, ok = taylor_segment(
-            _ising_apply(tf, block_diag, s0), c, block_psi, step, 1e-12, max_terms
+            _ising_apply(tf, block_diag), c, block_psi, step, 1e-12, max_terms, s0
         )
     ref, t_ref, ok_ref = one_column(diag)
     assert ok_ref and ok[0] and t_ref < max_terms
@@ -149,31 +180,33 @@ def test_block_column_failure_leaves_neighbour_bitwise(scale):
         assert np.array_equal(got[:, 1], ref1)
 
 
-def test_all_columns_overflowing_end_the_run():
+def test_all_columns_overflowing_end_the_run(monkeypatch):
     # every column overflows in segment 0 of 3: one NaN yield with no terms
-    # listed and every flag False, and no later segment is set up
+    # listed and every flag False, and no later segment is run (one kernel
+    # call from s0 = 0 in each of the two runs)
     n, t_anneal = 6, 180.0
     tf = transverse_field_half(n)
     diag = random_ising_half(n, 1).half_diag.astype(complex)
     block = np.stack([diag, 2 * diag], axis=1)
     starts = []
 
-    def make_apply(s0):
-        starts.append(s0)
-        return _ising_apply(tf, block, s0)
+    def spy(*args):
+        starts.append(args[-1])
+        return taylor_segment(*args)
 
+    monkeypatch.setattr(tp, "taylor_segment", spy)
     psi = np.repeat(uniform_initial_state(n)[:, None], 2, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         yields = [
             (state, list(terms), ok)
             for state, terms, ok in run_segments(
-                make_apply, -1j * t_anneal, psi, t_anneal, SegmentSchedule(segments=3)
+                _ising_apply(tf, block), -1j * t_anneal, psi, t_anneal, SegmentSchedule(segments=3)
             )
         ]
         results = propagate_block(
             AnnealParams(n, t_anneal), [random_ising_half(n, 1)] * 2, SegmentSchedule(segments=3)
         )
-    assert len(yields) == 1 and starts == [0.0]
+    assert len(yields) == 1 and starts == [0.0, 0.0]
     state, terms, ok = yields[0]
     assert terms == [] and not np.any(ok) and np.isnan(state).all()
     assert all(r.terms_per_segment == [] and not r.converged for r in results)
