@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .spin_system import (
-    IsingDiagonal, _check_qubits, full_flip_matrix, lift_to_full, uniform_initial_state
+    IsingDiagonal, _check_qubits, csr_product, full_flip_matrix, lift_to_full, uniform_initial_state
 )
 from .taylor_propagator import (
     AnnealParams,
@@ -72,36 +72,54 @@ def _density_pair(n_qubits: int, full_diag: np.ndarray, l_scale: float) -> Apply
 
     The pair acts on rho flattened to one vector, which the kernel treats as
     one problem (a 2-D state would be read as independent columns).  The
-    commutators split into driver products (sparse flip matrix; rho H_i
-    through the Hermitian-transpose trick) and field products (diagonal, so
-    row and column scalings), and L^dag L of the ladder operator is diagonal
-    in the computational basis.  Per term this costs four sparse-dense
-    products instead of eight dense matmuls.
+    commutators split into driver products (the float64 flip matrix applied
+    by :func:`csr_product`; rho H_i through the Hermitian-transpose trick)
+    and field products (diagonal, so row and column scalings), and L^dag L
+    of the ladder operator is diagonal in the computational basis.  Per
+    term this costs four sparse-dense products instead of eight dense
+    matmuls, written into ``a_out``, ``b_out`` and two work matrices owned
+    by the closure, so a term allocates nothing.
     """
     dim = full_diag.shape[0]
-    hi = full_flip_matrix(n_qubits).astype(np.complex128)  # no upcast per product
+    hi = full_flip_matrix(n_qubits)
     diag = full_diag.astype(np.float64)
-    field_gaps = diag[:, None] - diag  # [H_f, rho] = field_gaps * rho
+    # the diagonal factors are stored complex, like rho: a float64 factor
+    # would be cast through a buffer that numpy allocates on every product
+    field_gaps = (diag[:, None] - diag).astype(np.complex128)  # [H_f, rho] = this * rho
     lind = None
     if l_scale > 0.0:
         dense = build_energy_lowering_op(full_diag, l_scale)
-        lind = csr_matrix(dense)
+        lind = csr_matrix(dense.real)  # real entries: no complex copy per product
         # L^dag L is diagonal in the computational basis by construction
         lind_sq = np.einsum("ij,ij->j", dense.conj(), dense).real
-        lind_sq_sums = 0.5 * (lind_sq[:, None] + lind_sq)  # {L^dag L, rho}/2 = this * rho
+        # {L^dag L, rho}/2 = lind_sq_sums * rho
+        lind_sq_sums = (0.5 * (lind_sq[:, None] + lind_sq)).astype(np.complex128)
+    work, prod = np.empty((2, dim, dim), dtype=np.complex128)
 
-    def apply(flat):
+    def adjoint(m, out):  # the conjugate of a transposed view would run buffered
+        np.copyto(out, m.T)
+        np.conjugate(out, out=out)
+
+    def apply(flat, a_out, b_out):
         rho = flat.reshape(dim, dim)
-        drv = hi @ rho - (hi @ rho.conj().T).conj().T  # [H_i, rho]
-        fld = field_gaps * rho  # [H_f, rho]
-        ramp = fld - drv  # [H_f - H_i, rho]
+        drv = a_out.reshape(dim, dim)
+        csr_product(hi, rho, drv)  # H_i rho
+        adjoint(rho, work)
+        csr_product(hi, work, prod)
+        adjoint(prod, work)  # (H_i rho^dag)^dag = rho H_i
+        drv -= work  # [H_i, rho]
+        ramp = b_out.reshape(dim, dim)
+        np.multiply(field_gaps, rho, out=ramp)  # [H_f, rho]
+        ramp -= drv  # [H_f - H_i, rho]
         if lind is not None:
-            # new arrays, not +=, and fld held to the end: page faults follow
-            # glibc's heap layout (x86-64 Linux, N=8).  The dissipator added in
-            # place re-faulted the heap every term (28x the faults, 1.5x the
-            # time); an in-place ramp or a short-lived fld took 15% more faults
-            drv = drv + 1j * ((lind @ (lind @ rho).conj().T).conj().T - lind_sq_sums * rho)
-        return drv.ravel(), ramp.ravel()
+            csr_product(lind, rho, prod)
+            adjoint(prod, work)
+            csr_product(lind, work, prod)
+            adjoint(prod, work)  # L rho L^dag
+            np.multiply(lind_sq_sums, rho, out=prod)
+            np.subtract(work, prod, out=work)
+            np.multiply(1j, work, out=work)
+            drv += work  # + i D[rho]
 
     return apply
 

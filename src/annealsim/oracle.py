@@ -189,9 +189,10 @@ def lindblad_segment(
     """One Taylor segment of the master equation (Hilbert-Schmidt norm stop)."""
     shape = rho_in.shape
 
-    def apply(flat):  # the kernel takes rho flattened: one problem, not columns
+    def apply(flat, a_out, b_out):  # the kernel takes rho flattened: one problem, not columns
         rho = flat.reshape(shape)
-        return apply_liouvillian_const(rho, ctx).ravel(), apply_liouvillian_ramp(rho, ctx).ravel()
+        np.copyto(a_out.reshape(shape), apply_liouvillian_const(rho, ctx))
+        np.copyto(b_out.reshape(shape), apply_liouvillian_ramp(rho, ctx))
 
     rho, terms, ok = taylor_segment(apply, 1.0, rho_in.ravel(), step, tol, max_terms)
     return rho.reshape(shape), terms, ok
@@ -237,10 +238,12 @@ def lz_propagate(params: LZParams, schedule: SegmentSchedule | None = None) -> L
     const = -1j * t * h0
     ramp = -1j * t * (lz_hamiltonian(params.delta, 1.0) - h0)
 
+    def apply(v, a_out, b_out):
+        np.matmul(const, v, out=a_out)
+        np.matmul(ramp, v, out=b_out)
+
     psi0 = lz_ground_state(params.delta, 0.0)
-    for psi, terms, converged in run_segments(
-        lambda v: (const @ v, ramp @ v), 1.0, psi0, t, schedule
-    ):
+    for psi, terms, converged in run_segments(apply, 1.0, psi0, t, schedule):
         pass  # only the state at s = 1 is needed
     g1 = lz_ground_state(params.delta, 1.0)
     p = float(np.abs(np.vdot(g1, psi)) ** 2)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import _sparsetools, csr_matrix
 
 from .errors import CapacityError
 
@@ -31,7 +31,7 @@ from .errors import CapacityError
 # driver matrix no longer grows with N, so the work vectors alone set the cap.
 MAX_QUBITS = 20
 # The driver matrix covers the low min(N-1, LOW_FLIP_BITS) bits: 2**12 rows
-# of 12 entries, about 1 MB, whatever N (see apply_initial).
+# of 12 entries, about 0.6 MB, whatever N (see apply_initial).
 LOW_FLIP_BITS = 12
 
 
@@ -46,10 +46,11 @@ def _check_qubits(n_qubits: int, limit: int = MAX_QUBITS) -> None:
 class TransverseField:
     """Single-bit-flip coupling structure on the low m = min(N-1, 12) qubits.
 
-    ``couplings`` is the sparse symmetric complex128 matrix with value -1 at
-    ``(i, i ^ 2**k)`` for every ``i < 2**m`` and ``k < m``; complex entries
-    let it multiply complex states without an upcast copy.  For N <= 13 it
-    is the whole half-space flip matrix.  Beyond, it acts on the low bits of
+    ``couplings`` is the sparse symmetric float64 matrix with value -1 at
+    ``(i, i ^ 2**k)`` for every ``i < 2**m`` and ``k < m``; it multiplies
+    the float64 view of a complex state (see :func:`csr_product`), so no
+    complex copy of it is ever made.  For N <= 13 it is the whole
+    half-space flip matrix.  Beyond, it acts on the low bits of
     each contiguous run of 2**m half-space entries, and the flips of the
     higher bits and of the top qubit (the reversal of the half vector) are
     applied separately (see :func:`apply_initial`).
@@ -104,52 +105,96 @@ def _flip_matrix(n_bits: int, value: float | complex) -> csr_matrix:
 def transverse_field_half(n_qubits: int) -> TransverseField:
     """Build the half-space flip structure for ``n_qubits`` qubits.
 
-    The matrix is ``_flip_matrix(m, -1)`` for the low m = min(N-1, 12)
-    bits: 2**m rows of m entries, all equal to -1, so 1.0 MB at every
+    The matrix is ``_flip_matrix(m, -1.0)`` for the low m = min(N-1, 12)
+    bits: 2**m rows of m entries, all equal to -1, so 0.6 MB at every
     N >= 13 (the full half-space matrix would be 45 MB at N=18).
     """
     _check_qubits(n_qubits)
-    return TransverseField(n_qubits, _flip_matrix(min(n_qubits - 1, LOW_FLIP_BITS), -1.0 + 0.0j))
+    return TransverseField(n_qubits, _flip_matrix(min(n_qubits - 1, LOW_FLIP_BITS), -1.0))
 
 
-def apply_initial(tf: TransverseField, psi: np.ndarray) -> np.ndarray:
-    """Apply the full transverse-field Hamiltonian within the half space.
+def csr_product(mat: csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``mat @ x`` into ``out`` for a float64 CSR and a complex128 ``x``.
+
+    ``x`` and ``out`` are C-contiguous, of the same shape, with the matrix
+    acting on their first axis.  The product runs on their float64 views,
+    in which every complex entry is two adjacent real columns: this is
+    scipy's routine for ``mat @ x`` on a real block (``csr_matvecs`` into a
+    zeroed result), called on ``out`` instead of a new array.  For finite
+    entries the result is bit for bit that of the same matrix stored
+    complex: there a real entry c times x + iy is (cx - 0y) + i(cy + 0x),
+    whose zero terms change nothing once the zeroed sum absorbs their sign.
+    """
+    n = mat.shape[0]
+    # the routine trusts its sizes: a mismatch would write past ``out``
+    if not (
+        mat.shape[1] == n == x.shape[0] and x.shape == out.shape
+        and x.dtype == out.dtype == np.complex128 and mat.dtype == np.float64
+        and x.flags.c_contiguous and out.flags.c_contiguous
+    ):
+        raise ValueError("csr_product needs a square float64 matrix and C-contiguous "
+                         "complex128 x and out of one shape")
+    yr = out.view(np.float64)
+    yr.fill(0.0)
+    _sparsetools.csr_matvecs(n, n, x.size * 2 // n, mat.indptr, mat.indices, mat.data,
+                             x.view(np.float64), yr)
+    return out
+
+
+def apply_initial(
+    tf: TransverseField,
+    psi: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Apply the full transverse-field Hamiltonian within the half space, into ``out``.
 
     ``psi`` is a half vector or a C-contiguous (2**(N-1), B) block of them;
-    each column is transformed on its own.  Three steps:
+    each column is transformed on its own.  ``out`` (complex128, psi's
+    shape, C-contiguous) receives the result; without it one is allocated.
+    Three steps:
 
-    * the flips of the low m bits: ``couplings`` applied to the low-bit
-      axis of the (2**(N-1-m), 2**m, B) view, moved to the front by one
-      transposed copy in and one out (for N <= 13 there are no higher
-      bits, and this is ``couplings @ psi``);
+    * the flips of the low m bits: ``couplings`` applied by
+      :func:`csr_product` to the low-bit axis of the (2**(N-1-m), 2**m, B)
+      view, moved to the front by a transposed copy into ``out``; the
+      product goes to ``work`` (a second complex buffer of psi's shape,
+      allocated when not given) and is copied back transposed into
+      ``out``.  For N <= 13 there are no higher bits: the product is
+      written straight into ``out`` and ``work`` is not used;
     * the flip of each bit k with m <= k < N-1: the two contiguous halves
-      of every 2**(k+1)-entry run swapped and subtracted;
+      of every 2**(k+1)-entry run swapped and subtracted, one half at a
+      time (numpy copies a view reversed along an outer axis);
     * the flip of the top qubit: through the palindromic identification, the
       reversal of the half vector, subtracted.
 
-    The matrix is stored complex, like the states, so the product reads it
-    as stored; a float64 matrix times a complex vector would make scipy
-    upcast a complex copy of the matrix on every call.  At most two vectors
-    are allocated at once (the transposed input is freed before the output
-    is), and every subtraction is in place.  A real vector gives a complex
-    result.
+    Given ``out`` and ``work``, a call allocates nothing, and every
+    subtraction is in place.  A real ``psi`` is read as complex.
     """
     dim = 1 << (tf.n_qubits - 1)
     if psi.shape[0] != dim:
         raise ValueError(f"state length {psi.shape[0]} does not match half dimension {dim}")
+    psi = np.ascontiguousarray(psi, dtype=np.complex128)
+    if out is None:
+        out = np.empty_like(psi)
     low = tf.couplings.shape[0]
     if low == dim:  # N <= 13: no high bits, and no reshapes, whose overhead shows at N=8
-        out = tf.couplings @ psi
+        csr_product(tf.couplings, psi, out)
     else:
-        lows = np.ascontiguousarray(psi.reshape(dim // low, low, -1).transpose(1, 0, 2))
-        flipped = tf.couplings @ lows.reshape(low, -1)
-        del lows
-        out = np.ascontiguousarray(flipped.reshape(low, dim // low, -1).transpose(1, 0, 2))
-        del flipped
-        out = out.reshape(psi.shape)
+        if work is None:
+            work = np.empty_like(psi)
+        if not (out.shape == work.shape == psi.shape and out.flags.c_contiguous
+                and work.flags.c_contiguous):  # a reshape would copy, and lose the result
+            raise ValueError("out and work must be C-contiguous with the state's shape")
+        lows = out.reshape(low, dim // low, -1)
+        np.copyto(lows, psi.reshape(dim // low, low, -1).transpose(1, 0, 2))
+        flipped = csr_product(tf.couplings, lows, work.reshape(lows.shape))
+        np.copyto(out.reshape(dim // low, low, -1), flipped.transpose(1, 0, 2))
         for k in range(low.bit_length() - 1, tf.n_qubits - 1):
             o = out.reshape(dim >> (k + 1), 2, -1)
-            np.subtract(o, psi.reshape(dim >> (k + 1), 2, -1)[:, ::-1], out=o)
+            p = psi.reshape(o.shape)
+            # one half at a time: numpy copies a view reversed along an outer axis
+            np.subtract(o[:, 0], p[:, 1], out=o[:, 0])
+            np.subtract(o[:, 1], p[:, 0], out=o[:, 1])
     out -= psi[::-1]
     return out
 

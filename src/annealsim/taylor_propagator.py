@@ -9,8 +9,10 @@ benchmark.  Around s0, with A = A_0 + s0*B, the Taylor coefficients obey
     psi_1 = f A psi_0,     psi_n = (f/n) (A psi_{n-1} + B psi_{n-2})   (n >= 2).
 
 The schedule is linear in s, so a generator is one fixed pair, built once
-per run as a closure ``apply(v) -> (A_0 v, B v)``; only s0 moves from
-segment to segment, and the kernel applies the shift itself.
+per run as a closure ``apply(v, a_out, b_out)`` that writes A_0 v and B v
+into two buffers the kernel owns; only s0 moves from segment to segment,
+and the kernel applies the shift itself.  A term allocates nothing: the
+kernel rotates four state buffers through the recurrence.
 :func:`taylor_segment` is the only loop that runs this recurrence and
 :func:`run_segments` the only loop over segments.  A 2-D state is a block
 of independent problems, one per column, each with its own stop test
@@ -47,8 +49,9 @@ from .spin_system import (
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 500
 
-# apply(v) -> (A_0 v, B v): the generator pair of a run, unshifted; see taylor_segment
-Apply = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# apply(v, a_out, b_out) writes A_0 v into a_out and B v into b_out: the
+# generator pair of a run, unshifted; see taylor_segment
+Apply = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -203,10 +206,13 @@ def taylor_segment(
 ) -> tuple[np.ndarray, int | np.ndarray, bool | np.ndarray]:
     """Sum the coefficient recurrence over one segment of length ``step`` from ``s0``.
 
-    ``apply(v)`` returns ``(A_0 v, B v)`` as two new arrays of the state's
-    shape and dtype that the kernel owns and overwrites.  The kernel shifts
+    ``apply(v, a_out, b_out)`` writes ``A_0 v`` into ``a_out`` and ``B v``
+    into ``b_out``, two C-contiguous buffers of the state's shape and dtype
+    that are distinct from ``v``; it must not keep them.  The kernel shifts
     the first to ``A v = A_0 v + s0 (B v)``, and keeps ``B psi_{n-1}`` as
-    the (n-2) product of the next term.
+    the (n-2) product of the next term.  Its buffers are allocated once per
+    call: four state buffers rotate through the terms (the last term, the
+    kept (n-2) product and the two outputs), plus one for the shift.
 
     A 1-D state is one problem (flatten a density matrix first), and a
     C-contiguous 2-D state of shape (dim, B) is B independent problems, one
@@ -222,16 +228,17 @@ def taylor_segment(
     """
     if max_terms < 2:
         raise ValueError("max_terms must be >= 2")
-    shifted = np.empty_like(psi_in)  # before the products: fewer page faults (Lindblad)
-    term, ramp_prev = apply(psi_in)
+    shifted, term, ramp_prev, new, ramp = np.empty((5,) + psi_in.shape, psi_in.dtype)
+    apply(psi_in, term, ramp_prev)
     np.multiply(ramp_prev, s0, out=shifted)
     term += shifted
     term *= factor
-    acc = psi_in + step * term
+    acc = step * term
+    acc += psi_in
     problems = _Problems(acc)
     trigger = tol * problems.NEAR
     for n in range(2, max_terms + 1):
-        new, ramp = apply(term)
+        apply(term, new, ramp)
         np.multiply(ramp, s0, out=shifted)
         new += shifted  # A psi_{n-1}
         new += ramp_prev
@@ -243,7 +250,7 @@ def taylor_segment(
         if not trigger < nrm < math.inf:  # a problem may stop or overflow here
             if problems.freeze(n, scale, tol, acc, new, ramp):
                 break
-        term, ramp_prev = new, ramp
+        term, ramp_prev, new, ramp = new, ramp, term, ramp_prev
     return problems.result(acc, max_terms)
 
 
@@ -286,19 +293,21 @@ def run_segments(
 def _ising_apply(tf: TransverseField, diag_f: np.ndarray) -> Apply:
     """The annealing pair A_0 = H_i, B = H_f - H_i (factor -iT).
 
-    One driver product (:func:`apply_initial`, through this module's global
-    so that it can be traced; a low-bit matrix of about 1 MB at any N plus
-    in-place updates) and one diagonal product.  Nothing is upcast:
-    the driver matrix is stored complex and ``propagate`` passes the
-    diagonal as complex128, like the states.  A (dim, B) diagonal block and
-    state run B instances, column by column.
+    ``apply(v, a_out, b_out)`` writes one driver product into ``a_out``
+    (:func:`apply_initial`, through this module's global so that it can be
+    traced; a float64 low-bit matrix of about 0.6 MB at any N, applied to
+    the float64 view of the state, plus in-place updates) and one diagonal
+    product into ``b_out``.  Nothing is allocated or upcast: ``b_out``,
+    free until the diagonal product, is the driver product's transpose
+    scratch beyond N = 13, and ``propagate`` passes the diagonal as
+    complex128, like the states.  A (dim, B) diagonal block and state run B
+    instances, column by column.
     """
 
-    def apply(v):
-        drv = apply_initial(tf, v)
-        ramp = diag_f * v
-        ramp -= drv  # (H_f - H_i) v
-        return drv, ramp
+    def apply(v, a_out, b_out):
+        apply_initial(tf, v, a_out, b_out)
+        np.multiply(diag_f, v, out=b_out)
+        b_out -= a_out  # (H_f - H_i) v
 
     return apply
 
@@ -397,7 +406,12 @@ def coefficient_bound_recurrence(a: float, b: float, n_max: int) -> BoundSequenc
     """
     if a <= 0 or b < 0:
         raise ValueError("need a > 0 and b >= 0")
-    values = segment_coefficient_norms(lambda v: a * v, lambda v: b * v, np.ones(1), n_max)
+
+    def apply(v, a_out, b_out):
+        np.multiply(a, v, out=a_out)
+        np.multiply(b, v, out=b_out)
+
+    values = segment_coefficient_norms(apply, np.ones(1), n_max)
     return BoundSequence(a, b, values)
 
 
@@ -419,27 +433,22 @@ def coefficient_bound_closed(a: float, b: float, n: int) -> float:
     return total
 
 
-def segment_coefficient_norms(
-    apply_const: Callable[[np.ndarray], np.ndarray],
-    apply_ramp: Callable[[np.ndarray], np.ndarray],
-    psi_in: np.ndarray,
-    n_terms: int,
-) -> np.ndarray:
+def segment_coefficient_norms(apply: Apply, psi_in: np.ndarray, n_terms: int) -> np.ndarray:
     """Diagnostic: norms ||psi_n|| of the first ``n_terms`` coefficients.
 
-    Runs :func:`taylor_segment` (factor 1, unit step) with no early stop,
-    recording the norm of every coefficient ``apply`` is given; feed the
-    result to :func:`power_rule_stop_index` to evaluate the alternative
-    eps-power stopping rule.  Raises :class:`OverflowError` if a coefficient
-    overflows.
+    Runs :func:`taylor_segment` on the pair ``apply`` (factor 1, unit step)
+    with no early stop, recording the norm of every coefficient ``apply`` is
+    given; feed the result to :func:`power_rule_stop_index` to evaluate the
+    alternative eps-power stopping rule.  Raises :class:`OverflowError` if
+    a coefficient overflows.
     """
     norms = []
 
-    def apply(v):
+    def recording(v, a_out, b_out):
         norms.append(_l2(v))
-        return apply_const(v), apply_ramp(v)
+        apply(v, a_out, b_out)
 
-    _, terms, _ = taylor_segment(apply, 1.0, psi_in, 1.0, -math.inf, max(n_terms + 1, 2))
+    _, terms, _ = taylor_segment(recording, 1.0, psi_in, 1.0, -math.inf, max(n_terms + 1, 2))
     if not np.all(terms):  # psi_n overflowed after the n norms recorded
         raise OverflowError(f"coefficient {len(norms)} overflowed")
     return np.array(norms[: n_terms + 1])

@@ -111,7 +111,7 @@ def test_criterion_04_norm_preservation():
            f"max|2||psi||^2-1|={max_drift:.2e} over 1000 instances")
 
 
-def test_criterion_05_bound_suite():
+def test_criterion_05_bound_suite(pair):
     rng = np.random.default_rng(2718)
     bound_ok = True
     for _ in range(50):
@@ -121,9 +121,7 @@ def test_criterion_05_bound_suite():
         a_mat *= rng.uniform(0.2, 2.0) / np.linalg.norm(a_mat, 2)
         b_mat *= rng.uniform(0.2, 2.0) / np.linalg.norm(b_mat, 2)
         psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        norms = segment_coefficient_norms(
-            lambda v: a_mat @ v, lambda v: b_mat @ v, psi0, 60
-        )
+        norms = segment_coefficient_norms(pair(a_mat, b_mat), psi0, 60)
         majorant = coefficient_bound_recurrence(
             np.linalg.norm(a_mat, 2), np.linalg.norm(b_mat, 2), 60
         ).values * np.linalg.norm(psi0)

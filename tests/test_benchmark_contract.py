@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import annealsim
-from annealsim.spin_system import transverse_field_half
+import annealsim.taylor_propagator as tp
+from annealsim.spin_system import apply_initial, random_ising_half, transverse_field_half
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = Path(annealsim.__file__).resolve().parent.parent
@@ -55,3 +56,23 @@ def test_driver_exposes_csr_arrays(n):
     couplings = transverse_field_half(n).couplings
     for attr in ("data", "indices", "indptr"):
         assert isinstance(getattr(couplings, attr), np.ndarray)
+
+
+def test_driver_product_is_traced_once_per_term(monkeypatch):
+    # the traced spin_system.apply_initial span wraps this module global, and
+    # taylor_propagator.non_driver_term_us assumes one call per term: per
+    # segment, as many calls as the longest column's terms
+    calls = []
+
+    def counted(tf, psi, out, work):
+        calls.append(psi.shape)
+        return apply_initial(tf, psi, out, work)
+
+    monkeypatch.setattr(tp, "apply_initial", counted)
+    params, schedule = tp.AnnealParams(6, 5.0), tp.SegmentSchedule(segments=3)
+    res = tp.propagate(params, random_ising_half(6, 2), schedule)
+    assert len(calls) == sum(res.terms_per_segment) and set(calls) == {(32,)}
+    calls.clear()
+    block = tp.propagate_block(params, [random_ising_half(6, seed) for seed in (2, 3, 4)], schedule)
+    longest = np.max([r.terms_per_segment for r in block], axis=0)
+    assert len(calls) == sum(longest) and set(calls) == {(32, 3)}

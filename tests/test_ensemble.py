@@ -172,9 +172,9 @@ def test_lone_instance_reaches_kernel_as_vector(monkeypatch):
     # (dim, 2) block; both through the one block entry point
     shapes = []
 
-    def spy(tf, v):
+    def spy(tf, v, out, work):
         shapes.append(v.shape)
-        return apply_initial(tf, v)
+        return apply_initial(tf, v, out, work)
 
     monkeypatch.setattr(tp, "apply_initial", spy)
     for runs, shape in ((1, (4,)), (2, (4, 2))):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,25 @@ def test_fast_segment_matches_generic():
     )
     assert t_ref == t_got
     assert np.linalg.norm(ref - flat.reshape(rho0.shape)) < 1e-13
+
+
+@pytest.mark.parametrize("l_scale", [0.0, 0.1])
+def test_density_pair_allocates_nothing(l_scale):
+    # the pair writes into the kernel's buffers and its own two work
+    # matrices: no temporary of rho's size, nor a numpy iteration buffer
+    n = 6
+    apply = _density_pair(n, random_ising_half(n, 2).full_diag(), l_scale)
+    rng = np.random.default_rng(5)
+    rho = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
+    a_out, b_out = np.empty_like(rho), np.empty_like(rho)
+    apply(rho, a_out, b_out)
+    tracemalloc.start()
+    try:
+        apply(rho, a_out, b_out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rho.nbytes // 16
 
 
 def test_propagate_density_builds_its_generator_once(monkeypatch):

@@ -5,9 +5,11 @@ import pytest
 
 from annealsim.errors import CapacityError
 from annealsim.spin_system import (
+    LOW_FLIP_BITS,
     IsingDiagonal,
     _flip_matrix,
     apply_initial,
+    csr_product,
     full_flip_matrix,
     ground_space,
     ising_half_diag,
@@ -110,8 +112,8 @@ def test_apply_initial_high_bits_match_full_space(n):
 def test_driver_matrix_is_whole_flip_matrix_up_to_n13(n):
     # up to N = 13 the low bits are all the half-space bits: today's matrix
     got = transverse_field_half(n).couplings
-    ref = _flip_matrix(n - 1, -1.0 + 0.0j)
-    assert got.shape == ref.shape and got.dtype == ref.dtype == np.complex128
+    ref = _flip_matrix(n - 1, -1.0)
+    assert got.shape == ref.shape and got.dtype == ref.dtype == np.float64
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
@@ -123,20 +125,81 @@ def test_driver_matrix_size_is_bounded(n):
     assert c.data.nbytes + c.indices.nbytes + c.indptr.nbytes < 1.1e6
 
 
-@pytest.mark.parametrize("n", [14, 16])
+@pytest.mark.parametrize("n", [13, 14, 16])
 def test_apply_initial_allocates_no_matrix_copy(n):
     # a product that upcast the driver matrix would allocate a complex copy
-    # of its 0.8 MB of entries; only two vectors may be live at once (the
-    # transposed input and the product, then the product and the output)
+    # of its 0.4 MB of entries.  Without buffers a call allocates its output
+    # and the transpose scratch; given them, it allocates no vector at all
     tf = transverse_field_half(n)
     psi = np.random.default_rng(0).normal(size=1 << (n - 1)) * (1 + 1j)
+    out, work = np.empty_like(psi), np.empty_like(psi)
+    peaks = []
     tracemalloc.start()
     try:
-        apply_initial(tf, psi)
-        _, peak = tracemalloc.get_traced_memory()
+        for buffers in ((), (out, work)):
+            tracemalloc.reset_peak()
+            apply_initial(tf, psi, *buffers)
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peak < 3 * psi.nbytes
+    assert peaks[0] < 3 * psi.nbytes
+    assert peaks[1] < psi.nbytes // 16
+
+
+def _complex_csr_route(n, psi):
+    """The driver product as a complex CSR product: the matrix stored with
+    -1+0j entries, scipy's ``@`` on the transposed low-bit block, then the
+    high-bit subtracts and the reversal."""
+    m = min(n - 1, LOW_FLIP_BITS)
+    c = _flip_matrix(m, -1.0 + 0.0j)
+    dim, low = 1 << (n - 1), 1 << m
+    if low == dim:
+        out = c @ psi
+    else:
+        lows = np.ascontiguousarray(psi.reshape(dim // low, low, -1).transpose(1, 0, 2))
+        flipped = c @ lows.reshape(low, -1)
+        out = np.ascontiguousarray(flipped.reshape(low, dim // low, -1).transpose(1, 0, 2))
+        out = out.reshape(psi.shape)
+        for k in range(m, n - 1):
+            o = out.reshape(dim >> (k + 1), 2, -1)
+            np.subtract(o, psi.reshape(dim >> (k + 1), 2, -1)[:, ::-1], out=o)
+    out -= psi[::-1]
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 19))
+def test_apply_initial_into_out_is_complex_csr_route_bitwise(n):
+    # the float64 matrix on the real view, written into out, gives the bits
+    # of the complex-matrix product at every size, shape and magnitude
+    tf = transverse_field_half(n)
+    rng = np.random.default_rng(n)
+    dim = 1 << (n - 1)
+    for shape in ((dim,), (dim, 3)):
+        base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out, work = np.empty_like(base), np.empty_like(base)
+        for scale in (1e-150, 1e-12, 1.0, 1e12, 1e150):
+            psi = scale * base
+            got = apply_initial(tf, psi, out, work)
+            assert got is out
+            ref = _complex_csr_route(n, psi)
+            assert ref.dtype == out.dtype and ref.shape == out.shape
+            assert ref.tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(64, 1), (4096, 6), (256, 2)])
+def test_csr_product_is_scipy_product(shape):
+    # csr_product calls scipy's private csr_matvecs on a zeroed output;
+    # it must stay the routine behind mat @ x
+    rows, width = shape
+    mat = _flip_matrix(rows.bit_length() - 1, -1.0)
+    rng = np.random.default_rng(rows)
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    out = np.full_like(x, np.nan)  # stale contents must not leak in
+    csr_product(mat, x, out)
+    ref = mat @ x.view(np.float64)
+    assert ref.dtype == np.float64
+    assert ref.tobytes() == out.view(np.float64).tobytes()
+    assert np.array_equal(out, _flip_matrix(rows.bit_length() - 1, -1.0 + 0.0j) @ x)
 
 
 def test_ising_half_diag_allocates_no_spin_matrix():

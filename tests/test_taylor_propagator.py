@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,26 +40,27 @@ LZ_PSI_PAPER = np.array(
 )
 
 
-def test_segment_sigma_x_rotation():
+def test_segment_sigma_x_rotation(pair):
     # exp(-i pi/2 sigma_x) (1,0) = (0, -i)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     a = -1j * (np.pi / 2) * sx
     psi, terms, conv = taylor_segment(
-        lambda v: (a @ v, np.zeros_like(v)), 1.0, np.array([1.0 + 0j, 0.0]), 1.0, 1e-14, 100
+        pair(a, np.zeros_like), 1.0, np.array([1.0 + 0j, 0.0]), 1.0, 1e-14, 100
     )
     assert conv
     assert np.max(np.abs(psi - np.array([0.0, -1.0j]))) < 1e-14
 
 
-def test_segment_zero_operators_identity():
-    zero = lambda v: np.zeros_like(v)
+def test_segment_zero_operators_identity(pair):
     psi_in = np.array([0.3 + 0.1j, -0.2, 0.5])
-    psi, terms, conv = taylor_segment(lambda v: (zero(v), zero(v)), 1.0, psi_in, 0.5, 1e-12, 50)
+    psi, terms, conv = taylor_segment(
+        pair(np.zeros_like, np.zeros_like), 1.0, psi_in, 0.5, 1e-12, 50
+    )
     assert conv and terms == 2
     assert np.array_equal(psi, psi_in)
 
 
-def test_segment_landau_zener_paper_value():
+def test_segment_landau_zener_paper_value(pair):
     # two half-interval segments reproduce the paper's psi(1) to 10 digits
     from annealsim.oracle import lz_ground_state, lz_hamiltonian
 
@@ -68,26 +72,24 @@ def test_segment_landau_zener_paper_value():
     for k in range(2):
         shifted = base + (k * 0.5) * ramp
         psi, terms, conv = taylor_segment(
-            lambda v: (shifted @ v, ramp @ v), 1.0, psi, 0.5, 1e-14, 500
+            pair(shifted, ramp), 1.0, psi, 0.5, 1e-14, 500
         )
         assert conv and terms <= 350
     assert np.max(np.abs(psi - LZ_PSI_PAPER) / np.abs(LZ_PSI_PAPER)) < 1e-10
 
 
-def test_segment_overflow_gives_nan():
+def test_segment_overflow_gives_nan(pair):
     # enormous generator on one full-length segment must hit inf before 500
     # terms; the overflow is a result (NaN, 0 terms, not converged), not a raise
-    big = lambda v: 1e150 * v
-    zero = lambda v: np.zeros_like(v)
     psi, terms, conv = taylor_segment(
-        lambda v: (big(v), zero(v)), 1.0, np.ones(2, dtype=complex), 1.0, 1e-12, 500
+        pair(lambda v: 1e150 * v, np.zeros_like), 1.0, np.ones(2, dtype=complex), 1.0, 1e-12, 500
     )
     assert np.isnan(psi).all() and psi.shape == (2,)
     assert terms == 0 and conv is False
 
 
 @pytest.mark.parametrize("shape", [(6,), (6, 3)])
-def test_segment_shift_equals_folded_pair(shape):
+def test_segment_shift_equals_folded_pair(shape, pair):
     # the kernel's shift of the pair (A_0, B) to s0 equals the pair
     # (A_0 + s0 B, B) folded by hand and run at s0 = 0, column by column
     rng = np.random.default_rng(11)
@@ -97,8 +99,8 @@ def test_segment_shift_equals_folded_pair(shape):
     psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     psi /= np.linalg.norm(psi, axis=0)
     c = -0.5j
-    got, t_got, ok_got = taylor_segment(lambda v: (a0 @ v, b @ v), c, psi, 0.5, 1e-13, 300, s0)
-    ref, t_ref, ok_ref = taylor_segment(lambda v: (folded @ v, b @ v), c, psi, 0.5, 1e-13, 300)
+    got, t_got, ok_got = taylor_segment(pair(a0, b), c, psi, 0.5, 1e-13, 300, s0)
+    ref, t_ref, ok_ref = taylor_segment(pair(folded, b), c, psi, 0.5, 1e-13, 300)
     assert np.all(ok_got) and np.all(ok_ref)
     assert np.array_equal(t_got, t_ref)
     assert got.shape == shape and np.max(np.abs(got - ref)) < 1e-13
@@ -119,7 +121,7 @@ def test_propagate_builds_its_generator_once(monkeypatch):
 
 @pytest.mark.parametrize("s0", [0.0, 0.5, 0.9])
 @pytest.mark.parametrize("n", [4, 8, 12])
-def test_specialized_segment_matches_generic(n, s0):
+def test_specialized_segment_matches_generic(n, s0, pair):
     t_anneal = 3.0
     inst = random_ising_half(n, 9)
     tf = transverse_field_half(n)
@@ -136,9 +138,7 @@ def test_specialized_segment_matches_generic(n, s0):
     def apply_ramp(v):
         return c * (diag_f * v - apply_initial(tf, v))
 
-    ref, t_ref, ok_ref = taylor_segment(
-        lambda v: (apply_const(v), apply_ramp(v)), 1.0, psi_in, step, 1e-13, 400
-    )
+    ref, t_ref, ok_ref = taylor_segment(pair(apply_const, apply_ramp), 1.0, psi_in, step, 1e-13, 400)
     got, t_got, ok_got = taylor_segment(_ising_apply(tf, diag_f), c, psi_in, step, 1e-13, 400, s0)
     assert ok_ref and ok_got
     assert t_ref == t_got
@@ -231,14 +231,61 @@ def test_one_driver_product_per_term(monkeypatch):
     # driver product is traced
     calls = []
 
-    def counted(tf, psi):
+    def counted(tf, psi, out, work):
         calls.append(1)
-        return apply_initial(tf, psi)
+        return apply_initial(tf, psi, out, work)
 
     monkeypatch.setattr(tp, "apply_initial", counted)
     res = propagate(AnnealParams(6, 5.0), random_ising_half(6, 2))
     assert res.converged
     assert len(calls) == sum(res.terms_per_segment) == 182
+
+
+def _n14_pair():
+    # the pair and start state of a T=10 anneal at N=14
+    n = 14
+    tf = transverse_field_half(n)
+    return _ising_apply(tf, random_ising_half(n, 5).half_diag.astype(complex)), uniform_initial_state(n)
+
+
+def _n14_segment(apply, psi, max_terms, tol=1e-12):
+    # a segment of 1/10 from s0 = 0.5: about 80 terms at tol 1e-12
+    return taylor_segment(apply, -10j, psi, 0.1, tol, max_terms, 0.5)
+
+
+def test_terms_write_into_four_rotating_buffers():
+    # the pair is handed the kernel's own buffers: over a whole segment its
+    # outputs land in at most four distinct arrays, whatever the term count
+    inner, psi = _n14_pair()
+    seen, calls = set(), []
+
+    def spy(v, a_out, b_out):
+        seen.update((a_out.ctypes.data, b_out.ctypes.data))
+        calls.append(1)
+        inner(v, a_out, b_out)
+
+    _, terms, ok = _n14_segment(spy, psi, 500)
+    assert ok and terms >= 50 and len(calls) == terms
+    assert len(seen) <= 4
+    assert psi.ctypes.data not in seen
+
+
+def test_segment_memory_does_not_grow_with_terms():
+    # a 200-term segment peaks at the memory of a 20-term one (no early stop),
+    # up to a few small Python objects, and that peak is the kernel's five
+    # buffers and the sum: six state vectors
+    apply, psi = _n14_pair()
+    peaks = []
+    for max_terms in (20, 200):
+        tracemalloc.start()
+        try:
+            _, terms, ok = _n14_segment(apply, psi, max_terms, -math.inf)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert terms == max_terms and not ok
+    assert abs(peaks[1] - peaks[0]) < 1024
+    assert peaks[1] < 6 * psi.nbytes + 16384
 
 
 def test_propagate_no_evolution_limit():
@@ -376,7 +423,7 @@ def test_bound_decay_rate():
         assert seq.values[100] < seq.values[10]  # heading to zero
 
 
-def test_coefficient_norms_bounded_by_majorant():
+def test_coefficient_norms_bounded_by_majorant(pair):
     # ||psi_n|| <= (p_n/n!) ||psi_0|| for random dense operator pairs
     rng = np.random.default_rng(42)
     for trial in range(50):
@@ -386,9 +433,7 @@ def test_coefficient_norms_bounded_by_majorant():
         a_mat *= rng.uniform(0.2, 1.5) / np.linalg.norm(a_mat, 2)
         b_mat *= rng.uniform(0.2, 1.5) / np.linalg.norm(b_mat, 2)
         psi0 = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        norms = segment_coefficient_norms(
-            lambda v: a_mat @ v, lambda v: b_mat @ v, psi0, 60
-        )
+        norms = segment_coefficient_norms(pair(a_mat, b_mat), psi0, 60)
         bound = coefficient_bound_recurrence(
             np.linalg.norm(a_mat, 2), np.linalg.norm(b_mat, 2), 60
         )
@@ -396,11 +441,11 @@ def test_coefficient_norms_bounded_by_majorant():
         assert np.all(norms <= majorant * (1 + 1e-10))
 
 
-def test_power_rule_diagnostic():
+def test_power_rule_diagnostic(pair):
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     a = -1j * 2.0 * sx
     norms = segment_coefficient_norms(
-        lambda v: a @ v, lambda v: np.zeros_like(v), np.array([1.0 + 0j, 0]), 60
+        pair(a, np.zeros_like), np.array([1.0 + 0j, 0]), 60
     )
     idx = power_rule_stop_index(norms, 0.5)
     assert idx is not None
