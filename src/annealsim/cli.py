@@ -134,12 +134,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run_one(args, kind, run, config, drifts):
+def _run_one(args, kind, run, config, drift):
     """Anneal the instance named by the flags with ``run(params, inst,
     schedule=...)``, print the result and write its JSON record.
 
-    ``drifts`` names the result's drift fields: the first is printed, all
-    are recorded.  Returns the exit code and the result.
+    ``drift`` names the result's drift field, printed and recorded.  Returns
+    the exit code and the result.
     """
     schedule = _schedule_from(args)
     inst = random_ising_half(args.qubits, args.seed)
@@ -147,20 +147,19 @@ def _run_one(args, kind, run, config, drifts):
     res = run(AnnealParams(args.qubits, args.time), inst, schedule=schedule)
     wall = time.perf_counter() - t0
     print(f"P = {res.success_p!r}")
-    print(f"{drifts[0]} = {getattr(res, drifts[0])!r}")
+    print(f"{drift} = {getattr(res, drift)!r}")
     print(f"terms_per_segment = {res.terms_per_segment}")
     print(f"converged = {res.converged}")
     if args.out:
         config = {"qubits": args.qubits, "time": args.time, "seed": args.seed, **config}
-        result = {"p": _json_float(res.success_p),
-                  **{d: _json_float(getattr(res, d)) for d in drifts},
+        result = {"p": _json_float(res.success_p), drift: _json_float(getattr(res, drift)),
                   "terms_per_segment": res.terms_per_segment, "converged": res.converged}
         write_json(args.out, record(kind, config, schedule, args.time, wall, result=result))
     return (EXIT_OK if res.converged else EXIT_NOT_CONVERGED), res
 
 
 def _cmd_single(parser, args) -> int:
-    return _run_one(args, "single", propagate, {}, ["norm_drift"])[0]
+    return _run_one(args, "single", propagate, {}, "norm_drift")[0]
 
 
 def _cmd_ensemble(parser, args) -> int:
@@ -195,8 +194,7 @@ def _cmd_ensemble(parser, args) -> int:
 
 def _cmd_lindblad(parser, args) -> int:
     run = partial(propagate_density, l_scale=args.lscale)
-    code, res = _run_one(args, "lindblad", run, {"lscale": args.lscale},
-                         ["trace_drift", "hermiticity_drift"])
+    code, res = _run_one(args, "lindblad", run, {"lscale": args.lscale}, "trace_drift")
     if args.csv:
         populations = np.diag(res.rho_final).real
         write_csv(args.csv, ["state", "population"],

@@ -36,7 +36,7 @@ from .lindblad_propagator import propagate_density
 from .spin_system import random_ising_half
 from .taylor_propagator import AnnealParams, SegmentSchedule, propagate, propagate_block
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 WORKERS_ENV_VAR = "ANNEALSIM_WORKERS"
 # Half-space entries of one unitary block: 64 columns at N = 8, 4 at N = 12,
 # one (a plain per-instance run) from N = 15 on.  Twice as wide measured no

@@ -185,6 +185,7 @@ def apply_initial(
         if not (out.shape == work.shape == psi.shape and out.flags.c_contiguous
                 and work.flags.c_contiguous):  # a reshape would copy, and lose the result
             raise ValueError("out and work must be C-contiguous with the state's shape")
+        # one product for all runs: one per run, or on the top bits, ran 1.3-2x slower at N >= 15
         lows = out.reshape(low, dim // low, -1)
         np.copyto(lows, psi.reshape(dim // low, low, -1).transpose(1, 0, 2))
         flipped = csr_product(tf.couplings, lows, work.reshape(lows.shape))

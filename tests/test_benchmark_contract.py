@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import annealsim
+import annealsim.lindblad_propagator as lp
 import annealsim.taylor_propagator as tp
 from annealsim.spin_system import apply_initial, random_ising_half, transverse_field_half
 
@@ -76,3 +77,19 @@ def test_driver_product_is_traced_once_per_term(monkeypatch):
     block = tp.propagate_block(params, [random_ising_half(6, seed) for seed in (2, 3, 4)], schedule)
     longest = np.max([r.terms_per_segment for r in block], axis=0)
     assert len(calls) == sum(longest) and set(calls) == {(32, 3)}
+
+
+@pytest.mark.parametrize("l_scale, ladders", [(0.1, 1), (0.0, 0)])
+def test_density_builds_are_traced(monkeypatch, l_scale, ladders):
+    # the traced Lindblad probe takes the median of the full_flip_matrix and
+    # build_energy_lowering_op spans, which it wraps as these module globals
+    calls = []
+    for name in ("full_flip_matrix", "build_energy_lowering_op"):
+        def counted(*args, _name=name, _f=getattr(lp, name)):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(lp, name, counted)
+    lp.propagate_density(tp.AnnealParams(3, 2.0), random_ising_half(3, 1), l_scale)
+    assert calls.count("full_flip_matrix") == 1
+    assert calls.count("build_energy_lowering_op") == ladders

@@ -42,7 +42,7 @@ def test_single_matches_library(tmp_path, capsys):
     record = json.loads(out.read_text())
     assert record["result"]["p"] == res.success_p
     assert record["result"]["terms_per_segment"] == res.terms_per_segment
-    assert record["schema_version"] == 1
+    assert record["schema_version"] == 2
 
 
 def test_single_no_evolution_limit(capsys):
@@ -292,6 +292,20 @@ def test_overflowing_runs_exit_2(tmp_path, capsys):
             record = json.loads(out.read_text(), parse_constant=reject)
             assert record["result"]["converged"] is False
             assert record["result"]["p"] is None
+
+
+def test_lindblad_trace_drift_exits_2(capsys):
+    # the default 4 segments lose this run's trace (drift about 3); 16 keep
+    # it to 1e-15, and 32 segments give the same P
+    argv = ["lindblad", "--qubits", "8", "--time", "4", "--lscale", "0.3",
+            "--seed", "3386250816931739734"]
+    assert run_cli(argv) == 2
+    assert "converged = False" in capsys.readouterr().out
+    assert run_cli(argv + ["--segments", "16"]) == 0
+    stdout = capsys.readouterr().out
+    assert "converged = True" in stdout
+    p = float(stdout.split("P = ")[1].split()[0])
+    assert abs(p - 0.2519008) < 1e-6
 
 
 def test_csv_outputs_use_lf(tmp_path, capsys):
