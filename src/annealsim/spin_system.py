@@ -19,7 +19,9 @@ problem Hamiltonian is a complete-graph Ising diagonal
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 from scipy.sparse import _sparsetools, csr_matrix
@@ -33,6 +35,12 @@ MAX_QUBITS = 20
 # The driver matrix covers the low min(N-1, LOW_FLIP_BITS) bits: 2**12 rows
 # of 12 entries, about 0.6 MB, whatever N (see apply_initial).
 LOW_FLIP_BITS = 12
+# A larger state is finished in row tiles of at most this many entries, 512 KB
+# of complex128 (see tile_rows), so that a tile stays in a core's L2 (2 MB on
+# the x86 host measured) from the driver product's last pass to the Taylor
+# kernel's, where a whole 2 MB half vector at N = 18 streams from L3 on every
+# pass.  There, 2**14 and 2**16 were slower.
+TILE_ENTRIES = 2**15
 
 
 def _check_qubits(n_qubits: int, limit: int = MAX_QUBITS) -> None:
@@ -141,12 +149,42 @@ def csr_product(mat: csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def tile_rows(shape: tuple[int, ...]) -> int | None:
+    """Rows per tile of a state of ``shape``, or None when it is one tile.
+
+    A state of more than :data:`TILE_ENTRIES` entries is split along its
+    first axis into the fewest equal power-of-two row tiles of at most that
+    many entries (tiles of one row when a row alone holds more).
+    """
+    entries = math.prod(shape)
+    if entries <= TILE_ENTRIES:
+        return None
+    return max(1, shape[0] >> ((entries - 1) // TILE_ENTRIES).bit_length())
+
+
+def tile_work(tf: TransverseField, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The ``work`` of :func:`apply_initial` with ``rows``, for states of ``shape``.
+
+    It holds the low-bit product's input and output: two (2**m, k + 1)
+    complex arrays, where k is the number of entries over 2**m, so each has
+    one spare column.  Without it a row is a multiple of 512 bytes beyond
+    N = 13, and the tiles' transposed reads of the output, a few columns at
+    a time down all rows, land in an eighth of the cache sets: at N = 18
+    they ran 2.8x slower.  None for N <= 13, which needs no work.
+    """
+    low = tf.couplings.shape[0]
+    if low == 1 << (tf.n_qubits - 1):
+        return None
+    return np.zeros((2, low, math.prod(shape) // low + 1), dtype=np.complex128)
+
+
 def apply_initial(
     tf: TransverseField,
     psi: np.ndarray,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
-) -> np.ndarray:
+    rows: int | None = None,
+) -> np.ndarray | Iterator[slice]:
     """Apply the full transverse-field Hamiltonian within the half space, into ``out``.
 
     ``psi`` is a half vector or a C-contiguous (2**(N-1), B) block of them;
@@ -158,17 +196,29 @@ def apply_initial(
       :func:`csr_product` to the low-bit axis of the (2**(N-1-m), 2**m, B)
       view, moved to the front by a transposed copy into ``out``; the
       product goes to ``work`` (a second complex buffer of psi's shape,
-      allocated when not given) and is copied back transposed into
-      ``out``.  For N <= 13 there are no higher bits: the product is
-      written straight into ``out`` and ``work`` is not used;
-    * the flip of each bit k with m <= k < N-1: the two contiguous halves
-      of every 2**(k+1)-entry run swapped and subtracted, one half at a
-      time (numpy copies a view reversed along an outer axis);
+      allocated when not given), whose transpose is the flip part of
+      ``out``.  With ``rows`` both the copy and the product go to ``work``
+      instead, which is then :func:`tile_work`'s (allocated when not
+      given).  For N <= 13 there are no higher bits: the product is written
+      straight into ``out`` and ``work`` is not used;
+    * the flip of each bit k with m <= k < N-1: the row with bit k flipped
+      subtracted, the first time from the transposed product (which so
+      reaches ``out`` without a copy of its own), then in place: within a
+      tile the two contiguous halves of every 2**(k+1)-row run swapped, one
+      half at a time (numpy copies a view reversed along an outer axis),
+      and beyond it one contiguous run of rows;
     * the flip of the top qubit: through the palindromic identification, the
       reversal of the half vector, subtracted.
 
-    Given ``out`` and ``work``, a call allocates nothing, and every
-    subtraction is in place.  A real ``psi`` is read as complex.
+    Without ``rows`` the call returns ``out`` complete, as one tile.  With
+    it (and ``out``), only the low-bit product is done in the call, and the
+    rest is left to the returned iterator: each row slice it yields,
+    ``rows`` rows long from the top (see :func:`tile_rows`), is final in
+    ``out`` and free to the caller, while ``psi``, ``work`` and the rest of
+    ``out`` must stay untouched until the iterator is exhausted.  Each entry
+    goes through the same operations in the same order either way, so the
+    bits agree.  Given ``out`` and ``work``, a call allocates no vector, and
+    every subtraction is in place.  A real ``psi`` is read as complex.
     """
     dim = 1 << (tf.n_qubits - 1)
     if psi.shape[0] != dim:
@@ -179,25 +229,71 @@ def apply_initial(
     low = tf.couplings.shape[0]
     if low == dim:  # N <= 13: no high bits, and no reshapes, whose overhead shows at N=8
         csr_product(tf.couplings, psi, out)
+        flipped = None
     else:
-        if work is None:
-            work = np.empty_like(psi)
-        if not (out.shape == work.shape == psi.shape and out.flags.c_contiguous
-                and work.flags.c_contiguous):  # a reshape would copy, and lose the result
-            raise ValueError("out and work must be C-contiguous with the state's shape")
+        if rows is not None:
+            x, y = tile_work(tf, psi.shape) if work is None else work
+        else:
+            if work is None:
+                work = np.empty_like(psi)
+            if not (out.shape == work.shape == psi.shape and out.flags.c_contiguous
+                    and work.flags.c_contiguous):  # a reshape would copy, and lose the result
+                raise ValueError("out and work must be C-contiguous with the state's shape")
+            x, y = out.reshape(low, -1), work.reshape(low, -1)
         # one product for all runs: one per run, or on the top bits, ran 1.3-2x slower at N >= 15
-        lows = out.reshape(low, dim // low, -1)
-        np.copyto(lows, psi.reshape(dim // low, low, -1).transpose(1, 0, 2))
-        flipped = csr_product(tf.couplings, lows, work.reshape(lows.shape))
-        np.copyto(out.reshape(dim // low, low, -1), flipped.transpose(1, 0, 2))
-        for k in range(low.bit_length() - 1, tf.n_qubits - 1):
-            o = out.reshape(dim >> (k + 1), 2, -1)
-            p = psi.reshape(o.shape)
-            # one half at a time: numpy copies a view reversed along an outer axis
-            np.subtract(o[:, 0], p[:, 1], out=o[:, 0])
-            np.subtract(o[:, 1], p[:, 0], out=o[:, 1])
-    out -= psi[::-1]
+        cols = psi.size // low
+        np.copyto(x[:, :cols].reshape(low, dim // low, -1),
+                  psi.reshape(dim // low, low, -1).transpose(1, 0, 2))
+        csr_product(tf.couplings, x, y)
+        flipped = y[:, :cols].reshape(low, dim // low, -1)
+    if rows is not None:
+        return _finish_rows(tf, psi, out, flipped, rows)
+    if flipped is None:
+        out -= psi[::-1]
+    else:
+        for _ in _finish_rows(tf, psi, out, flipped, dim):
+            pass
     return out
+
+
+def _finish_rows(tf, psi, out, flipped, rows) -> Iterator[slice]:
+    """The steps of :func:`apply_initial` after the low-bit product, ``rows`` rows at a time.
+
+    ``flipped`` is that product as a (2**m, 2**(N-1-m), B) array, or None
+    when there are no higher bits.
+    """
+    dim = psi.shape[0]
+    for r0 in range(0, dim, rows):
+        tile = slice(r0, r0 + rows)
+        o = out[tile]
+        if flipped is not None:
+            low = flipped.shape[0]
+            hi, lo = divmod(r0, low)
+            src = flipped[lo:lo + rows, hi:hi + max(rows // low, 1)].transpose(1, 0, 2)
+            dst = o.reshape(src.shape)  # (high part, low part, B) of the rows
+            for k in range(low.bit_length() - 1, tf.n_qubits - 1):
+                _subtract_flip(src, psi, dst, r0, k)
+                src = dst
+        np.subtract(o, psi[::-1][tile], out=o)
+        yield tile
+
+
+def _subtract_flip(src, psi, out, r0, k) -> None:
+    """``out = src - psi`` at the row with bit k flipped, over the rows of ``out`` from r0.
+
+    ``src`` and ``out`` are (high part, low part, B) views of a power-of-two
+    tile of rows, with bit k in the high part.
+    """
+    rows = out.shape[0] * out.shape[1]
+    if 1 << k >= rows:  # the flipped rows are one contiguous run
+        p0 = r0 ^ (1 << k)
+        np.subtract(src, psi[p0:p0 + rows].reshape(out.shape), out=out)
+        return
+    span = (1 << k) // out.shape[1]
+    pairs = (out.shape[0] // (2 * span), 2, span) + out.shape[1:]
+    s, o, p = src.reshape(pairs), out.reshape(pairs), psi[r0:r0 + rows].reshape(pairs)
+    np.subtract(s[:, 0], p[:, 1], out=o[:, 0])
+    np.subtract(s[:, 1], p[:, 0], out=o[:, 1])
 
 
 def _spins(count: int, n_bits: int) -> np.ndarray:

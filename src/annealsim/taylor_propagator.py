@@ -12,7 +12,9 @@ The schedule is linear in s, so a generator is one fixed pair, built once
 per run as a closure ``apply(v, a_out, b_out)`` that writes A_0 v and B v
 into two buffers the kernel owns; only s0 moves from segment to segment,
 and the kernel applies the shift itself.  A term allocates nothing: the
-kernel rotates four state buffers through the recurrence.
+kernel rotates four state buffers through the recurrence.  A pair may hand
+its products over in row tiles, and the kernel then finishes each tile
+while it is still in cache (see :func:`taylor_segment`).
 :func:`taylor_segment` is the only loop that runs this recurrence and
 :func:`run_segments` the only loop over segments.  A 2-D state is a block
 of independent problems, one per column, each with its own stop test
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -42,6 +44,8 @@ from .spin_system import (
     TransverseField,
     apply_initial,
     ground_space,
+    tile_rows,
+    tile_work,
     transverse_field_half,
     uniform_initial_state,
 )
@@ -50,8 +54,9 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 500
 
 # apply(v, a_out, b_out) writes A_0 v into a_out and B v into b_out: the
-# generator pair of a run, unshifted; see taylor_segment
-Apply = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+# generator pair of a run, unshifted.  It returns None, or an iterator of the
+# row slices as they are finished; see taylor_segment
+Apply = Callable[[np.ndarray, np.ndarray, np.ndarray], Iterable[slice] | None]
 
 
 @dataclass(frozen=True)
@@ -151,23 +156,31 @@ class _Problems:
     NEAR = 1.0 + 1e-6
 
     def __init__(self, acc: np.ndarray):
+        self.vector = acc.ndim == 1
         self.n_live = width = _columns(acc).shape[1]
         self.frozen_pad = np.zeros(width)  # +inf on frozen problems, for the min
         self.terms = np.zeros(width, dtype=np.int64)
         self.ok = np.zeros(width, dtype=bool)
 
-    def norm(self, v: np.ndarray) -> float:
-        """Least norm among the live problems; NaN if any live problem is not
-        finite (frozen columns are zero)."""
+    @staticmethod
+    def squares(v: np.ndarray):
+        """Each problem's sum of squares over the rows ``v``: a float for a
+        vector, one per column for a block."""
         flat = v.view(v.real.dtype)  # a complex column is two adjacent float columns
         if v.ndim == 1:  # as a (dim, 1) block this costs 6x at N = 18
-            self.sq = np.einsum("i,i->", flat, flat)
-            return math.sqrt(self.sq)
+            return np.einsum("i,i->", flat, flat)
         sq = np.einsum("ij,ij->j", flat, flat).reshape(v.shape[1], -1)
-        self.sq = np.einsum("jk->j", sq)  # einsum, unlike sum, does not warn on overflow
-        if not self.sq.max() < math.inf:
+        return np.einsum("jk->j", sq)  # einsum, unlike sum, does not warn on overflow
+
+    def norm(self, sq) -> float:
+        """Least norm among the live problems from their sums of squares;
+        NaN if any live problem is not finite (frozen columns are zero)."""
+        self.sq = sq
+        if self.vector:
+            return math.sqrt(sq)
+        if not sq.max() < math.inf:
             return math.nan
-        return math.sqrt(np.min(self.sq + self.frozen_pad))
+        return math.sqrt(np.min(sq + self.frozen_pad))
 
     def freeze(self, n, scale, tol, acc, new, ramp) -> bool:
         """Freeze the problems that stop or overflow at term n; True when all are frozen."""
@@ -208,11 +221,20 @@ def taylor_segment(
 
     ``apply(v, a_out, b_out)`` writes ``A_0 v`` into ``a_out`` and ``B v``
     into ``b_out``, two C-contiguous buffers of the state's shape and dtype
-    that are distinct from ``v``; it must not keep them.  The kernel shifts
-    the first to ``A v = A_0 v + s0 (B v)``, and keeps ``B psi_{n-1}`` as
-    the (n-2) product of the next term.  Its buffers are allocated once per
-    call: four state buffers rotate through the terms (the last term, the
-    kept (n-2) product and the two outputs), plus one for the shift.
+    that are distinct from ``v``; it must not keep them.  It either returns
+    None with both products complete, or returns an iterator of row slices
+    that are complete in both when yielded; the kernel then runs its own
+    updates of the term on each tile as it comes, while the tile is still
+    in cache, and resumes the iterator for the next (``v`` is not written
+    meanwhile; every other buffer may be, outside the rows handed over so
+    far).  Tiles are of equal size.  The kernel shifts the first product
+    to ``A v = A_0 v + s0 (B v)``, and keeps ``B psi_{n-1}`` as the (n-2)
+    product of the next term.  Its buffers are allocated once per call:
+    four state buffers rotate through the terms (the last term, the kept
+    (n-2) product and the two outputs), plus one tile of scratch for the
+    shift and the scaled term; the pair owns any scratch of its own.  The
+    stop test is taken as described at :class:`_Problems`, on norms summed
+    over the tiles.
 
     A 1-D state is one problem (flatten a density matrix first), and a
     C-contiguous 2-D state of shape (dim, B) is B independent problems, one
@@ -228,25 +250,34 @@ def taylor_segment(
     """
     if max_terms < 2:
         raise ValueError("max_terms must be >= 2")
-    shifted, term, ramp_prev, new, ramp = np.empty((5,) + psi_in.shape, psi_in.dtype)
-    apply(psi_in, term, ramp_prev)
-    np.multiply(ramp_prev, s0, out=shifted)
-    term += shifted
+    term, ramp_prev, new, ramp = np.empty((4,) + psi_in.shape, psi_in.dtype)
+    for _ in apply(psi_in, term, ramp_prev) or ():  # a tiling pair works as it is iterated
+        pass
+    np.multiply(ramp_prev, s0, out=new)  # new is free until the next term
+    term += new
     term *= factor
     acc = step * term
     acc += psi_in
     problems = _Problems(acc)
     trigger = tol * problems.NEAR
+    scratch = None  # one tile, reused while it is still in cache
+    squares = problems.squares
     for n in range(2, max_terms + 1):
-        apply(term, new, ramp)
-        np.multiply(ramp, s0, out=shifted)
-        new += shifted  # A psi_{n-1}
-        new += ramp_prev
-        new *= factor / n  # psi_n
-        scale = step**n
-        np.multiply(new, scale, out=ramp_prev)  # the retired (n-2) product is scratch
-        acc += ramp_prev
-        nrm = scale * problems.norm(new)
+        tiles = apply(term, new, ramp)
+        bufs = (new, ramp, ramp_prev, acc)
+        c, scale, sq = factor / n, step**n, None
+        for nw, r, rp, ac in [bufs] if tiles is None else ([b[t] for b in bufs] for t in tiles):
+            if scratch is None:
+                scratch = np.empty_like(nw)
+            np.multiply(r, s0, out=scratch)
+            nw += scratch  # A psi_{n-1}
+            nw += rp
+            nw *= c  # psi_n
+            np.multiply(nw, scale, out=scratch)
+            ac += scratch
+            part = squares(nw)
+            sq = part if sq is None else sq + part
+        nrm = scale * problems.norm(sq)
         if not trigger < nrm < math.inf:  # a problem may stop or overflow here
             if problems.freeze(n, scale, tol, acc, new, ramp):
                 break
@@ -295,13 +326,20 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray) -> Apply:
 
     ``apply(v, a_out, b_out)`` writes one driver product into ``a_out``
     (:func:`apply_initial`, through this module's global so that it can be
-    traced; a float64 low-bit matrix of about 0.6 MB at any N, applied to
-    the float64 view of the state, plus in-place updates) and one diagonal
-    product into ``b_out``.  Nothing is allocated or upcast: ``b_out``,
-    free until the diagonal product, is the driver product's transpose
-    scratch beyond N = 13, and ``propagate`` passes the diagonal as
-    complex128, like the states.  A (dim, B) diagonal block and state run B
-    instances, column by column.
+    traced, once per term; a float64 low-bit matrix of about 0.6 MB at any
+    N, applied to the float64 view of the state, plus in-place updates) and
+    one diagonal product into ``b_out``.  Nothing is allocated or upcast:
+    ``propagate`` passes the diagonal as complex128, like the states.  A
+    (dim, B) diagonal block and state run B instances, column by column.
+
+    A state of at most :data:`~annealsim.spin_system.TILE_ENTRIES` entries
+    is one tile: the pair returns None, and ``b_out``, free until the
+    diagonal product, is the driver product's transpose scratch beyond
+    N = 13.  A larger one is tiled (see :func:`tile_rows`): the call
+    returns an iterator whose first step does the low-bit product in the
+    pair's own scratch (:func:`tile_work`, two states' worth, allocated once
+    with the pair), and whose steps each finish both products on one row
+    tile.
     """
 
     def apply(v, a_out, b_out):
@@ -309,7 +347,18 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray) -> Apply:
         np.multiply(diag_f, v, out=b_out)
         b_out -= a_out  # (H_f - H_i) v
 
-    return apply
+    rows = tile_rows(diag_f.shape)
+    if rows is None:
+        return apply
+    work = tile_work(tf, diag_f.shape)  # the low-bit product's input and output
+
+    def tiled(v, a_out, b_out):
+        for t in apply_initial(tf, v, a_out, work, rows):
+            b = np.multiply(diag_f[t], v[t], out=b_out[t])
+            b -= a_out[t]  # (H_f - H_i) v on the tile
+            yield t
+
+    return tiled
 
 
 def propagate(
@@ -446,7 +495,7 @@ def segment_coefficient_norms(apply: Apply, psi_in: np.ndarray, n_terms: int) ->
 
     def recording(v, a_out, b_out):
         norms.append(_l2(v))
-        apply(v, a_out, b_out)
+        return apply(v, a_out, b_out)
 
     _, terms, _ = taylor_segment(recording, 1.0, psi_in, 1.0, -math.inf, max(n_terms + 1, 2))
     if not np.all(terms):  # psi_n overflowed after the n norms recorded

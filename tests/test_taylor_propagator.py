@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import annealsim.spin_system as ss
 import annealsim.taylor_propagator as tp
 from annealsim.spin_system import (
     GroundSpace,
@@ -146,38 +147,43 @@ def test_specialized_segment_matches_generic(n, s0, pair):
 
 
 @pytest.mark.parametrize("scale", [4.0, 1e200])
-def test_block_column_failure_leaves_neighbour_bitwise(scale):
+def test_block_column_failure_leaves_neighbour_bitwise(scale, monkeypatch):
     # one bad problem in a block must not touch its neighbour: column 1's
-    # generator is scaled until it runs out of terms (4) or overflows (1e200)
-    n, t_anneal, step, s0, max_terms = 6, 3.0, 0.25, 0.5, 60
-    tf = transverse_field_half(n)
-    diag = random_ising_half(n, 4).half_diag.astype(complex)
-    psi = uniform_initial_state(n)
-    c = -1j * t_anneal
+    # generator is scaled until it runs out of terms (4) or overflows (1e200),
+    # whole and with 16-entry tiles, in which the block pair hands its rows
+    # over in 4 tiles
+    for tile_entries in (None, 16):
+        if tile_entries:
+            monkeypatch.setattr(ss, "TILE_ENTRIES", tile_entries)
+        n, t_anneal, step, s0, max_terms = 6, 3.0, 0.25, 0.5, 60
+        tf = transverse_field_half(n)
+        diag = random_ising_half(n, 4).half_diag.astype(complex)
+        psi = uniform_initial_state(n)
+        c = -1j * t_anneal
 
-    def one_column(d):
-        return taylor_segment(_ising_apply(tf, d), c, psi, step, 1e-12, max_terms, s0)
+        def one_column(d):
+            return taylor_segment(_ising_apply(tf, d), c, psi, step, 1e-12, max_terms, s0)
 
-    block_diag = np.stack([diag, scale * diag], axis=1)
-    block_psi = np.repeat(psi[:, None], 2, axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got, terms, ok = taylor_segment(
-            _ising_apply(tf, block_diag), c, block_psi, step, 1e-12, max_terms, s0
-        )
-    ref, t_ref, ok_ref = one_column(diag)
-    assert ok_ref and ok[0] and t_ref < max_terms
-    assert terms[0] == t_ref
-    assert np.array_equal(got[:, 0], ref)
-    assert not ok[1]
-    if scale > 1e100:
-        assert np.isnan(got[:, 1]).all() and terms[1] == 0
+        block_diag = np.stack([diag, scale * diag], axis=1)
+        block_psi = np.repeat(psi[:, None], 2, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
+            got, terms, ok = taylor_segment(
+                _ising_apply(tf, block_diag), c, block_psi, step, 1e-12, max_terms, s0
+            )
+        ref, t_ref, ok_ref = one_column(diag)
+        assert ok_ref and ok[0] and t_ref < max_terms
+        assert terms[0] == t_ref
+        assert np.array_equal(got[:, 0], ref)
+        assert not ok[1]
+        if scale > 1e100:
+            assert np.isnan(got[:, 1]).all() and terms[1] == 0
+            with np.errstate(over="ignore", invalid="ignore"):
+                ref1, t_ref1, ok_ref1 = one_column(scale * diag)
+            assert np.isnan(ref1).all() and t_ref1 == 0 and not ok_ref1
+        else:
             ref1, t_ref1, ok_ref1 = one_column(scale * diag)
-        assert np.isnan(ref1).all() and t_ref1 == 0 and not ok_ref1
-    else:
-        ref1, t_ref1, ok_ref1 = one_column(scale * diag)
-        assert not ok_ref1 and terms[1] == t_ref1 == max_terms
-        assert np.array_equal(got[:, 1], ref1)
+            assert not ok_ref1 and terms[1] == t_ref1 == max_terms
+            assert np.array_equal(got[:, 1], ref1)
 
 
 def test_all_columns_overflowing_end_the_run(monkeypatch):
@@ -231,14 +237,69 @@ def test_one_driver_product_per_term(monkeypatch):
     # driver product is traced
     calls = []
 
-    def counted(tf, psi, out, work):
-        calls.append(1)
-        return apply_initial(tf, psi, out, work)
+    def counted(*args):
+        calls.append(args[4:])
+        return apply_initial(*args)
 
     monkeypatch.setattr(tp, "apply_initial", counted)
     res = propagate(AnnealParams(6, 5.0), random_ising_half(6, 2))
     assert res.converged
     assert len(calls) == sum(res.terms_per_segment) == 182
+    assert set(calls) == {()}
+    # a tiled state: still one call per term, which returns the 4 tiles
+    calls.clear()
+    monkeypatch.setattr(ss, "TILE_ENTRIES", 2048)
+    res = propagate(AnnealParams(14, 2.0), random_ising_half(14, 2), SegmentSchedule(segments=2))
+    assert res.converged
+    assert len(calls) == sum(res.terms_per_segment) and set(calls) == {(2048,)}
+
+
+@pytest.mark.parametrize(
+    "n, width, tile_entries, rows",
+    [
+        (14, 1, 2048, 2048),  # tiles within one run of the low bits
+        (14, 1, 4096, 4096),  # a tile per run; the first high bit pairs tiles
+        (15, 1, 8192, 8192),  # the first high bit inside a tile
+        (15, 1, 2048, 2048),
+        (14, 2, 8192, 4096),  # a block
+        (14, 2, 4096, 2048),
+    ],
+)
+def test_tiled_runs_are_bitwise_one_tile_runs(n, width, tile_entries, rows, monkeypatch):
+    params, schedule = AnnealParams(n, 2.0), SegmentSchedule(segments=4)
+    instances = [random_ising_half(n, seed) for seed in (3, 4)[:width]]
+    shape = (1 << (n - 1), width) if width > 1 else (1 << (n - 1),)
+    assert ss.tile_rows(shape) is None
+    one_tile = propagate_block(params, instances, schedule)
+    monkeypatch.setattr(ss, "TILE_ENTRIES", tile_entries)
+    assert ss.tile_rows(shape) == rows
+    tiled = propagate_block(params, instances, schedule)
+    for got, ref in zip(tiled, one_tile):
+        assert got.psi_final.tobytes() == ref.psi_final.tobytes()
+        assert got.terms_per_segment == ref.terms_per_segment
+        assert got.converged is ref.converged is True
+        assert got.success_p == ref.success_p and got.norm_drift == ref.norm_drift
+
+
+def test_two_tile_segment_is_bitwise_one_tile_segment(monkeypatch):
+    # N=17 is the first size that tiles unpatched: two tiles of 2**15 rows.
+    # The stop test's norms, summed over the tiles, match the whole ones
+    n = 17
+    tf = transverse_field_half(n)
+    diag = random_ising_half(n, 5).half_diag.astype(complex)
+    psi = uniform_initial_state(n)
+    assert ss.tile_rows(psi.shape) == psi.size // 2
+    sums, norm = [], tp._Problems.norm
+    monkeypatch.setattr(tp._Problems, "norm", lambda self, sq: sums.append(sq) or norm(self, sq))
+    got, terms, ok = taylor_segment(_ising_apply(tf, diag), -10j, psi, 0.025, 1e-12, 500, 0.5)
+    tiled_sums = sums[:]
+    sums.clear()
+    monkeypatch.setattr(ss, "TILE_ENTRIES", psi.size)
+    ref, t_ref, ok_ref = taylor_segment(_ising_apply(tf, diag), -10j, psi, 0.025, 1e-12, 500, 0.5)
+    assert ok and ok_ref and terms == t_ref > 10
+    assert got.tobytes() == ref.tobytes()
+    assert len(tiled_sums) == len(sums) == terms - 1
+    assert np.allclose(tiled_sums, sums, rtol=1e-12, atol=0)
 
 
 def _n14_pair():
@@ -270,22 +331,36 @@ def test_terms_write_into_four_rotating_buffers():
     assert psi.ctypes.data not in seen
 
 
-def test_segment_memory_does_not_grow_with_terms():
+def test_segment_memory_does_not_grow_with_terms(monkeypatch):
     # a 200-term segment peaks at the memory of a 20-term one (no early stop),
     # up to a few small Python objects, and that peak is the kernel's five
-    # buffers and the sum: six state vectors
-    apply, psi = _n14_pair()
-    peaks = []
-    for max_terms in (20, 200):
+    # buffers and the sum: six state vectors.  Tiled, the pair owns two
+    # more, each with a spare column, allocated once when it is built
+    for tile_entries in (None, 2048):
+        if tile_entries:
+            monkeypatch.setattr(ss, "TILE_ENTRIES", tile_entries)
+        apply, psi = _n14_pair()
+        tf, diag = transverse_field_half(14), psi.astype(complex)
         tracemalloc.start()
         try:
-            _, terms, ok = _n14_segment(apply, psi, max_terms, -math.inf)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            _ising_apply(tf, diag)
+            build_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert terms == max_terms and not ok
-    assert abs(peaks[1] - peaks[0]) < 1024
-    assert peaks[1] < 6 * psi.nbytes + 16384
+        assert build_peak < ((2 * psi.nbytes + 2 * 4096 * 16) if tile_entries else 0) + 16384
+        peaks = []
+        for max_terms in (20, 200):
+            tracemalloc.start()
+            try:
+                _, terms, ok = _n14_segment(apply, psi, max_terms, -math.inf)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert terms == max_terms and not ok
+        assert abs(peaks[1] - peaks[0]) < 1024
+        assert peaks[1] < 6 * psi.nbytes + 16384
+        if tile_entries:  # the kernel's scratch is one tile
+            assert peaks[1] < 5 * psi.nbytes + tile_entries * 16 + 16384
 
 
 def test_propagate_no_evolution_limit():
