@@ -10,7 +10,7 @@ from .ensemble import (
 )
 from .errors import CapacityError
 from .lindblad_propagator import DensityPropagationResult, propagate_density
-from .oracle import LZParams, lz_propagate
+from .landau_zener import LZParams, lz_propagate
 from .spin_system import IsingDiagonal, random_ising_half
 from .taylor_propagator import AnnealParams, PropagationResult, SegmentSchedule, propagate
 

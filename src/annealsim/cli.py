@@ -33,7 +33,7 @@ from .ensemble import (
 )
 from .errors import CapacityError
 from .lindblad_propagator import propagate_density
-from .oracle import LZParams, lz_propagate
+from .landau_zener import LZParams, lz_propagate
 from .spin_system import random_ising_half
 from .taylor_propagator import (
     DEFAULT_MAX_TERMS,

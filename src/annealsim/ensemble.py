@@ -32,8 +32,8 @@ from functools import partial
 
 import numpy as np
 
-from .lindblad_propagator import propagate_density
-from .spin_system import random_ising_half
+from .lindblad_propagator import MAX_DENSITY_QUBITS, propagate_density
+from .spin_system import MAX_QUBITS, _check_qubits, random_ising_half
 from .taylor_propagator import AnnealParams, SegmentSchedule, propagate, propagate_block
 
 SCHEMA_VERSION = 2
@@ -62,6 +62,7 @@ class EnsembleConfig:
             raise ValueError("bins must be >= 2")
         if self.mode not in ("unitary", "lindblad"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        _check_qubits(self.n_qubits, MAX_QUBITS if self.mode == "unitary" else MAX_DENSITY_QUBITS)
         if not 0 <= self.l_scale < math.inf:  # NaN too
             raise ValueError(f"l_scale must be finite and >= 0, got {self.l_scale}")
         if self.mode == "unitary" and self.l_scale != 0:
@@ -235,11 +236,14 @@ def scaling_sweep(
     """Mean wall time per instance for each register size.
 
     With three or more sizes, fits log(mean time) against the largest three
-    N values; the slope is the exponential growth rate per qubit.
+    N values; the slope is the exponential growth rate per qubit.  Repeated
+    sizes are a ValueError: they would fit a slope over equal N.
     """
     if runs_per_n < 1:
         raise ValueError("runs_per_n must be >= 1")
     n_values = list(n_list)
+    if len(set(n_values)) < len(n_values):
+        raise ValueError(f"register sizes must be distinct, got {n_values}")
     means = []
     for n in n_values:
         params = AnnealParams(n, t_anneal)

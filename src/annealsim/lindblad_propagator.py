@@ -13,8 +13,8 @@ matrices to Hermitian ones, and the pair keeps every coefficient exactly so.
 Densities live in the full 2**N space: the energy-ladder dissipator does not
 respect the spin-flip symmetry, so no half-space reduction is possible here.
 The 2**(2N) storage limits this module to small registers (paper-scale
-experiments use 8 qubits).  The dense superoperator route that tests compare
-this one against is in :mod:`annealsim.oracle`.
+experiments use 8 qubits).  The tests check this pair against a dense
+superoperator route and an RK4 reference, both in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .spin_system import (
     IsingDiagonal, _check_qubits, csr_product, full_flip_matrix, lift_to_full, uniform_initial_state
 )
 from .taylor_propagator import (
+    MAX_DRIFT,
     AnnealParams,
     Apply,
     SegmentSchedule,
@@ -36,7 +37,6 @@ from .taylor_propagator import (
 )
 
 MAX_DENSITY_QUBITS = 10
-MAX_TRACE_DRIFT = 1e-6  # beyond it at a segment boundary, a run is not converged
 
 
 @dataclass
@@ -133,8 +133,8 @@ def propagate_density(
     Tr(Pi rho(1)), read off the real diagonal.  rho stays exactly Hermitian
     (see :func:`_density_pair`), so the trace is the soundness signal: it is
     recorded at every segment boundary, nothing is renormalised, and a trace
-    drift above ``MAX_TRACE_DRIFT`` or a success probability outside [0, 1]
-    flags the run non-converged.
+    drift above ``MAX_DRIFT`` or a success probability outside [0, 1] flags
+    the run non-converged.
     """
     n = params.n_qubits
     _check_qubits(n, MAX_DENSITY_QUBITS)
@@ -156,5 +156,5 @@ def propagate_density(
     success_p = clamp_probability(float(np.sum(np.diag(rho).real[gs_full])))
     # np.max, unlike the builtin, propagates a NaN wherever it sits
     trace_drift = float(np.max(np.abs(np.array(boundary_traces) - 1.0)))
-    converged = converged and 0.0 <= success_p <= 1.0 and trace_drift <= MAX_TRACE_DRIFT
+    converged = converged and 0.0 <= success_p <= 1.0 and trace_drift <= MAX_DRIFT
     return DensityPropagationResult(rho, success_p, trace_drift, terms, converged, boundary_traces)

@@ -163,7 +163,7 @@ def tile_rows(shape: tuple[int, ...]) -> int | None:
 
 
 def tile_work(tf: TransverseField, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The ``work`` of :func:`apply_initial` with ``rows``, for states of ``shape``.
+    """The ``work`` of :func:`apply_initial` for states of ``shape``.
 
     It holds the low-bit product's input and output: two (2**m, k + 1)
     complex arrays, where k is the number of entries over 2**m, so each has
@@ -194,13 +194,11 @@ def apply_initial(
 
     * the flips of the low m bits: ``couplings`` applied by
       :func:`csr_product` to the low-bit axis of the (2**(N-1-m), 2**m, B)
-      view, moved to the front by a transposed copy into ``out``; the
-      product goes to ``work`` (a second complex buffer of psi's shape,
-      allocated when not given), whose transpose is the flip part of
-      ``out``.  With ``rows`` both the copy and the product go to ``work``
-      instead, which is then :func:`tile_work`'s (allocated when not
-      given).  For N <= 13 there are no higher bits: the product is written
-      straight into ``out`` and ``work`` is not used;
+      view, moved to the front by a transposed copy; the copy and the
+      product go to ``work``, :func:`tile_work`'s pair of arrays (allocated
+      when not given), and the product's transpose is the flip part of
+      ``out``.  For N <= 13 there are no higher bits: the product is
+      written straight into ``out`` and ``work`` is not used;
     * the flip of each bit k with m <= k < N-1: the row with bit k flipped
       subtracted, the first time from the transposed product (which so
       reaches ``out`` without a copy of its own), then in place: within a
@@ -231,15 +229,7 @@ def apply_initial(
         csr_product(tf.couplings, psi, out)
         flipped = None
     else:
-        if rows is not None:
-            x, y = tile_work(tf, psi.shape) if work is None else work
-        else:
-            if work is None:
-                work = np.empty_like(psi)
-            if not (out.shape == work.shape == psi.shape and out.flags.c_contiguous
-                    and work.flags.c_contiguous):  # a reshape would copy, and lose the result
-                raise ValueError("out and work must be C-contiguous with the state's shape")
-            x, y = out.reshape(low, -1), work.reshape(low, -1)
+        x, y = tile_work(tf, psi.shape) if work is None else work
         # one product for all runs: one per run, or on the top bits, ran 1.3-2x slower at N >= 15
         cols = psi.size // low
         np.copyto(x[:, :cols].reshape(low, dim // low, -1),

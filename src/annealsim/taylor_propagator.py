@@ -26,8 +26,8 @@ length.
 Two stopping rules are known.  The production rule, used here, stops at the
 first n >= 2 whose contribution ||psi_n * step**n|| drops below ``tol``; it
 directly bounds the truncation increment.  The alternative power rule
-(||psi_n||**(1/n) <= eps) is available as a diagnostic via
-:func:`segment_coefficient_norms` and :func:`power_rule_stop_index`.
+(||psi_n||**(1/n) <= eps) can be evaluated on the coefficient norms that
+:func:`segment_coefficient_norms` records.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ from .spin_system import (
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 500
+# a run whose squared norm (trace, for a density) strays further from 1 is not converged
+MAX_DRIFT = 1e-6
 
 # apply(v, a_out, b_out) writes A_0 v into a_out and B v into b_out: the
 # generator pair of a run, unshifted.  It returns None, or an iterator of the
@@ -332,25 +334,24 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray) -> Apply:
     ``propagate`` passes the diagonal as complex128, like the states.  A
     (dim, B) diagonal block and state run B instances, column by column.
 
+    Beyond N = 13 the low-bit product runs in the pair's own scratch
+    (:func:`tile_work`, two states' worth, allocated once with the pair).
     A state of at most :data:`~annealsim.spin_system.TILE_ENTRIES` entries
-    is one tile: the pair returns None, and ``b_out``, free until the
-    diagonal product, is the driver product's transpose scratch beyond
-    N = 13.  A larger one is tiled (see :func:`tile_rows`): the call
-    returns an iterator whose first step does the low-bit product in the
-    pair's own scratch (:func:`tile_work`, two states' worth, allocated once
-    with the pair), and whose steps each finish both products on one row
-    tile.
+    is one tile: the pair returns None.  A larger one is tiled (see
+    :func:`tile_rows`): the call returns an iterator whose first step does
+    the low-bit product, and whose steps each finish both products on one
+    row tile.
     """
+    work = tile_work(tf, diag_f.shape)  # the low-bit product's input and output
 
     def apply(v, a_out, b_out):
-        apply_initial(tf, v, a_out, b_out)
+        apply_initial(tf, v, a_out, work)
         np.multiply(diag_f, v, out=b_out)
         b_out -= a_out  # (H_f - H_i) v
 
     rows = tile_rows(diag_f.shape)
     if rows is None:
         return apply
-    work = tile_work(tf, diag_f.shape)  # the low-bit product's input and output
 
     def tiled(v, a_out, b_out):
         for t in apply_initial(tf, v, a_out, work, rows):
@@ -464,32 +465,13 @@ def coefficient_bound_recurrence(a: float, b: float, n_max: int) -> BoundSequenc
     return BoundSequence(a, b, values)
 
 
-def coefficient_bound_closed(a: float, b: float, n: int) -> float:
-    """Closed form of p_n/n!: sum_k a^(n-2k) b^k / (k! (n-2k)! 2^k).
-
-    Equivalent to the double-factorial expansion of the recurrence
-    polynomials (p_2 = a^2 + b, p_3 = a^3 + 3ab, ...).
-    """
-    if a <= 0 or b < 0:
-        raise ValueError("need a > 0 and b >= 0")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    total = 0.0
-    for k in range(n // 2 + 1):
-        total += a ** (n - 2 * k) * b**k / (
-            math.factorial(k) * math.factorial(n - 2 * k) * 2**k
-        )
-    return total
-
-
 def segment_coefficient_norms(apply: Apply, psi_in: np.ndarray, n_terms: int) -> np.ndarray:
     """Diagnostic: norms ||psi_n|| of the first ``n_terms`` coefficients.
 
     Runs :func:`taylor_segment` on the pair ``apply`` (factor 1, unit step)
     with no early stop, recording the norm of every coefficient ``apply`` is
-    given; feed the result to :func:`power_rule_stop_index` to evaluate the
-    alternative eps-power stopping rule.  Raises :class:`OverflowError` if
-    a coefficient overflows.
+    given, the input to the alternative eps-power stopping rule.  Raises
+    :class:`OverflowError` if a coefficient overflows.
     """
     norms = []
 
@@ -502,10 +484,3 @@ def segment_coefficient_norms(apply: Apply, psi_in: np.ndarray, n_terms: int) ->
         raise OverflowError(f"coefficient {len(norms)} overflowed")
     return np.array(norms[: n_terms + 1])
 
-
-def power_rule_stop_index(coeff_norms: np.ndarray, eps: float) -> int | None:
-    """First index n >= 1 with ||psi_n||**(1/n) <= eps, or None."""
-    for n in range(1, len(coeff_norms)):
-        if coeff_norms[n] ** (1.0 / n) <= eps:
-            return n
-    return None

@@ -203,6 +203,20 @@ def test_lz_sweep_csv(tmp_path, capsys):
         assert 0.99 < p <= 1.0
 
 
+def test_lz_blown_up_runs_are_not_converged(tmp_path, capsys):
+    # one segment leaves |psi(1)| at 1e8 at T = 30, and a norm 0.05 off at
+    # T = 20.5: neither is a converged answer
+    code = run_cli(["lz", "--time", "30", "--segments", "1"])
+    stdout = capsys.readouterr().out
+    assert code == 2
+    assert "converged = False" in stdout
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["lz-sweep", "--tmin", "20", "--tmax", "20.5", "--points", "2",
+                    "--segments", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text().splitlines()[2] == "20.5,nan"
+
+
 def test_lz_sweep_bad_points(capsys):
     assert run_cli(["lz-sweep", "--points", "1", "--out", "x.csv"]) == 1
 
@@ -222,6 +236,10 @@ def test_scaling_bad_list_exits_1(capsys):
     assert run_cli(["scaling", "--qubits-list", "8,ten", "--time", "2"]) == 1
     capsys.readouterr()
     assert run_cli(["scaling", "--qubits-list", "1,4", "--time", "2"]) == 1
+    capsys.readouterr()
+    # repeated sizes would fit a slope over equal N
+    assert run_cli(["scaling", "--qubits-list", "4,4,4", "--time", "1", "--runs", "1"]) == 1
+    assert "distinct" in capsys.readouterr().err
 
 
 def test_rejected_input_exits_1(tmp_path, capsys, monkeypatch):
@@ -232,6 +250,10 @@ def test_rejected_input_exits_1(tmp_path, capsys, monkeypatch):
     table = [
         ensemble + ["--workers", "-3"],
         ensemble + ["--workers", "0"],
+        ["ensemble", "--qubits", "0", "--time", "1", "--runs", "1", "--seed", "1",
+         "--out", out],
+        ["ensemble", "--qubits", "-3", "--time", "1", "--runs", "1", "--seed", "1",
+         "--out", out],
         ["single", "--qubits", "4", "--time", "0", "--seed", "1"],
         ["single", "--qubits", "4", "--time", "2", "--seed", "1", "--segments", "0"],
         ["single", "--qubits", "4", "--time", "2", "--seed", "1", "--tol", "2"],

@@ -11,12 +11,6 @@ from annealsim.lindblad_propagator import (
     build_energy_lowering_op,
     propagate_density,
 )
-from annealsim.oracle import (
-    SuperopContext,
-    apply_liouvillian_const,
-    apply_liouvillian_ramp,
-    lindblad_segment,
-)
 from annealsim.spin_system import (
     IsingDiagonal,
     csr_product,
@@ -27,6 +21,12 @@ from annealsim.spin_system import (
     uniform_initial_state,
 )
 from annealsim.taylor_propagator import AnnealParams, SegmentSchedule, propagate, taylor_segment
+from oracle import (
+    SuperopContext,
+    apply_liouvillian_const,
+    apply_liouvillian_ramp,
+    lindblad_segment,
+)
 
 
 def test_lowering_op_two_levels():

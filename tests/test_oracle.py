@@ -2,19 +2,8 @@ import numpy as np
 import pytest
 
 from annealsim.errors import CapacityError
+from annealsim.landau_zener import LZParams, lz_ground_state, lz_propagate
 from annealsim.lindblad_propagator import build_energy_lowering_op
-from annealsim.oracle import (
-    LZParams,
-    SuperopContext,
-    dense_spectrum,
-    lindblad_segment,
-    lz_gap,
-    lz_ground_state,
-    lz_propagate,
-    rk4_landau_zener,
-    rk4_lindblad,
-    rk4_schrodinger,
-)
 from annealsim.spin_system import (
     IsingDiagonal,
     full_flip_matrix,
@@ -23,6 +12,17 @@ from annealsim.spin_system import (
     uniform_initial_state,
 )
 from annealsim.taylor_propagator import SegmentSchedule
+import oracle
+from oracle import (
+    SuperopContext,
+    dense_spectrum,
+    lindblad_segment,
+    lz_gap,
+    rk4_landau_zener,
+    rk4_lindblad,
+    rk4_schrodinger,
+    rk4_schrodinger_batch,
+)
 
 LZ_P_PAPER = 0.999801214304354
 LZ_P_PAPER_RK = 0.999801214234416
@@ -33,27 +33,30 @@ def test_rk4_stationary_state():
     n, t = 3, 2.0
     flat = IsingDiagonal(n, np.full(1 << (n - 1), -n, dtype=np.int64), 0,
                          np.zeros((n, n), dtype=np.int64))
-    psi1 = rk4_schrodinger(n, flat, t, steps=20_000)
+    psi1 = rk4_schrodinger(n, flat, t).final
     expected = np.exp(1j * t * n) * lift_to_full(uniform_initial_state(n))
     assert np.max(np.abs(psi1 - expected)) < 1e-8
 
 
 def test_rk4_unitarity():
-    psi1 = rk4_schrodinger(4, random_ising_half(4, 9), 4.0, steps=20_000)
+    psi1 = rk4_schrodinger(4, random_ising_half(4, 9), 4.0).final
     assert abs(np.linalg.norm(psi1) - 1.0) < 1e-8
 
 
 def test_rk4_landau_zener_matches_paper():
-    _, p = rk4_landau_zener(LZParams(1.0, 20.0), 200_000)
-    assert abs(p - LZ_P_PAPER) < 1e-8
+    # the 1e-10 check needs more steps than the default count, whose own
+    # estimate is 2.7e-9 here; at 8000 steps the estimate is 1.5e-13
+    ref = rk4_landau_zener(LZParams(1.0, 20.0), 8_000)
+    assert ref.error < 1e-12
+    assert abs(ref.p - LZ_P_PAPER) < 1e-8
     # the paper's own RK figure is reproduced even more closely
-    assert abs(p - LZ_P_PAPER_RK) < 1e-10
+    assert abs(ref.p - LZ_P_PAPER_RK) < 1e-10
 
 
 def test_rk4_convergence_order():
-    ref, _ = rk4_landau_zener(LZParams(1.0, 20.0), 64_000)
-    e_coarse = np.linalg.norm(rk4_landau_zener(LZParams(1.0, 20.0), 2_000)[0] - ref)
-    e_fine = np.linalg.norm(rk4_landau_zener(LZParams(1.0, 20.0), 4_000)[0] - ref)
+    ref = rk4_landau_zener(LZParams(1.0, 20.0), 64_000).final
+    e_coarse = np.linalg.norm(rk4_landau_zener(LZParams(1.0, 20.0), 2_000).final - ref)
+    e_fine = np.linalg.norm(rk4_landau_zener(LZParams(1.0, 20.0), 4_000).final - ref)
     ratio = e_coarse / e_fine
     assert 8.0 < ratio < 32.0  # fourth order: ~16x per halving
 
@@ -61,7 +64,7 @@ def test_rk4_convergence_order():
 def test_rk4_lindblad_amplitude_damping():
     lind = np.array([[0, 1], [0, 0]], dtype=complex)
     ctx = SuperopContext.create(np.zeros((2, 2), complex), np.zeros((2, 2), complex), lind, 1.0)
-    rho1 = rk4_lindblad(ctx, 1.0, 5_000, np.diag([0.0 + 0j, 1.0]))
+    rho1 = rk4_lindblad(ctx, np.diag([0.0 + 0j, 1.0])).final
     assert np.max(np.abs(rho1 - np.diag([1 - np.exp(-1.0), np.exp(-1.0)]))) < 1e-8
 
 
@@ -73,8 +76,8 @@ def test_rk4_lindblad_closed_matches_schrodinger():
     c = -1j * t
     ctx = SuperopContext.create(c * hi, c * (np.diag(fd) - hi), None, t)
     psi0 = lift_to_full(uniform_initial_state(n))
-    rho1 = rk4_lindblad(ctx, t, 20_000, np.outer(psi0, psi0.conj()))
-    psi1 = rk4_schrodinger(n, inst, t, steps=20_000)
+    rho1 = rk4_lindblad(ctx, np.outer(psi0, psi0.conj())).final
+    psi1 = rk4_schrodinger(n, inst, t).final
     assert np.linalg.norm(rho1 - np.outer(psi1, psi1.conj())) < 1e-8
     assert abs(np.trace(rho1).real - 1.0) < 1e-10
 
@@ -91,7 +94,7 @@ def test_rk4_lindblad_cross_checks_taylor_recurrence():
     rho0 = np.outer(psi0, psi0.conj())
 
     ctx_global = SuperopContext.create(c * hi, ramp, lop, t)
-    rho_rk = rk4_lindblad(ctx_global, t, 40_000, rho0)
+    rho_rk = rk4_lindblad(ctx_global, rho0).final
 
     rho = rho0
     for k in range(2):
@@ -163,9 +166,9 @@ def test_lz_propagate_single_segment_pathology():
 def test_lz_single_segment_norm_pollution_is_observable():
     # given the full budget the one-segment series does stop, but rounding in
     # the huge intermediate terms leaves a visibly wrong norm; nothing
-    # renormalises it away
+    # renormalises it away, and the norm drift flags the run
     res = lz_propagate(LZParams(1.0, 20.0), SegmentSchedule(segments=1, tol=1e-14, max_terms=500))
-    assert res.converged
+    assert not res.converged
     assert abs(np.linalg.norm(res.psi_final) - 1.0) > 1e-3
     clean = lz_propagate(LZParams(1.0, 20.0), SegmentSchedule(segments=2, tol=1e-14))
     assert abs(np.linalg.norm(clean.psi_final) - 1.0) < 1e-9
@@ -174,3 +177,38 @@ def test_lz_single_segment_norm_pollution_is_observable():
 def test_lz_params_validation():
     with pytest.raises(ValueError):
         LZParams(-1.0, 20.0)
+
+
+def test_lz_default_schedule_keeps_norm_within_drift_bound():
+    for t in np.linspace(20.0, 50.0, 13):
+        res = lz_propagate(LZParams(1.0, float(t)))
+        assert res.converged
+        assert abs(np.linalg.norm(res.psi_final) ** 2 - 1.0) < 1e-10
+
+
+def _code_names(code):
+    """Global and attribute names that ``code`` and the functions nested in it read."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _code_names(const)
+    return names
+
+
+def test_rk4_references_use_no_kernel_function():
+    kernel = {"taylor_segment", "run_segments", "propagate", "propagate_block",
+              "propagate_density"}
+    for name in dir(oracle):
+        if name.startswith(("rk4", "_rk4")) and callable(getattr(oracle, name)):
+            assert not _code_names(getattr(oracle, name).__code__) & kernel, name
+
+
+def test_rk4_estimate_bounds_its_error():
+    # the step-doubling estimate of a default run bounds its distance to a
+    # run at 8x the steps (test_rk4_convergence_order checks the order)
+    inst = random_ising_half(3, 2)
+    ref = rk4_schrodinger(3, inst, 4.0)
+    best = rk4_schrodinger(3, inst, 4.0, steps=8 * ref.steps)
+    assert 0.0 < abs(ref.p - best.p) <= ref.error
+    with pytest.raises(ValueError):
+        rk4_schrodinger_batch(3, inst.full_diag()[None, :], 4.0, steps=3)

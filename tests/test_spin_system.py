@@ -15,6 +15,7 @@ from annealsim.spin_system import (
     ising_half_diag,
     lift_to_full,
     random_ising_half,
+    tile_work,
     transverse_field_half,
     uniform_initial_state,
 )
@@ -129,10 +130,11 @@ def test_driver_matrix_size_is_bounded(n):
 def test_apply_initial_allocates_no_matrix_copy(n):
     # a product that upcast the driver matrix would allocate a complex copy
     # of its 0.4 MB of entries.  Without buffers a call allocates its output
-    # and the transpose scratch; given them, it allocates no vector at all
+    # and, beyond N = 13, tile_work's two states with a spare column each;
+    # given them, it allocates no vector at all
     tf = transverse_field_half(n)
     psi = np.random.default_rng(0).normal(size=1 << (n - 1)) * (1 + 1j)
-    out, work = np.empty_like(psi), np.empty_like(psi)
+    out, work = np.empty_like(psi), tile_work(tf, psi.shape)
     peaks = []
     tracemalloc.start()
     try:
@@ -142,7 +144,7 @@ def test_apply_initial_allocates_no_matrix_copy(n):
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peaks[0] < 3 * psi.nbytes
+    assert peaks[0] < 3 * psi.nbytes + 2 * tf.couplings.shape[0] * 16 + 16384
     assert peaks[1] < psi.nbytes // 16
 
 
@@ -176,7 +178,7 @@ def test_apply_initial_into_out_is_complex_csr_route_bitwise(n):
     dim = 1 << (n - 1)
     for shape in ((dim,), (dim, 3)):
         base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        out, work = np.empty_like(base), np.empty_like(base)
+        out, work = np.empty_like(base), tile_work(tf, shape)
         for scale in (1e-150, 1e-12, 1.0, 1e12, 1e150):
             psi = scale * base
             got = apply_initial(tf, psi, out, work)

@@ -20,9 +20,7 @@ from annealsim.taylor_propagator import (
     SegmentSchedule,
     _ising_apply,
     clamp_probability,
-    coefficient_bound_closed,
     coefficient_bound_recurrence,
-    power_rule_stop_index,
     propagate,
     propagate_block,
     run_segments,
@@ -31,6 +29,7 @@ from annealsim.taylor_propagator import (
     taylor_segment,
     transverse_field_half,
 )
+from oracle import coefficient_bound_closed, power_rule_stop_index, rk4_schrodinger
 
 # frozen from the RK4 oracle (steps=10^4): success probability at N=4, T=4, seed=1
 P_RK4_N4_T4_SEED1 = 0.931189317008640
@@ -63,7 +62,7 @@ def test_segment_zero_operators_identity(pair):
 
 def test_segment_landau_zener_paper_value(pair):
     # two half-interval segments reproduce the paper's psi(1) to 10 digits
-    from annealsim.oracle import lz_ground_state, lz_hamiltonian
+    from annealsim.landau_zener import lz_ground_state, lz_hamiltonian
 
     t = 20.0
     h0 = lz_hamiltonian(1.0, 0.0)
@@ -334,8 +333,8 @@ def test_terms_write_into_four_rotating_buffers():
 def test_segment_memory_does_not_grow_with_terms(monkeypatch):
     # a 200-term segment peaks at the memory of a 20-term one (no early stop),
     # up to a few small Python objects, and that peak is the kernel's five
-    # buffers and the sum: six state vectors.  Tiled, the pair owns two
-    # more, each with a spare column, allocated once when it is built
+    # buffers and the sum: six state vectors.  The pair owns two more, each
+    # with a spare column, allocated once when it is built
     for tile_entries in (None, 2048):
         if tile_entries:
             monkeypatch.setattr(ss, "TILE_ENTRIES", tile_entries)
@@ -347,7 +346,7 @@ def test_segment_memory_does_not_grow_with_terms(monkeypatch):
             build_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert build_peak < ((2 * psi.nbytes + 2 * 4096 * 16) if tile_entries else 0) + 16384
+        assert build_peak < 2 * psi.nbytes + 2 * 4096 * 16 + 16384
         peaks = []
         for max_terms in (20, 200):
             tracemalloc.start()
@@ -530,19 +529,14 @@ def test_power_rule_diagnostic(pair):
 
 def test_oracle_equivalence_spot_checks():
     # small-scale version of the acceptance sweep, one (N, T) cell each
-    from annealsim.oracle import rk4_schrodinger
-
     for n, t, seed in ((2, 1.0, 0), (3, 4.0, 7), (5, 10.0, 3)):
         inst = random_ising_half(n, seed)
         res = propagate(AnnealParams(n, t), inst)
-        psi_rk = rk4_schrodinger(n, inst, t)
-        full = inst.full_diag()
-        gs_full = np.flatnonzero(full == full.min())
-        p_rk = float(np.sum(np.abs(psi_rk[gs_full]) ** 2))
+        ref = rk4_schrodinger(n, inst, t)
         assert res.converged
-        assert abs(res.success_p - p_rk) < 1e-6
+        assert abs(res.success_p - ref.p) < 1e-6
         # the lifted state agrees too, up to the oracle's own error
-        assert np.max(np.abs(lift_to_full(res.psi_final) - psi_rk)) < 1e-6
+        assert np.max(np.abs(lift_to_full(res.psi_final) - ref.final)) < 1e-6
 
 
 def test_schedule_validation():
