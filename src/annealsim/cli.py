@@ -9,7 +9,8 @@ library rejects; 2 completed but non-converged, which covers runs that
 overflow or blow up (no run failure raises).  Outputs are deterministic for
 identical flags; wall-clock measurements are isolated in the ``timing``
 block of JSON records.  Worker count for ensembles comes from --workers or
-the ANNEALSIM_WORKERS environment variable (default: all cores).
+the ANNEALSIM_WORKERS environment variable (default: the CPUs this process
+may run on).
 """
 
 from __future__ import annotations

@@ -144,12 +144,15 @@ def block_width(n_qubits: int, runs: int, workers: int) -> int:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """``workers``, else $ANNEALSIM_WORKERS, else the CPU count.  A count that
-    is not an integer >= 1 is a ValueError naming its source."""
+    """``workers``, else $ANNEALSIM_WORKERS, else the number of CPUs this
+    process may run on (its affinity mask, where the platform has one).  A
+    count that is not an integer >= 1 is a ValueError naming its source."""
     source, value = "workers", workers
     if workers is None:
         source, value = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR)
         if not value:
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
     try:
         count = int(value)

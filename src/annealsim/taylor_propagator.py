@@ -141,28 +141,43 @@ def _columns(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1)
 
 
+def _front(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous array of ``shape`` on the first entries of ``buf``'s memory."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 class _Problems:
     """Per-problem bookkeeping of :func:`taylor_segment`.
 
     A 1-D state is one problem and a (dim, B) block is B, one per column;
-    both are indexed as the columns of :func:`_columns`.  A problem's stop
-    test is taken on the ``_l2`` of its contiguous column, so a block column
-    stops at the same term as a one-column run; the norms of :meth:`norm`
-    (exact for a vector, vectorised per column for a block) only decide when
-    that test is worth taking.  A problem that stops or overflows (its sum
-    is then set to NaN) is frozen: its term and (n-2) product are zeroed, so
-    its sum only gains zeros and it never trips the test again.
+    both are indexed as the columns of :func:`_columns`.  Each term gives a
+    block estimate ``scale*sqrt(sq_j)`` of every problem's contribution,
+    from its sum of squares :meth:`squares`, and :meth:`norm` takes the
+    least over the live problems, so a term in which none can stop costs no
+    more.  Otherwise :meth:`freeze` decides each live problem at once: at
+    most ``tol/NEAR`` it stops, above ``tol*NEAR`` it runs on, and only in
+    the band between, or with a non-finite estimate, the exact test
+    ``scale*_l2`` of its contiguous column decides.  The estimate and
+    ``_l2`` sum the same ``2*dim`` squares in different orders, so they
+    differ by at most about ``2*dim*eps`` relative, far inside the band of
+    2e-6: every decision is that of a one-column run.  A problem that stops
+    or overflows (its sum is then NaN) is frozen: its sum is copied to the
+    returned block, and its term and (n-2) product are zeroed, so that it
+    never trips the test again.  :meth:`compact` drops the frozen columns
+    from the width the kernel works on.
     """
 
-    # a problem is rechecked once its norm is within this factor of tol
+    # the band of estimates around tol in which the exact test decides
     NEAR = 1.0 + 1e-6
 
     def __init__(self, acc: np.ndarray):
         self.vector = acc.ndim == 1
         self.n_live = width = _columns(acc).shape[1]
-        self.frozen_pad = np.zeros(width)  # +inf on frozen problems, for the min
+        self.ids = np.arange(width)  # each current column's problem
+        self.frozen_pad = np.zeros(width)  # +inf on frozen columns, for the min
         self.terms = np.zeros(width, dtype=np.int64)
         self.ok = np.zeros(width, dtype=bool)
+        self.out = None  # the returned block, made when some problems freeze before the rest
 
     @staticmethod
     def squares(v: np.ndarray):
@@ -171,8 +186,8 @@ class _Problems:
         flat = v.view(v.real.dtype)  # a complex column is two adjacent float columns
         if v.ndim == 1:  # as a (dim, 1) block this costs 6x at N = 18
             return np.einsum("i,i->", flat, flat)
-        sq = np.einsum("ij,ij->j", flat, flat).reshape(v.shape[1], -1)
-        return np.einsum("jk->j", sq)  # einsum, unlike sum, does not warn on overflow
+        sq = np.einsum("ij,ij->j", flat, flat)
+        return sq[0::2] + sq[1::2] if v.dtype.kind == "c" else sq
 
     def norm(self, sq) -> float:
         """Least norm among the live problems from their sums of squares;
@@ -182,34 +197,65 @@ class _Problems:
             return math.sqrt(sq)
         if not sq.max() < math.inf:
             return math.nan
-        return math.sqrt(np.min(sq + self.frozen_pad))
+        return math.sqrt((sq + self.frozen_pad).min())
 
     def freeze(self, n, scale, tol, acc, new, ramp) -> bool:
         """Freeze the problems that stop or overflow at term n; True when all are frozen."""
         acc, new, ramp = _columns(acc), _columns(new), _columns(ramp)
-        near = scale * np.sqrt(self.sq)
-        live = self.frozen_pad == 0
-        for j in np.flatnonzero(live & ~((near > tol * self.NEAR) & (near < math.inf))):
+        near = scale * np.sqrt(self.sq + self.frozen_pad)  # +inf on frozen columns
+        stop = near <= tol / self.NEAR
+        # in the band, or not finite on a live column (a frozen one's squares are 0)
+        over = []
+        for j in np.flatnonzero(((near <= tol * self.NEAR) ^ stop) | ~np.isfinite(self.sq)):
             nrm = scale * _l2(np.ascontiguousarray(new[:, j]))
-            if nrm <= tol:
-                self.terms[j], self.ok[j] = n, True
-            elif not math.isfinite(nrm):
-                acc[:, j] = math.nan  # overflowed: no terms counted
-            else:
-                continue
-            self.frozen_pad[j] = math.inf
-            self.n_live -= 1
-            new[:, j] = 0
-            ramp[:, j] = 0
-        return not self.n_live
+            stop[j] = nrm <= tol
+            if not math.isfinite(nrm):
+                over.append(j)
+        stopped = self.ids[stop]
+        self.terms[stopped] = n
+        self.ok[stopped] = True
+        if over:
+            acc[:, over] = math.nan  # overflowed: no terms counted
+            stop[over] = True
+        done = np.flatnonzero(stop)
+        if not done.size:
+            return False
+        self.n_live -= done.size
+        if self.out is None:
+            if not self.n_live:  # all at once: the sums are the result
+                return True
+            self.out = np.empty((acc.shape[0], self.terms.size), acc.dtype)
+        self.out[:, self.ids[done]] = acc[:, done]
+        if not self.n_live:
+            return True
+        self.frozen_pad[done] = math.inf
+        new[:, done] = 0
+        ramp[:, done] = 0
+        return False
+
+    def compact(self) -> np.ndarray:
+        """Keep only the live columns; returns their current positions."""
+        keep = np.flatnonzero(self.frozen_pad == 0)
+        self.ids = self.ids[keep]
+        self.frozen_pad = self.frozen_pad[keep]
+        return keep
 
     def result(self, acc: np.ndarray, max_terms: int):
-        self.terms[self.frozen_pad == 0] = max_terms  # problems that used up max_terms
-        if acc.ndim == 1:
+        if self.n_live:  # problems that used up max_terms
+            live = self.frozen_pad == 0
+            self.terms[self.ids[live]] = max_terms
+            if self.out is not None:
+                self.out[:, self.ids[live]] = _columns(acc)[:, live]
+        if self.out is not None:
+            acc = self.out
+        if self.vector:
             return acc, int(self.terms[0]), bool(self.ok[0])
         return acc, self.terms, self.ok
 
 
+# a problem's squares overflow before its entries do, and it is then frozen
+# as overflowed: the pair sum of its squares need not warn
+@np.errstate(over="ignore")
 def taylor_segment(
     apply: Apply,
     factor: complex,
@@ -218,6 +264,7 @@ def taylor_segment(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
     s0: float = 0.0,
+    narrow: Callable[[np.ndarray], Apply] | None = None,
 ) -> tuple[np.ndarray, int | np.ndarray, bool | np.ndarray]:
     """Sum the coefficient recurrence over one segment of length ``step`` from ``s0``.
 
@@ -233,10 +280,11 @@ def taylor_segment(
     to ``A v = A_0 v + s0 (B v)``, and keeps ``B psi_{n-1}`` as the (n-2)
     product of the next term.  Its buffers are allocated once per call:
     four state buffers rotate through the terms (the last term, the kept
-    (n-2) product and the two outputs), plus one tile of scratch for the
-    shift and the scaled term; the pair owns any scratch of its own.  The
-    stop test is taken as described at :class:`_Problems`, on norms summed
-    over the tiles.
+    (n-2) product and the two outputs), plus the sum, one tile of scratch
+    for the shift and the scaled term and, once some columns of a block
+    stop before the rest, the returned block; the pair owns any scratch of
+    its own.  The stop test is taken as described at :class:`_Problems`, on
+    norms summed over the tiles.
 
     A 1-D state is one problem (flatten a density matrix first), and a
     C-contiguous 2-D state of shape (dim, B) is B independent problems, one
@@ -249,6 +297,16 @@ def taylor_segment(
     whose coefficient turns non-finite (the segment is too long) comes back
     NaN with 0 terms and not converged, and any others run on; nothing is
     raised.
+
+    ``narrow(cols)``, when given, returns the pair restricted to the block
+    columns ``cols`` (ascending indices into ``psi_in``'s columns).  When a
+    freeze leaves at most half of the current width live, the kernel then
+    gathers the live columns to the front of its own buffers (the sum and
+    the two kept products each into a buffer that is free at that point,
+    so nothing is allocated) and runs on with the narrowed pair, and the
+    frozen columns cost nothing more.  Without ``narrow`` the width never
+    changes.  Either way each column's state is that of its one-column run
+    bit for bit.
     """
     if max_terms < 2:
         raise ValueError("max_terms must be >= 2")
@@ -283,6 +341,22 @@ def taylor_segment(
         if not trigger < nrm < math.inf:  # a problem may stop or overflow here
             if problems.freeze(n, scale, tol, acc, new, ramp):
                 break
+            if narrow is not None and 2 * problems.n_live <= acc.shape[1]:
+                keep = problems.compact()
+                shape = (acc.shape[0], keep.size)
+                # a whole-state scratch keeps its memory; a tile is made anew
+                scratch = _front(scratch, shape) if scratch.shape == acc.shape else None
+                # each kept block moves into a buffer that is free by then:
+                # psi_n and B psi_{n-1} into the two the rotation would hand
+                # the next term as outputs, the sum into psi_n's; the next
+                # outputs are the old buffers of B psi_{n-1} and of the sum.
+                # (mode "raise" would gather into a temporary first)
+                gathered = [np.take(src, keep, axis=1, out=_front(dst, shape), mode="clip")
+                            for src, dst in ((new, term), (ramp, ramp_prev), (acc, new))]
+                new, ramp = _front(ramp, shape), _front(acc, shape)
+                term, ramp_prev, acc = gathered
+                apply = narrow(problems.ids)
+                continue
         term, ramp_prev, new, ramp = new, ramp, term, ramp_prev
     return problems.result(acc, max_terms)
 
@@ -293,6 +367,7 @@ def run_segments(
     state: np.ndarray,
     t_anneal: float,
     schedule: SegmentSchedule | None = None,
+    narrow: Callable[[np.ndarray], Apply] | None = None,
 ) -> Iterator[tuple[np.ndarray, list[int], bool]]:
     """Run :func:`taylor_segment` over the K segments of [0, 1].
 
@@ -303,7 +378,9 @@ def run_segments(
     :func:`taylor_segment`).  A problem that overflows stays NaN and
     non-converged, counting 0 terms in every later segment.  A segment in
     which every problem has overflowed ends the run: its NaN state is the
-    last yield, and its terms are not listed.
+    last yield, and its terms are not listed.  ``narrow`` is handed to
+    every segment, which starts at the full width (see
+    :func:`taylor_segment`).
     """
     if schedule is None:
         schedule = SegmentSchedule()
@@ -313,7 +390,7 @@ def run_segments(
     converged = True
     for k in range(n_seg):
         state, n_terms, ok = taylor_segment(
-            apply, factor, state, step, schedule.tol, schedule.max_terms, k * step
+            apply, factor, state, step, schedule.tol, schedule.max_terms, k * step, narrow=narrow
         )
         converged = converged & ok
         if not np.count_nonzero(n_terms):  # every problem overflowed
@@ -390,9 +467,11 @@ def propagate_block(
     The instances share the driver, and their half diagonals form one
     complex (2**(N-1), B) block, so one driver product per term serves all
     of them.  Each column stops, overflows and is counted on its own, and
-    its result equals that of its instance run alone bit for bit (a stopped
-    column only gains zeros, so a -0.0 entry could turn +0.0).  A lone
-    instance runs as a vector: as a (dim, 1) block it costs up to 1.5x.
+    its result equals that of its instance run alone bit for bit.  Once at
+    most half of a segment's columns are still running, the kernel narrows
+    the pair to them (the diagonal's live columns), so a finished column
+    costs nothing more.  A lone instance runs as a vector: as a (dim, 1)
+    block it costs up to 1.5x.
     """
     if any(hf.n_qubits != params.n_qubits for hf in instances):
         raise ValueError("params and Ising instance disagree on qubit count")
@@ -406,7 +485,8 @@ def propagate_block(
         psi0 = np.repeat(psi0[:, None], width, axis=1)
     tf = transverse_field_half(params.n_qubits)
     for psi, terms, converged in run_segments(
-        _ising_apply(tf, diag_f), -1j * params.t_anneal, psi0, params.t_anneal, schedule
+        _ising_apply(tf, diag_f), -1j * params.t_anneal, psi0, params.t_anneal, schedule,
+        lambda cols: _ising_apply(tf, diag_f[:, cols]),
     ):
         pass  # only the state at s = 1 is needed
     terms = np.array(terms, dtype=np.int64).reshape(-1, width)

@@ -28,6 +28,12 @@ from annealsim.spin_system import (
 from annealsim.taylor_propagator import taylor_segment
 
 MAX_DENSE_QUBITS = 10
+# The paper's Landau-Zener benchmark (delta = 1, T = 20).  Its digits from
+# the two-segment Taylor run carry about 7e-11 of roundoff; its RK figure is
+# the converged value, which 4, 8, 32 and 128 segments at tol 1e-15 give
+# within 1e-14.
+LZ_P_TWO_SEGMENTS = 0.999801214304354
+LZ_P_CONVERGED = 0.999801214234416
 # Default RK4 steps per unit of T*||A||.  On the oracle-equivalence sweep
 # (N = 2-6, T = 1, 4, 10) the largest step-doubling estimate of P is 7.9e-10
 # at 40, and 2.5e-8 at 20.

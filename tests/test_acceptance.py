@@ -23,13 +23,13 @@ from annealsim.taylor_propagator import (
     segment_coefficient_norms,
 )
 from oracle import (
+    LZ_P_TWO_SEGMENTS,
     SuperopContext,
     coefficient_bound_closed,
     lindblad_segment,
     rk4_schrodinger_batch,
 )
 
-LZ_P_PAPER = 0.999801214304354
 LZ_PSI_PAPER = np.array(
     [0.509629891598850 + 0.766898007985489j, -0.226356412675608 - 0.317659555887512j]
 )
@@ -60,12 +60,14 @@ def test_criterion_01_landau_zener_benchmark():
     t0 = time.perf_counter()
     res = lz_propagate(LZParams(1.0, 20.0), SegmentSchedule(segments=2, tol=1e-14))
     elapsed = time.perf_counter() - t0
-    p_ok = abs(res.success_p - LZ_P_PAPER) < 1e-9
+    # the paper's two-segment run, digit for digit (the converged value
+    # differs by 7e-11: see oracle.LZ_P_CONVERGED)
+    p_ok = abs(res.success_p - LZ_P_TWO_SEGMENTS) < 1e-9
     psi_rel = np.max(np.abs(res.psi_final - LZ_PSI_PAPER) / np.abs(LZ_PSI_PAPER))
     psi_ok = psi_rel < 1e-9  # 10 significant digits
     ok = res.converged and p_ok and psi_ok and elapsed < 1.0
-    report(1, "landau-zener exact benchmark", ok,
-           f"|dP|={abs(res.success_p - LZ_P_PAPER):.2e} psi_rel={psi_rel:.2e} "
+    report(1, "landau-zener two-segment paper digits", ok,
+           f"|dP|={abs(res.success_p - LZ_P_TWO_SEGMENTS):.2e} psi_rel={psi_rel:.2e} "
            f"runtime={elapsed:.3f}s")
 
 

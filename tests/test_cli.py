@@ -5,8 +5,7 @@ import numpy as np
 from annealsim.cli import _schedule_from, build_parser, main
 from annealsim.spin_system import random_ising_half
 from annealsim.taylor_propagator import AnnealParams, SegmentSchedule, propagate
-
-LZ_P_PAPER = 0.999801214304354
+from oracle import LZ_P_TWO_SEGMENTS
 
 
 def run_cli(args):
@@ -177,7 +176,7 @@ def test_lz_prints_paper_value(capsys):
     stdout = capsys.readouterr().out
     assert code == 0
     p = float(stdout.split("P = ")[1].splitlines()[0])
-    assert abs(p - LZ_P_PAPER) < 1e-9
+    assert abs(p - LZ_P_TWO_SEGMENTS) < 1e-9
 
 
 def test_lz_pathology_flag(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -195,9 +196,9 @@ def test_all_columns_overflowing_end_the_run(monkeypatch):
     block = np.stack([diag, 2 * diag], axis=1)
     starts = []
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         starts.append(args[-1])
-        return taylor_segment(*args)
+        return taylor_segment(*args, **kwargs)
 
     monkeypatch.setattr(tp, "taylor_segment", spy)
     psi = np.repeat(uniform_initial_state(n)[:, None], 2, axis=1)
@@ -215,6 +216,138 @@ def test_all_columns_overflowing_end_the_run(monkeypatch):
     state, terms, ok = yields[0]
     assert terms == [] and not np.any(ok) and np.isnan(state).all()
     assert all(r.terms_per_segment == [] and not r.converged for r in results)
+
+
+def _spread_block(n):
+    # 16 columns: 14 instances whose diagonals are scaled from 0.25 to 3, so
+    # that they stop many terms apart, one scaled 8x, which runs out of its
+    # 80 terms, and one scaled 1e200 (the failure test's), which overflows
+    scales = list(np.geomspace(0.25, 3.0, 14)) + [8.0, 1e200]
+    return [
+        dataclasses.replace(hf, half_diag=scale * hf.half_diag)
+        for hf, scale in ((random_ising_half(n, k), s) for k, s in enumerate(scales))
+    ]
+
+
+def test_compacted_block_columns_are_their_one_instance_runs(monkeypatch):
+    # the block narrows to its live columns several times per segment (the
+    # driver sees widths from 16 down to 1), yet every column's state,
+    # terms and flag are those of its instance run alone, byte for byte
+    params, schedule = AnnealParams(6, 3.0), SegmentSchedule(segments=4, max_terms=80)
+    instances = _spread_block(6)
+    widths = []
+
+    def counted(tf, psi, out, work):
+        widths.append(psi.shape[1])
+        return apply_initial(tf, psi, out, work)
+
+    monkeypatch.setattr(tp, "apply_initial", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = propagate_block(params, instances, schedule)
+    monkeypatch.undo()
+    assert {16, 8, 4, 2, 1} <= set(widths)
+    for k, (got, hf) in enumerate(zip(block, instances)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = propagate(params, hf, schedule)
+        assert got.psi_final.tobytes() == alone.psi_final.tobytes(), k
+        assert got.terms_per_segment == alone.terms_per_segment, k
+        assert got.converged is alone.converged, k
+        assert got.success_p == alone.success_p or np.isnan(alone.success_p)
+    assert all(r.converged for r in block[:14])
+    assert block[14].terms_per_segment[1:] == [80, 80, 80] and not block[14].converged
+    assert block[15].terms_per_segment == [] and np.isnan(block[15].psi_final).all()
+
+
+def test_exact_norms_only_in_the_band_or_non_finite(monkeypatch):
+    # a live column's block estimate decides its stop test unless it lies
+    # within a factor NEAR of tol, or is not finite: only then is the exact
+    # norm of its contiguous column taken
+    n, step, s0 = 6, 0.25, 0.5
+    tf = transverse_field_half(n)
+    diags = [random_ising_half(n, k).half_diag.astype(complex) for k in (2, 5, 6)]
+    psi = np.repeat(uniform_initial_state(n)[:, None], 3, axis=1)
+    exact, sums = [], []
+    l2, norm = tp._l2, tp._Problems.norm
+    monkeypatch.setattr(tp, "_l2", lambda x: exact.append(l2(x)) or exact[-1])
+    monkeypatch.setattr(tp._Problems, "norm", lambda self, sq: sums.append(sq.copy()) or norm(self, sq))
+
+    def run(block, tol):
+        sums.clear()
+        return taylor_segment(_ising_apply(tf, block), -3j, psi, step, tol, 200, s0)
+
+    _, terms, ok = run(np.stack(diags, axis=1), 1e-12)
+    assert ok.all() and len(set(terms)) == 3 and exact == []
+    # a tol equal to column 0's estimate at its last term puts it in the band
+    stop = terms[0]
+    tol = step**stop * np.sqrt(sums[stop - 2][0])
+    _, terms2, ok2 = run(np.stack(diags, axis=1), tol)
+    assert len(exact) == 1 and abs(step**stop * exact[0] / tol - 1) < 1e-12
+    assert terms2[0] in (stop, stop + 1)
+    # an overflowing column is decided by its exact norm once, and no other
+    exact.clear()
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, terms3, ok3 = run(np.stack([diags[0], 1e200 * diags[1], diags[2]], axis=1), 1e-12)
+    assert terms3[1] == 0 and not ok3[1] and terms3[0] == terms[0]
+    assert len(exact) == 1 and not math.isfinite(exact[0])
+
+
+def _scalar_pair(a, b):
+    # column j of A_0 is a[j] times the identity, and of B b[j] times it
+    def apply(v, a_out, b_out):
+        np.multiply(v, a, out=a_out)
+        np.multiply(v, b, out=b_out)
+
+    return apply
+
+
+def test_real_block_columns_are_their_one_column_runs():
+    # a real state's column is one float column, not a complex pair; with
+    # and without narrowing, each column is its one-column run
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(2, 6)) * [[1], [0.3]] + [[1], [0]]
+    psi = rng.normal(size=(8, 6))
+    for narrow in (None, lambda cols: _scalar_pair(a[cols], b[cols])):
+        got, terms, ok = taylor_segment(_scalar_pair(a, b), -0.7, psi, 0.5, 1e-12, 200, 0.2, narrow)
+        assert ok.all() and len(set(terms)) > 1
+        for j in range(6):
+            col = np.ascontiguousarray(psi[:, j])
+            ref, t_ref, ok_ref = taylor_segment(_scalar_pair(a[j], b[j]), -0.7, col, 0.5, 1e-12, 200, 0.2)
+            assert got.dtype == ref.dtype == np.float64 and terms[j] == t_ref
+            assert got[:, j].tobytes() == ref.tobytes()
+
+
+def test_compaction_allocates_no_state_buffer():
+    # a segment that narrows its 16 columns down to 1 peaks no higher than
+    # the same segment at full width, up to a few small index arrays: the
+    # live columns move into the kernel's own buffers.  The pair's narrowing
+    # allocates only its two length-k coefficient vectors.  Either peak is
+    # seven states (the four rotating buffers, the sum, the scratch and the
+    # returned block, made when some columns stop before the rest) and the
+    # copy of the columns that stop together
+    dim, width = 4096, 16
+    a, b = np.linspace(1.0, 24.0, width), np.full(width, 0.5)
+    psi = np.ones((dim, width), dtype=complex) / np.sqrt(dim)
+    narrowings, peaks, results = [], [], []
+
+    def narrow(cols):
+        narrowings.append(cols.size)
+        return _scalar_pair(a[cols], b[cols])
+
+    for narrowing in (None, narrow):
+        tracemalloc.start()
+        try:
+            segment = taylor_segment(_scalar_pair(a, b), -1j, psi, 0.5, 1e-12, 200, 0.5, narrowing)
+            results.append(segment)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert narrowings and min(narrowings) == 1
+    assert peaks[1] < peaks[0] + 16384
+    assert peaks[0] < 7.5 * psi.nbytes
+    (full, t_full, ok_full), (narrowed, t_narrowed, ok_narrowed) = results
+    assert full.tobytes() == narrowed.tobytes()
+    assert np.array_equal(t_full, t_narrowed) and ok_full.all() and ok_narrowed.all()
+    assert len(set(t_full)) > 8
 
 
 def test_block_matches_per_instance_beyond_low_bits():
