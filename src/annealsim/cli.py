@@ -10,7 +10,7 @@ overflow or blow up (no run failure raises).  Outputs are deterministic for
 identical flags; wall-clock measurements are isolated in the ``timing``
 block of JSON records.  Worker count for ensembles comes from --workers or
 the ANNEALSIM_WORKERS environment variable (default: the CPUs this process
-may run on).
+may run on); n workers are this process plus n - 1 forked ones.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=["unitary", "lindblad"], default="unitary")
     p.add_argument("--lscale", type=float, default=0.0,
                    help="Lindblad strength (lindblad mode)")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="processes that run tasks: this one plus n - 1 forked ones")
     _add_schedule_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json",

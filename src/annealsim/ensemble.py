@@ -6,8 +6,13 @@ identical no matter how many workers execute the ensemble or in what order
 they finish.  Non-converged instances are excluded from the histogram but
 counted and reported with their seeds for replay.
 
-Unitary instances are annealed in blocks: a task takes a contiguous range
-of instance indices and runs them as the columns of one half-space state
+A task takes a contiguous range of instance indices and builds their
+instances in one pass (:func:`annealsim.spin_system.random_ising_block`).
+With n workers the calling process is worker 0: it runs every n-th task
+itself while a pool of n - 1 forked processes runs the rest.
+
+Unitary instances are annealed in blocks: a task runs its instances as the
+columns of one half-space state
 (:func:`annealsim.taylor_propagator.propagate_block`).  The block width
 depends on the worker count, but no result can: no column's arithmetic
 reads another column (the driver product, the diagonal product and the
@@ -27,13 +32,14 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .lindblad_propagator import MAX_DENSITY_QUBITS, propagate_density
-from .spin_system import MAX_QUBITS, _check_qubits, random_ising_half
+from .spin_system import MAX_QUBITS, _check_qubits, random_ising_block, random_ising_half
 from .taylor_propagator import AnnealParams, SegmentSchedule, propagate, propagate_block
 
 SCHEMA_VERSION = 2
@@ -119,7 +125,7 @@ def _run_block(config: EnsembleConfig, first: int, seeds: list[int]) -> list[Ins
     as the columns of one block, Lindblad ones one by one.  A failed run gives
     a non-converged record."""
     params = AnnealParams(config.n_qubits, config.t_anneal)
-    instances = [random_ising_half(config.n_qubits, seed) for seed in seeds]
+    instances = random_ising_block(config.n_qubits, seeds)
     if config.mode == "unitary":
         results = propagate_block(params, instances, config.schedule)
         drifts = [res.norm_drift for res in results]
@@ -168,11 +174,13 @@ def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> Ensemble
 
     A task is a contiguous range of instance indices: a block of
     :func:`block_width` columns in unitary mode, one instance in Lindblad
-    mode.  The per-instance records come back ordered by instance index
-    regardless of scheduling; a single-worker run and a pooled run produce
-    identical results.  Individual instance failures never abort the
-    ensemble: a run that overflows or blows up is recorded as a
-    non-converged instance.
+    mode.  Of n workers, this process is one: it runs every n-th task, from
+    the first, while a pool of n - 1 forked processes runs the rest (no pool
+    when this process has them all).  The per-instance records come back
+    ordered by instance index regardless of scheduling; a single-worker run
+    and a pooled run produce identical results.  Individual instance
+    failures never abort the ensemble: a run that overflows or blows up is
+    recorded as a non-converged instance.
     """
     n_workers = resolve_workers(workers)
     width = block_width(config.n_qubits, config.runs, n_workers) if config.mode == "unitary" else 1
@@ -180,12 +188,16 @@ def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> Ensemble
     firsts = range(0, config.runs, width)
     chunks = [seeds[k : k + width] for k in firsts]
     task = partial(_run_block, config)
-    if n_workers == 1 or len(chunks) == 1:
-        blocks = list(map(task, firsts, chunks))
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            blocks = list(pool.map(task, firsts, chunks))
-    records = [r for block in blocks for r in block]
+    own = range(0, len(chunks), n_workers)  # this process runs tasks 0, n, 2n, ...
+    pooled = [i for i in range(len(chunks)) if i % n_workers]  # and a pool of n - 1 the rest
+    pool = ProcessPoolExecutor(min(n_workers - 1, len(pooled))) if pooled else None
+    with pool or nullcontext():
+        # map submits the pool's share at once, so the pool runs it meanwhile
+        results = () if pool is None else pool.map(
+            task, [firsts[i] for i in pooled], [chunks[i] for i in pooled])
+        blocks = {i: task(firsts[i], chunks[i]) for i in own}
+        blocks.update(zip(pooled, results))
+    records = [r for i in range(len(chunks)) for r in blocks[i]]
     good = [r for r in records if r.converged]
     failures = [r for r in records if not r.converged]
     probabilities = np.array([r.success_p for r in good], dtype=np.float64)

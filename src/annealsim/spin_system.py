@@ -298,39 +298,53 @@ def _spins(count: int, n_bits: int) -> np.ndarray:
 def ising_half_diag(n_qubits: int, couplings: np.ndarray) -> np.ndarray:
     """Evaluate ``-sum_{k<l} J_kl z_k z_l`` over the first 2**(N-1) states.
 
-    ``couplings`` is an (N, N) array read on the upper triangle only.  The
-    half index ``i = hi * 2**m + lo`` splits the spins into the low m and
-    the rest (top spin up), so ``E[hi, lo] = E_high[hi] + E_low[lo] +``
-    the couplings between the parts, one small matrix product.  Only the
-    result is as large as the output; the arithmetic is exact in int64.
+    ``couplings`` is an (N, N) array, or a (B, N, N) stack of them, read on
+    the upper triangle only; the result is one half diagonal, or a
+    (B, 2**(N-1)) stack.  The half index ``i = hi * 2**m + lo`` splits the
+    spins into the low m and the rest (top spin up), so ``E[hi, lo] =
+    E_high[hi] + E_low[lo] +`` the couplings between the parts, one small
+    matrix product per instance, all B in one batched call.  Only the result
+    is as large as the output; the arithmetic is exact in int64.
     """
     m = n_qubits // 2
-    j = np.triu(couplings, k=1).astype(np.int64)
+    j = np.triu(couplings, k=1).astype(np.int64)  # triu acts on the last two axes
+    stack = j.reshape((-1, n_qubits, n_qubits))
     z_low = _spins(1 << m, m)
     z_high = _spins(1 << (n_qubits - 1 - m), n_qubits - m)
-    energy = (z_high @ j[:m, m:].T) @ z_low.T
-    energy += np.einsum("ik,kl,il->i", z_high, j[m:, m:], z_high)[:, None]
-    energy += np.einsum("ik,kl,il->i", z_low, j[:m, :m], z_low)
+    energy = (z_high @ stack[:, :m, m:].transpose(0, 2, 1)) @ z_low.T
+    energy += np.einsum("ik,bkl,il->bi", z_high, stack[:, m:, m:], z_high)[:, :, None]
+    energy += np.einsum("ik,bkl,il->bi", z_low, stack[:, :m, :m], z_low)[:, None, :]
     np.negative(energy, out=energy)
-    return energy.ravel()
+    return energy.reshape(j.shape[:-2] + (1 << (n_qubits - 1),))
 
 
-def random_ising_half(n_qubits: int, seed: int) -> IsingDiagonal:
-    """Draw a random +/-1 complete-graph Ising instance from ``seed``.
+def random_ising_block(n_qubits: int, seeds: list[int]) -> list[IsingDiagonal]:
+    """Draw one random +/-1 complete-graph Ising instance from each of ``seeds``.
 
     Couplings come from a counter-based Philox generator keyed by the seed,
     so identical (N, seed) pairs yield identical instances on any platform.
-    The N(N-1)/2 signs are drawn in lexicographic pair order (0,1), (0,2),
-    ..., (N-2, N-1).
+    Each seed's N(N-1)/2 signs are drawn from its own stream in
+    lexicographic pair order (0,1), (0,2), ..., (N-2, N-1); the half
+    diagonals of all seeds are then evaluated in one
+    :func:`ising_half_diag` call, so an instance is the same whichever
+    seeds it is drawn with.
     """
     _check_qubits(n_qubits)
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
     n_pairs = n_qubits * (n_qubits - 1) // 2
-    signs = 2 * gen.integers(0, 2, size=n_pairs).astype(np.int64) - 1
-    couplings = np.zeros((n_qubits, n_qubits), dtype=np.int64)
-    couplings[np.triu_indices(n_qubits, k=1)] = signs
-    half = ising_half_diag(n_qubits, couplings)
-    return IsingDiagonal(n_qubits, half, int(seed), couplings)
+    signs = np.empty((len(seeds), n_pairs), dtype=np.int64)
+    for row, seed in zip(signs, seeds):
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+        row[:] = gen.integers(0, 2, size=n_pairs)
+    couplings = np.zeros((len(seeds), n_qubits, n_qubits), dtype=np.int64)
+    upper = np.triu_indices(n_qubits, k=1)
+    couplings[:, upper[0], upper[1]] = 2 * signs - 1
+    halves = ising_half_diag(n_qubits, couplings)
+    return [IsingDiagonal(n_qubits, h, int(s), c) for h, s, c in zip(halves, seeds, couplings)]
+
+
+def random_ising_half(n_qubits: int, seed: int) -> IsingDiagonal:
+    """The instance of ``seed``: :func:`random_ising_block` of one seed."""
+    return random_ising_block(n_qubits, [seed])[0]
 
 
 def ground_space(h: IsingDiagonal) -> GroundSpace:

@@ -400,7 +400,7 @@ def run_segments(
         yield state, terms, converged
 
 
-def _ising_apply(tf: TransverseField, diag_f: np.ndarray) -> Apply:
+def _ising_apply(tf: TransverseField, diag_f: np.ndarray, work: np.ndarray | None) -> Apply:
     """The annealing pair A_0 = H_i, B = H_f - H_i (factor -iT).
 
     ``apply(v, a_out, b_out)`` writes one driver product into ``a_out``
@@ -411,15 +411,18 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray) -> Apply:
     ``propagate`` passes the diagonal as complex128, like the states.  A
     (dim, B) diagonal block and state run B instances, column by column.
 
-    Beyond N = 13 the low-bit product runs in the pair's own scratch
-    (:func:`tile_work`, two states' worth, allocated once with the pair).
-    A state of at most :data:`~annealsim.spin_system.TILE_ENTRIES` entries
-    is one tile: the pair returns None.  A larger one is tiled (see
+    Beyond N = 13 the low-bit product runs in ``work``, the
+    :func:`tile_work` of a state at least as wide as ``diag_f`` (None for
+    N <= 13): the pair lays its own out on the front of that memory, so a
+    narrowed pair shares its full-width pair's and allocates none.  A state
+    of at most :data:`~annealsim.spin_system.TILE_ENTRIES` entries is one
+    tile: the pair returns None.  A larger one is tiled (see
     :func:`tile_rows`): the call returns an iterator whose first step does
     the low-bit product, and whose steps each finish both products on one
     row tile.
     """
-    work = tile_work(tf, diag_f.shape)  # the low-bit product's input and output
+    if work is not None:  # two (2**m, k + 1) arrays, k + 1 columns for this width
+        work = _front(work, (2, work.shape[1], diag_f.size // work.shape[1] + 1))
 
     def apply(v, a_out, b_out):
         apply_initial(tf, v, a_out, work)
@@ -469,8 +472,8 @@ def propagate_block(
     of them.  Each column stops, overflows and is counted on its own, and
     its result equals that of its instance run alone bit for bit.  Once at
     most half of a segment's columns are still running, the kernel narrows
-    the pair to them (the diagonal's live columns), so a finished column
-    costs nothing more.  A lone instance runs as a vector: as a (dim, 1)
+    the pair to them (the diagonal's live columns, in the low-bit work of
+    the full width), so a finished column costs nothing more.  A lone instance runs as a vector: as a (dim, 1)
     block it costs up to 1.5x.
     """
     if any(hf.n_qubits != params.n_qubits for hf in instances):
@@ -484,9 +487,10 @@ def propagate_block(
         diag_f = np.stack([hf.half_diag for hf in instances], axis=1).astype(np.complex128)
         psi0 = np.repeat(psi0[:, None], width, axis=1)
     tf = transverse_field_half(params.n_qubits)
+    work = tile_work(tf, diag_f.shape)  # the low-bit product's input and output, at every width
     for psi, terms, converged in run_segments(
-        _ising_apply(tf, diag_f), -1j * params.t_anneal, psi0, params.t_anneal, schedule,
-        lambda cols: _ising_apply(tf, diag_f[:, cols]),
+        _ising_apply(tf, diag_f, work), -1j * params.t_anneal, psi0, params.t_anneal, schedule,
+        lambda cols: _ising_apply(tf, diag_f[:, cols], work),
     ):
         pass  # only the state at s = 1 is needed
     terms = np.array(terms, dtype=np.int64).reshape(-1, width)
@@ -496,7 +500,7 @@ def propagate_block(
         col = np.ascontiguousarray(_columns(psi)[:, j])  # reads as a one-column run
         p = success_probability(col, ground_space(hf))
         ok = bool(converged[j]) and 0.0 <= p <= 1.0
-        drift = abs(2.0 * float(np.vdot(col, col).real) - 1.0)
+        drift = abs(2.0 * float(_Problems.squares(col)) - 1.0)  # no BLAS dot (see _l2)
         # a 0 marks a segment at or after the column's overflow, which a
         # one-column run does not list; a finished segment has at least 2 terms
         results.append(PropagationResult(col, p, drift, [int(t) for t in terms[:, j] if t], ok))

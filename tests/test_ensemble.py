@@ -1,10 +1,12 @@
 import json
 import math
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+import annealsim.ensemble as ens
 import annealsim.taylor_propagator as tp
 from annealsim.ensemble import (
     EnsembleConfig,
@@ -18,7 +20,12 @@ from annealsim.ensemble import (
     scaling_sweep,
     sweep_T,
 )
-from annealsim.spin_system import apply_initial, ground_space, random_ising_half
+from annealsim.spin_system import (
+    apply_initial,
+    ground_space,
+    random_ising_block,
+    random_ising_half,
+)
 from annealsim.taylor_propagator import AnnealParams, SegmentSchedule, propagate
 
 
@@ -66,6 +73,53 @@ def test_unitary_blocks_match_direct_propagate():
         assert repr(result.records) == repr(direct)
         timing = run_record(config, result, 1.5)["timing"]
         assert timing == {"wall_seconds": 1.5, "workers": workers, "blocks": 3}
+
+
+def _ensemble_bytes(config, workers):
+    # records, histogram and run record of a run, timing aside
+    result = run_ensemble(config, workers)
+    record = run_record(config, result, 0.0)
+    del record["timing"]
+    return repr(result.records), result.histogram.tobytes(), json.dumps(record, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "n, t_anneal, runs, mode, l_scale",
+    [
+        # tasks at workers 1, 2, 3, 8: 131 runs give 3, 3, 3 and 8 blocks,
+        # 2 runs give 1, 2, 2 and 2; Lindblad runs give one task per run
+        (8, 2.0, 131, "unitary", 0.0),
+        (8, 2.0, 2, "unitary", 0.0),
+        (3, 2.0, 3, "lindblad", 0.1),
+        (3, 2.0, 10, "lindblad", 0.1),
+    ],
+)
+def test_records_are_bytes_alike_for_any_worker_count(n, t_anneal, runs, mode, l_scale):
+    # the calling process runs every n-th task and a pool the rest: fewer
+    # tasks than workers, as many, and more give the same bytes
+    config = EnsembleConfig(n, t_anneal, runs, master_seed=11, mode=mode, l_scale=l_scale)
+    serial = _ensemble_bytes(config, 1)
+    for workers in (2, 3, 8):
+        assert _ensemble_bytes(config, workers) == serial
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("where", ["caller", "pool"])
+def test_failed_task_leaves_no_process(where, monkeypatch):
+    # a task that raises, in this process or in the pool, ends the run with
+    # its error, and every pool process has been joined
+    caller = os.getpid()
+
+    def build(n_qubits, seeds):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise RuntimeError(f"task failed in the {where}")
+        return random_ising_block(n_qubits, seeds)
+
+    monkeypatch.setattr(ens, "random_ising_block", build)
+    config = EnsembleConfig(3, 2.0, runs=4, master_seed=2)
+    with pytest.raises(RuntimeError, match=where):
+        run_ensemble(config, workers=2)
+    assert not multiprocessing.active_children()
 
 
 def test_ensemble_failure_policy():

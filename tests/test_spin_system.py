@@ -14,6 +14,7 @@ from annealsim.spin_system import (
     ground_space,
     ising_half_diag,
     lift_to_full,
+    random_ising_block,
     random_ising_half,
     tile_work,
     transverse_field_half,
@@ -205,21 +206,27 @@ def test_csr_product_is_scipy_product(shape):
 
 
 def test_ising_half_diag_allocates_no_spin_matrix():
-    # a (2**(N-1), N) int64 spin table alone would be 16x the output at N=16
+    # a (2**(N-1), N) int64 spin table alone would be 16x the output at N=16;
+    # a stack of coupling matrices gives a stack of half diagonals, within
+    # the same bound on the whole stack
     n = 16
-    j = np.zeros((n, n), dtype=np.int64)
-    j[np.triu_indices(n, 1)] = np.random.default_rng(3).choice([-1, 1], size=n * (n - 1) // 2)
-    tracemalloc.start()
-    try:
-        half = ising_half_diag(n, j)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * half.nbytes
+    rows, cols = np.triu_indices(n, 1)
+    stack = np.zeros((3, n, n), dtype=np.int64)
+    stack[:, rows, cols] = np.random.default_rng(3).choice([-1, 1], size=(3, rows.size))
     # reference: the energy evaluated from the full spin table
     spins = 1 - 2 * ((np.arange(1 << (n - 1))[:, None] >> np.arange(n)) & 1)
-    expected = -np.einsum("ik,kl,il->i", spins, np.triu(j, 1), spins)
-    assert half.dtype == np.int64 and np.array_equal(half, expected)
+    for j in (stack[0], stack):
+        tracemalloc.start()
+        try:
+            half = ising_half_diag(n, j)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert half.shape == j.shape[:-2] + (1 << (n - 1),)
+        assert peak < 4 * half.nbytes
+        for got, jb in zip(half.reshape(-1, 1 << (n - 1)), j.reshape(-1, n, n)):
+            expected = -np.einsum("ik,kl,il->i", spins, np.triu(jb, 1), spins)
+            assert got.dtype == np.int64 and np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -278,6 +285,24 @@ def test_random_ising_palindrome_parity_bounds(n):
         assert np.all((inst.half_diag - bound) % 2 == 0)
         assert inst.half_diag.min() >= -bound
         assert inst.half_diag.max() <= bound
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 13, 14, 20])
+def test_random_ising_block_is_each_seeds_instance(n):
+    # one pass over many seeds draws each from its own stream: every instance
+    # is the one its seed gives alone, whatever its neighbours
+    seeds = [7, 2**63 + 5, 0, 7]
+    block = random_ising_block(n, seeds)
+    assert len(block) == len(seeds)
+    for inst, seed in zip(block, seeds):
+        alone = random_ising_half(n, seed)
+        assert inst.n_qubits == n and inst.seed == seed
+        assert inst.half_diag.dtype == inst.couplings.dtype == np.int64
+        assert inst.half_diag.tobytes() == alone.half_diag.tobytes()
+        assert inst.couplings.tobytes() == alone.couplings.tobytes()
+    assert not np.array_equal(block[0].couplings, block[1].couplings)
+    assert np.array_equal(block[0].half_diag, block[3].half_diag)
+    assert random_ising_block(n, []) == []
 
 
 def test_random_ising_seed_determinism():

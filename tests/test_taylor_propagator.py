@@ -140,7 +140,7 @@ def test_specialized_segment_matches_generic(n, s0, pair):
         return c * (diag_f * v - apply_initial(tf, v))
 
     ref, t_ref, ok_ref = taylor_segment(pair(apply_const, apply_ramp), 1.0, psi_in, step, 1e-13, 400)
-    got, t_got, ok_got = taylor_segment(_ising_apply(tf, diag_f), c, psi_in, step, 1e-13, 400, s0)
+    got, t_got, ok_got = taylor_segment(_ising_apply(tf, diag_f, None), c, psi_in, step, 1e-13, 400, s0)
     assert ok_ref and ok_got
     assert t_ref == t_got
     assert np.max(np.abs(ref - got)) < 1e-13
@@ -162,13 +162,13 @@ def test_block_column_failure_leaves_neighbour_bitwise(scale, monkeypatch):
         c = -1j * t_anneal
 
         def one_column(d):
-            return taylor_segment(_ising_apply(tf, d), c, psi, step, 1e-12, max_terms, s0)
+            return taylor_segment(_ising_apply(tf, d, None), c, psi, step, 1e-12, max_terms, s0)
 
         block_diag = np.stack([diag, scale * diag], axis=1)
         block_psi = np.repeat(psi[:, None], 2, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             got, terms, ok = taylor_segment(
-                _ising_apply(tf, block_diag), c, block_psi, step, 1e-12, max_terms, s0
+                _ising_apply(tf, block_diag, None), c, block_psi, step, 1e-12, max_terms, s0
             )
         ref, t_ref, ok_ref = one_column(diag)
         assert ok_ref and ok[0] and t_ref < max_terms
@@ -206,7 +206,8 @@ def test_all_columns_overflowing_end_the_run(monkeypatch):
         yields = [
             (state, list(terms), ok)
             for state, terms, ok in run_segments(
-                _ising_apply(tf, block), -1j * t_anneal, psi, t_anneal, SegmentSchedule(segments=3)
+                _ising_apply(tf, block, None), -1j * t_anneal, psi, t_anneal,
+                SegmentSchedule(segments=3),
             )
         ]
         results = propagate_block(
@@ -273,7 +274,7 @@ def test_exact_norms_only_in_the_band_or_non_finite(monkeypatch):
 
     def run(block, tol):
         sums.clear()
-        return taylor_segment(_ising_apply(tf, block), -3j, psi, step, tol, 200, s0)
+        return taylor_segment(_ising_apply(tf, block, None), -3j, psi, step, tol, 200, s0)
 
     _, terms, ok = run(np.stack(diags, axis=1), 1e-12)
     assert ok.all() and len(set(terms)) == 3 and exact == []
@@ -364,6 +365,32 @@ def test_block_matches_per_instance_beyond_low_bits():
         assert got.converged is alone.converged is True
 
 
+@pytest.mark.parametrize("n, seeds", [(14, (3, 4)), (8, (1, 2, 5, 6))])
+def test_block_allocates_its_low_bit_work_once(n, seeds, monkeypatch):
+    # the pairs narrowed to a block's live columns lay their low-bit work out
+    # on the full-width pair's: one tile_work per run, however often it narrows
+    works, widths = [], []
+
+    def spy(tf, shape):
+        works.append(shape)
+        return ss.tile_work(tf, shape)
+
+    def counted(tf, psi, out, work, *rows):
+        widths.append(psi.shape[1])
+        return apply_initial(tf, psi, out, work, *rows)
+
+    params, schedule = AnnealParams(n, 2.0), SegmentSchedule(segments=8)
+    instances = [random_ising_half(n, seed) for seed in seeds]
+    alone = [propagate(params, hf, schedule).psi_final for hf in instances]
+    monkeypatch.setattr(tp, "tile_work", spy)
+    monkeypatch.setattr(tp, "apply_initial", counted)
+    block = propagate_block(params, instances, schedule)
+    assert works == [(1 << (n - 1), len(seeds))]
+    assert min(widths) < len(seeds)  # the block narrowed
+    for got, ref in zip(block, alone):
+        assert got.psi_final.tobytes() == ref.tobytes()
+
+
 def test_one_driver_product_per_term(monkeypatch):
     # the kernel's cost invariant, and the module global through which the
     # driver product is traced
@@ -423,11 +450,13 @@ def test_two_tile_segment_is_bitwise_one_tile_segment(monkeypatch):
     assert ss.tile_rows(psi.shape) == psi.size // 2
     sums, norm = [], tp._Problems.norm
     monkeypatch.setattr(tp._Problems, "norm", lambda self, sq: sums.append(sq) or norm(self, sq))
-    got, terms, ok = taylor_segment(_ising_apply(tf, diag), -10j, psi, 0.025, 1e-12, 500, 0.5)
+    apply = _ising_apply(tf, diag, ss.tile_work(tf, diag.shape))
+    got, terms, ok = taylor_segment(apply, -10j, psi, 0.025, 1e-12, 500, 0.5)
     tiled_sums = sums[:]
     sums.clear()
     monkeypatch.setattr(ss, "TILE_ENTRIES", psi.size)
-    ref, t_ref, ok_ref = taylor_segment(_ising_apply(tf, diag), -10j, psi, 0.025, 1e-12, 500, 0.5)
+    apply = _ising_apply(tf, diag, ss.tile_work(tf, diag.shape))
+    ref, t_ref, ok_ref = taylor_segment(apply, -10j, psi, 0.025, 1e-12, 500, 0.5)
     assert ok and ok_ref and terms == t_ref > 10
     assert got.tobytes() == ref.tobytes()
     assert len(tiled_sums) == len(sums) == terms - 1
@@ -438,7 +467,8 @@ def _n14_pair():
     # the pair and start state of a T=10 anneal at N=14
     n = 14
     tf = transverse_field_half(n)
-    return _ising_apply(tf, random_ising_half(n, 5).half_diag.astype(complex)), uniform_initial_state(n)
+    diag = random_ising_half(n, 5).half_diag.astype(complex)
+    return _ising_apply(tf, diag, ss.tile_work(tf, diag.shape)), uniform_initial_state(n)
 
 
 def _n14_segment(apply, psi, max_terms, tol=1e-12):
@@ -466,8 +496,8 @@ def test_terms_write_into_four_rotating_buffers():
 def test_segment_memory_does_not_grow_with_terms(monkeypatch):
     # a 200-term segment peaks at the memory of a 20-term one (no early stop),
     # up to a few small Python objects, and that peak is the kernel's five
-    # buffers and the sum: six state vectors.  The pair owns two more, each
-    # with a spare column, allocated once when it is built
+    # buffers and the sum: six state vectors.  The pair works in two more
+    # (tile_work), each with a spare column, allocated once with the pair
     for tile_entries in (None, 2048):
         if tile_entries:
             monkeypatch.setattr(ss, "TILE_ENTRIES", tile_entries)
@@ -475,7 +505,7 @@ def test_segment_memory_does_not_grow_with_terms(monkeypatch):
         tf, diag = transverse_field_half(14), psi.astype(complex)
         tracemalloc.start()
         try:
-            _ising_apply(tf, diag)
+            _ising_apply(tf, diag, ss.tile_work(tf, diag.shape))
             build_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
