@@ -77,7 +77,9 @@ class EnsembleConfig:
 
 @dataclass(frozen=True)
 class InstanceRecord:
-    """One annealed instance; ``norm_drift`` holds the trace drift in Lindblad mode."""
+    """One annealed instance.  ``norm_drift`` is the largest drift at a
+    segment boundary: of the squared norm in unitary mode, of the trace in
+    Lindblad mode."""
 
     index: int
     seed: int

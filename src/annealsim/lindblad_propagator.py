@@ -27,29 +27,21 @@ import numpy as np
 from .spin_system import (
     IsingDiagonal, _check_qubits, csr_product, full_flip_matrix, lift_to_full, uniform_initial_state
 )
-from .taylor_propagator import (
-    MAX_DRIFT,
-    AnnealParams,
-    Apply,
-    SegmentSchedule,
-    clamp_probability,
-    run_segments,
-)
+from .taylor_propagator import AnnealParams, Apply, SegmentSchedule, run_segments, settle
 
 MAX_DENSITY_QUBITS = 10
 
 
 @dataclass
 class DensityPropagationResult:
-    """``trace_drift`` is the largest |Tr rho - 1| of ``boundary_traces``,
-    one per segment boundary; see :func:`propagate_density`."""
+    """``trace_drift`` is the largest |Tr rho - 1| at a segment boundary;
+    see :func:`propagate_density`."""
 
     rho_final: np.ndarray
     success_p: float
     trace_drift: float
     terms_per_segment: list[int]
     converged: bool
-    boundary_traces: list[float]
 
 
 def build_energy_lowering_op(hf_full_diag: np.ndarray, scale: float = 1.0) -> np.ndarray:
@@ -131,10 +123,9 @@ def propagate_density(
 
     The success probability is the total ground-space population
     Tr(Pi rho(1)), read off the real diagonal.  rho stays exactly Hermitian
-    (see :func:`_density_pair`), so the trace is the soundness signal: it is
-    recorded at every segment boundary, nothing is renormalised, and a trace
-    drift above ``MAX_DRIFT`` or a success probability outside [0, 1] flags
-    the run non-converged.
+    (see :func:`_density_pair`), so its trace is the weight by which
+    :func:`~annealsim.taylor_propagator.run_segments` judges the run;
+    nothing is renormalised.
     """
     n = params.n_qubits
     _check_qubits(n, MAX_DENSITY_QUBITS)
@@ -145,16 +136,12 @@ def propagate_density(
     full_diag = hf.full_diag()
     apply = _density_pair(n, full_diag, l_scale)
     psi0 = lift_to_full(uniform_initial_state(n))
-    boundary_traces: list[float] = []
-    rho0 = np.outer(psi0, psi0.conj()).ravel()
-    for flat, terms, converged in run_segments(
-        apply, -1j * params.t_anneal, rho0, params.t_anneal, schedule
-    ):
-        rho = flat.reshape(psi0.size, psi0.size)
-        boundary_traces.append(float(np.trace(rho).real))
+    dim = psi0.size
+    flat, terms, drift, converged = run_segments(
+        apply, -1j * params.t_anneal, np.outer(psi0, psi0.conj()).ravel(), params.t_anneal,
+        schedule, lambda v: np.trace(v.reshape(dim, dim)).real,
+    )
+    rho = flat.reshape(dim, dim)
     gs_full = np.flatnonzero(full_diag == full_diag.min())
-    success_p = clamp_probability(float(np.sum(np.diag(rho).real[gs_full])))
-    # np.max, unlike the builtin, propagates a NaN wherever it sits
-    trace_drift = float(np.max(np.abs(np.array(boundary_traces) - 1.0)))
-    converged = converged and 0.0 <= success_p <= 1.0 and trace_drift <= MAX_DRIFT
-    return DensityPropagationResult(rho, success_p, trace_drift, terms, converged, boundary_traces)
+    success_p, converged = settle(float(np.sum(np.diag(rho).real[gs_full])), bool(converged))
+    return DensityPropagationResult(rho, success_p, float(drift), terms, converged)

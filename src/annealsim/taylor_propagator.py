@@ -21,20 +21,22 @@ of independent problems, one per column, each with its own stop test
 (:func:`propagate_block` anneals many Ising instances this way).  The
 partial sums grow like exp(T*||H||) and drown the result in roundoff for
 large T, so [0, 1] is split into segments, each summed at its local step
-length.
+length.  A segment stops at the first n >= 2 whose contribution
+||psi_n * step**n|| drops below ``tol``, which directly bounds the
+truncation increment.
 
-Two stopping rules are known.  The production rule, used here, stops at the
-first n >= 2 whose contribution ||psi_n * step**n|| drops below ``tol``; it
-directly bounds the truncation increment.  The alternative power rule
-(||psi_n||**(1/n) <= eps) can be evaluated on the coefficient norms that
-:func:`segment_coefficient_norms` records.
+One rule judges every evolution (:func:`run_segments`): a run is converged
+when every segment stopped and its conserved weight (the squared norm, or
+the trace of a density) stayed within ``MAX_DRIFT`` of 1 at every segment
+boundary; :func:`settle` adds the check that the success probability lies
+in [0, 1].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -52,7 +54,7 @@ from .spin_system import (
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_TERMS = 500
-# a run whose squared norm (trace, for a density) strays further from 1 is not converged
+# a run whose weight strays further from 1 at a segment boundary is not converged
 MAX_DRIFT = 1e-6
 
 # apply(v, a_out, b_out) writes A_0 v into a_out and B v into b_out: the
@@ -79,10 +81,11 @@ class SegmentSchedule:
 
     ``segments=None`` resolves to ceil(T), one segment per unit of anneal
     time.  That count ignores ||H|| <= N + max|E|, which grows with N (a
-    median of 23 at N = 8 and 74 at N = 18 over 8 random instances; the
-    N(N-1)/2 of max|E| is only the worst case): from N = 14 on it loses
-    accuracy while runs are still flagged converged (|dP| 5e-3 at N = 16,
-    T = 10), so large registers need an explicit count.
+    median of 23 at N = 8 and 74 at N = 18 over 8 random instances).  The
+    drift gate of :func:`run_segments` flags the worst losses (T = 10: seed
+    2 at N = 12, seed 1 at N = 14), but it is not sufficient: it passes
+    ``instance_seed(1, 0)`` at N = 12, off by 3.2e-7.  Large registers need
+    an explicit count until the default follows T*||H||.
     """
 
     segments: int | None = None
@@ -110,15 +113,6 @@ class PropagationResult:
     norm_drift: float
     terms_per_segment: list[int]
     converged: bool
-
-
-@dataclass(frozen=True)
-class BoundSequence:
-    """Majorant values p_n/n! bounding the Taylor coefficient norms."""
-
-    a: float
-    b: float
-    values: np.ndarray
 
 
 def _l2(x: np.ndarray) -> float:
@@ -366,38 +360,51 @@ def run_segments(
     factor: complex,
     state: np.ndarray,
     t_anneal: float,
-    schedule: SegmentSchedule | None = None,
+    schedule: SegmentSchedule | None,
+    weight: Callable[[np.ndarray], float | np.ndarray],
     narrow: Callable[[np.ndarray], Apply] | None = None,
-) -> Iterator[tuple[np.ndarray, list[int], bool]]:
-    """Run :func:`taylor_segment` over the K segments of [0, 1].
+) -> tuple[np.ndarray, list, float | np.ndarray, bool | np.ndarray]:
+    """Run :func:`taylor_segment` over the K segments of [0, 1] and judge the run.
 
     Every segment runs the one pair ``apply``; segment k expands around
-    s0 = k/K.  Yields at each boundary the state, the term counts so far
-    and whether all segments so far converged; the last yield is the result
-    at s = 1.  Counts and flags are per column for a 2-D block (see
-    :func:`taylor_segment`).  A problem that overflows stays NaN and
-    non-converged, counting 0 terms in every later segment.  A segment in
-    which every problem has overflowed ends the run: its NaN state is the
-    last yield, and its terms are not listed.  ``narrow`` is handed to
-    every segment, which starts at the full width (see
-    :func:`taylor_segment`).
+    s0 = k/K.  ``weight(state)`` is the quantity the evolution conserves at
+    1, a float or one per column of a block, and is taken at every boundary.
+    Returns ``(state, terms, drift, converged)``: the state at s = 1, the
+    term counts of the segments, each problem's largest |weight - 1| (a NaN
+    stays NaN) and the one verdict, that every segment stopped and the drift
+    is at most ``MAX_DRIFT``.  For a 2-D block all but the state are per
+    column (see :func:`taylor_segment`).  A problem that overflows stays NaN,
+    counting 0 terms in every later segment.  A segment in which every
+    problem has overflowed ends the run, and its terms are not listed.
+    ``narrow`` is handed to every segment, which starts at the full width.
     """
-    if schedule is None:
-        schedule = SegmentSchedule()
+    schedule = schedule or SegmentSchedule()
     n_seg = schedule.resolve(t_anneal)
     step = 1.0 / n_seg
-    terms: list[int] = []
-    converged = True
+    terms: list = []
+    stopped, drift = True, 0.0
     for k in range(n_seg):
         state, n_terms, ok = taylor_segment(
             apply, factor, state, step, schedule.tol, schedule.max_terms, k * step, narrow=narrow
         )
-        converged = converged & ok
+        stopped = stopped & ok
+        drift = np.maximum(drift, abs(weight(state) - 1.0))  # NaN wins
         if not np.count_nonzero(n_terms):  # every problem overflowed
-            yield state, terms, converged
-            return
+            break
         terms.append(n_terms)
-        yield state, terms, converged
+    return state, terms, drift, stopped & (drift <= MAX_DRIFT)
+
+
+def settle(raw_p: float, ok: bool) -> tuple[float, bool]:
+    """The reported success probability and verdict of a run judged ``ok``.
+
+    Truncation noise within 1e-9 of the edges of [0, 1] is absorbed.  Any
+    other value outside, a larger excursion or NaN, means the evolution blew
+    up: it is returned raw for diagnosis, and the run is not converged.
+    """
+    if -1e-9 <= raw_p <= 1.0 + 1e-9:
+        return min(max(raw_p, 0.0), 1.0), ok
+    return raw_p, False
 
 
 def _ising_apply(tf: TransverseField, diag_f: np.ndarray, work: np.ndarray | None) -> Apply:
@@ -450,12 +457,9 @@ def propagate(
     """Evolve the uniform superposition from s=0 to s=1 in the half space.
 
     The final success probability is the lifted overlap with the Ising
-    ground space.
-
-    A ground weight outside [0, 1] (a blown-up series) flags the run
-    non-converged.  A non-converged run reports the raw, unclamped weight of
-    whatever state the series produced, for diagnosis only; ensemble
-    statistics exclude it.
+    ground space, and ``norm_drift`` the largest |2<psi|psi> - 1| at a
+    segment boundary.  The run is judged by :func:`run_segments` and
+    :func:`settle`; ensemble statistics exclude a non-converged run.
     """
     return propagate_block(params, [hf], schedule)[0]
 
@@ -488,83 +492,30 @@ def propagate_block(
         psi0 = np.repeat(psi0[:, None], width, axis=1)
     tf = transverse_field_half(params.n_qubits)
     work = tile_work(tf, diag_f.shape)  # the low-bit product's input and output, at every width
-    for psi, terms, converged in run_segments(
+    psi, terms, drift, converged = run_segments(
         _ising_apply(tf, diag_f, work), -1j * params.t_anneal, psi0, params.t_anneal, schedule,
+        # the lifted squared norm over the column view: a vector sums its
+        # squares in the order of a block column, so the drifts agree
+        lambda v: 2.0 * _Problems.squares(_columns(v)),
         lambda cols: _ising_apply(tf, diag_f[:, cols], work),
-    ):
-        pass  # only the state at s = 1 is needed
+    )
     terms = np.array(terms, dtype=np.int64).reshape(-1, width)
-    converged = np.reshape(converged, width)
     results = []
     for j, hf in enumerate(instances):
         col = np.ascontiguousarray(_columns(psi)[:, j])  # reads as a one-column run
-        p = success_probability(col, ground_space(hf))
-        ok = bool(converged[j]) and 0.0 <= p <= 1.0
-        drift = abs(2.0 * float(_Problems.squares(col)) - 1.0)  # no BLAS dot (see _l2)
+        p, ok = settle(success_probability(col, ground_space(hf)), bool(converged[j]))
         # a 0 marks a segment at or after the column's overflow, which a
         # one-column run does not list; a finished segment has at least 2 terms
-        results.append(PropagationResult(col, p, drift, [int(t) for t in terms[:, j] if t], ok))
+        results.append(
+            PropagationResult(col, p, float(drift[j]), [int(t) for t in terms[:, j] if t], ok)
+        )
     return results
-
-
-def clamp_probability(raw: float) -> float:
-    """Absorb truncation noise within 1e-9 of the edges of [0, 1].
-
-    Any other value, a larger excursion or NaN, means the evolution blew
-    up; it is returned raw for diagnosis, and the propagators flag such a
-    run non-converged.
-    """
-    if -1e-9 <= raw <= 1.0 + 1e-9:
-        return min(max(raw, 0.0), 1.0)
-    return raw
 
 
 def success_probability(psi: np.ndarray, gs: GroundSpace) -> float:
     """Lifted squared overlap of a half vector with the ground space.
 
     The factor 2 accounts for the mirrored half of the palindromic full
-    vector.  The value passes through :func:`clamp_probability`.
+    vector.  The raw value is returned; :func:`settle` clamps it.
     """
-    return clamp_probability(2.0 * float(np.sum(np.abs(psi[gs.indices]) ** 2)))
-
-
-def coefficient_bound_recurrence(a: float, b: float, n_max: int) -> BoundSequence:
-    """Majorant sequence p_n/n! from the scalar three-term recurrence.
-
-    p_{n+1} = a p_n + n b p_{n-1} with p_0 = 1, p_1 = a.  The values
-    q_n = p_n/n! obey q_{n+1} = (a q_n + b q_{n-1}) / (n+1), the kernel's
-    recurrence for the scalar pair (a, b), so no factorial overflows.  They
-    are exact from about 1e-154 to 1e154, where their square is a normal
-    float; above that :func:`segment_coefficient_norms` raises
-    :class:`OverflowError`, so no value returned is ever non-finite.
-    """
-    if a <= 0 or b < 0:
-        raise ValueError("need a > 0 and b >= 0")
-
-    def apply(v, a_out, b_out):
-        np.multiply(a, v, out=a_out)
-        np.multiply(b, v, out=b_out)
-
-    values = segment_coefficient_norms(apply, np.ones(1), n_max)
-    return BoundSequence(a, b, values)
-
-
-def segment_coefficient_norms(apply: Apply, psi_in: np.ndarray, n_terms: int) -> np.ndarray:
-    """Diagnostic: norms ||psi_n|| of the first ``n_terms`` coefficients.
-
-    Runs :func:`taylor_segment` on the pair ``apply`` (factor 1, unit step)
-    with no early stop, recording the norm of every coefficient ``apply`` is
-    given, the input to the alternative eps-power stopping rule.  Raises
-    :class:`OverflowError` if a coefficient overflows.
-    """
-    norms = []
-
-    def recording(v, a_out, b_out):
-        norms.append(_l2(v))
-        return apply(v, a_out, b_out)
-
-    _, terms, _ = taylor_segment(recording, 1.0, psi_in, 1.0, -math.inf, max(n_terms + 1, 2))
-    if not np.all(terms):  # psi_n overflowed after the n norms recorded
-        raise OverflowError(f"coefficient {len(norms)} overflowed")
-    return np.array(norms[: n_terms + 1])
-
+    return 2.0 * float(np.sum(np.abs(psi[gs.indices]) ** 2))

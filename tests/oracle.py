@@ -9,8 +9,9 @@ difference of the two is a step-doubling estimate of its own error.  The
 dense superoperator route (:class:`SuperopContext`, :func:`lindblad_segment`)
 runs the Taylor kernel on full matrices, as the reference that the
 structured Lindblad pair is checked against.  Also here: dense spectra, the
-exact two-level gap, the closed form of the coefficient majorant and the
-alternative power stopping rule.
+exact two-level gap, the coefficient norms of a segment with its majorant
+(the recurrence and its closed form) and the alternative power stopping
+rule, which reads those norms.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from annealsim.landau_zener import LZParams, lz_ground_state, lz_hamiltonian
 from annealsim.spin_system import (
     IsingDiagonal, _check_qubits, full_flip_matrix, lift_to_full, uniform_initial_state
 )
-from annealsim.taylor_propagator import taylor_segment
+from annealsim.taylor_propagator import _l2, taylor_segment
 
 MAX_DENSE_QUBITS = 10
 # The paper's Landau-Zener benchmark (delta = 1, T = 20).  Its digits from
@@ -259,6 +260,55 @@ def dense_spectrum(n_qubits: int, hf: IsingDiagonal, s: float) -> SpectralSlice:
 def lz_gap(delta: float, s: float) -> float:
     """Exact two-level gap 2*sqrt(delta^2 + (1-2s)^2), minimal at s = 1/2."""
     return 2.0 * math.sqrt(delta**2 + (1.0 - 2.0 * s) ** 2)
+
+
+@dataclass(frozen=True)
+class BoundSequence:
+    """Majorant values p_n/n! bounding the Taylor coefficient norms."""
+
+    a: float
+    b: float
+    values: np.ndarray
+
+
+def segment_coefficient_norms(apply, psi_in: np.ndarray, n_terms: int) -> np.ndarray:
+    """Norms ||psi_n|| of the first ``n_terms`` coefficients of the pair ``apply``.
+
+    Runs :func:`taylor_segment` (factor 1, unit step) with no early stop,
+    recording the norm of every coefficient ``apply`` is given, the input to
+    the power stopping rule.  Raises :class:`OverflowError` if a coefficient
+    overflows.
+    """
+    norms = []
+
+    def recording(v, a_out, b_out):
+        norms.append(_l2(v))
+        return apply(v, a_out, b_out)
+
+    _, terms, _ = taylor_segment(recording, 1.0, psi_in, 1.0, -math.inf, max(n_terms + 1, 2))
+    if not np.all(terms):  # psi_n overflowed after the n norms recorded
+        raise OverflowError(f"coefficient {len(norms)} overflowed")
+    return np.array(norms[: n_terms + 1])
+
+
+def coefficient_bound_recurrence(a: float, b: float, n_max: int) -> BoundSequence:
+    """Majorant sequence p_n/n! from the scalar three-term recurrence.
+
+    p_{n+1} = a p_n + n b p_{n-1} with p_0 = 1, p_1 = a.  The values
+    q_n = p_n/n! obey q_{n+1} = (a q_n + b q_{n-1}) / (n+1), the kernel's
+    recurrence for the scalar pair (a, b), so no factorial overflows.  They
+    are exact from about 1e-154 to 1e154, where their square is a normal
+    float; above that :func:`segment_coefficient_norms` raises
+    :class:`OverflowError`, so no value returned is ever non-finite.
+    """
+    if a <= 0 or b < 0:
+        raise ValueError("need a > 0 and b >= 0")
+
+    def apply(v, a_out, b_out):
+        np.multiply(a, v, out=a_out)
+        np.multiply(b, v, out=b_out)
+
+    return BoundSequence(a, b, segment_coefficient_norms(apply, np.ones(1), n_max))
 
 
 def coefficient_bound_closed(a: float, b: float, n: int) -> float:

@@ -15,19 +15,15 @@ from annealsim.ensemble import EnsembleConfig, instance_seed, run_ensemble, scal
 from annealsim.landau_zener import LZParams, lz_propagate
 from annealsim.lindblad_propagator import propagate_density
 from annealsim.spin_system import lift_to_full, random_ising_half
-from annealsim.taylor_propagator import (
-    AnnealParams,
-    SegmentSchedule,
-    coefficient_bound_recurrence,
-    propagate,
-    segment_coefficient_norms,
-)
+from annealsim.taylor_propagator import AnnealParams, SegmentSchedule, propagate
 from oracle import (
     LZ_P_TWO_SEGMENTS,
     SuperopContext,
     coefficient_bound_closed,
+    coefficient_bound_recurrence,
     lindblad_segment,
     rk4_schrodinger_batch,
+    segment_coefficient_norms,
 )
 
 LZ_PSI_PAPER = np.array(

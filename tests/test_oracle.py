@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from annealsim import cli, ensemble, landau_zener, lindblad_propagator, taylor_propagator
 from annealsim.errors import CapacityError
 from annealsim.landau_zener import LZParams, lz_ground_state, lz_propagate
 from annealsim.lindblad_propagator import build_energy_lowering_op
@@ -208,6 +211,15 @@ def test_rk4_references_use_no_kernel_function():
     for name in dir(oracle):
         if name.startswith(("rk4", "_rk4")) and callable(getattr(oracle, name)):
             assert not _code_names(getattr(oracle, name).__code__) & kernel, name
+
+
+def test_only_the_kernel_reads_the_drift_bound():
+    # every evolution is judged by run_segments: no other module reads
+    # MAX_DRIFT, in any function or at import
+    for module in (lindblad_propagator, landau_zener, ensemble, cli):
+        code = compile(inspect.getsource(module), module.__file__, "exec")
+        assert "MAX_DRIFT" not in _code_names(code), module.__name__
+    assert "MAX_DRIFT" in _code_names(taylor_propagator.run_segments.__code__)
 
 
 def test_rk4_estimate_bounds_its_error():

@@ -7,6 +7,8 @@ import pytest
 
 import annealsim.spin_system as ss
 import annealsim.taylor_propagator as tp
+from annealsim.landau_zener import LZParams, lz_propagate
+from annealsim.lindblad_propagator import propagate_density
 from annealsim.spin_system import (
     GroundSpace,
     IsingDiagonal,
@@ -17,20 +19,26 @@ from annealsim.spin_system import (
     uniform_initial_state,
 )
 from annealsim.taylor_propagator import (
+    MAX_DRIFT,
     AnnealParams,
     SegmentSchedule,
     _ising_apply,
-    clamp_probability,
-    coefficient_bound_recurrence,
+    _Problems,
     propagate,
     propagate_block,
     run_segments,
-    segment_coefficient_norms,
+    settle,
     success_probability,
     taylor_segment,
     transverse_field_half,
 )
-from oracle import coefficient_bound_closed, power_rule_stop_index, rk4_schrodinger
+from oracle import (
+    coefficient_bound_closed,
+    coefficient_bound_recurrence,
+    power_rule_stop_index,
+    rk4_schrodinger,
+    segment_coefficient_norms,
+)
 
 # frozen from the RK4 oracle (steps=10^4): success probability at N=4, T=4, seed=1
 P_RK4_N4_T4_SEED1 = 0.931189317008640
@@ -187,9 +195,9 @@ def test_block_column_failure_leaves_neighbour_bitwise(scale, monkeypatch):
 
 
 def test_all_columns_overflowing_end_the_run(monkeypatch):
-    # every column overflows in segment 0 of 3: one NaN yield with no terms
-    # listed and every flag False, and no later segment is run (one kernel
-    # call from s0 = 0 in each of the two runs)
+    # every column overflows in segment 0 of 3: a NaN state with no terms
+    # listed, NaN drifts and every flag False, and no later segment is run
+    # (one kernel call from s0 = 0 in each of the two runs)
     n, t_anneal = 6, 180.0
     tf = transverse_field_half(n)
     diag = random_ising_half(n, 1).half_diag.astype(complex)
@@ -203,19 +211,15 @@ def test_all_columns_overflowing_end_the_run(monkeypatch):
     monkeypatch.setattr(tp, "taylor_segment", spy)
     psi = np.repeat(uniform_initial_state(n)[:, None], 2, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        yields = [
-            (state, list(terms), ok)
-            for state, terms, ok in run_segments(
-                _ising_apply(tf, block, None), -1j * t_anneal, psi, t_anneal,
-                SegmentSchedule(segments=3),
-            )
-        ]
+        state, terms, drift, ok = run_segments(
+            _ising_apply(tf, block, None), -1j * t_anneal, psi, t_anneal,
+            SegmentSchedule(segments=3), lambda v: 2.0 * _Problems.squares(v),
+        )
         results = propagate_block(
             AnnealParams(n, t_anneal), [random_ising_half(n, 1)] * 2, SegmentSchedule(segments=3)
         )
-    assert len(yields) == 1 and starts == [0.0, 0.0]
-    state, terms, ok = yields[0]
-    assert terms == [] and not np.any(ok) and np.isnan(state).all()
+    assert starts == [0.0, 0.0]
+    assert terms == [] and not np.any(ok) and np.isnan(state).all() and np.isnan(drift).all()
     assert all(r.terms_per_segment == [] and not r.converged for r in results)
 
 
@@ -349,6 +353,64 @@ def test_compaction_allocates_no_state_buffer():
     assert full.tobytes() == narrowed.tobytes()
     assert np.array_equal(t_full, t_narrowed) and ok_full.all() and ok_narrowed.all()
     assert len(set(t_full)) > 8
+
+
+def test_block_flags_only_the_drifting_column():
+    # ceil(T) = 10 segments hold instance 1 at N=12 to a boundary drift of
+    # 2e-8 but let instance 2 drift 8.8e-4 (|dP| 8.6e-4 against 40
+    # segments): the block flags only the second, and each column is still
+    # its one-instance run, drift included
+    params = AnnealParams(12, 10.0)
+    instances = [random_ising_half(12, 1), random_ising_half(12, 2)]
+    block = propagate_block(params, instances)
+    assert [r.converged for r in block] == [True, False]
+    assert block[0].norm_drift < 1e-7 and block[1].norm_drift > 1e-4
+    for got, hf in zip(block, instances):
+        alone = propagate(params, hf)
+        assert got.psi_final.tobytes() == alone.psi_final.tobytes()
+        assert got.success_p == alone.success_p and got.norm_drift == alone.norm_drift
+        assert got.converged is alone.converged
+
+
+def _lz_one_segment(t_anneal):
+    return lz_propagate(LZParams(1.0, t_anneal), SegmentSchedule(segments=1, max_terms=500))
+
+
+# each case: the run and the name of its drift field
+RULE_CASES = {
+    # every segment stops, but the weight drifts past MAX_DRIFT
+    "unitary-drift": (
+        lambda: propagate(AnnealParams(12, 10.0), random_ising_half(12, 2)), "norm_drift"),
+    "lindblad-drift": (  # the default 4 segments lose this run's trace: drift about 3
+        lambda: propagate_density(
+            AnnealParams(8, 4.0), random_ising_half(8, 3386250816931739734), 0.3),
+        "trace_drift"),
+    "lz-drift": (lambda: _lz_one_segment(20.0), "norm_drift"),  # |psi(1)|**2 is 5e-2 off
+    # the one segment overflows
+    "unitary-overflow": (
+        lambda: propagate(AnnealParams(6, 60.0), random_ising_half(6, 1), SegmentSchedule(segments=1)),
+        "norm_drift"),
+    "lz-overflow": (lambda: _lz_one_segment(400.0), "norm_drift"),
+    # the Lindblad overflow is test_propagate_density_overflow_reports_nan
+}
+
+
+@pytest.mark.parametrize("case", RULE_CASES)
+def test_one_converged_rule(case):
+    # unitary, Lindblad and two-level runs are judged alike: a run whose
+    # segments all stopped is still not converged once its weight drifts
+    # past MAX_DRIFT at a boundary, and it reports that drift; an overflow
+    # gives NaN P, NaN drift, no terms and not converged
+    run, field = RULE_CASES[case]
+    res = run()
+    drift = getattr(res, field)
+    assert res.converged is False
+    if case.endswith("drift"):
+        assert 0 < min(res.terms_per_segment) and max(res.terms_per_segment) < 500
+        assert drift > MAX_DRIFT and 0.0 <= res.success_p <= 1.0
+    else:
+        assert res.terms_per_segment == []
+        assert math.isnan(res.success_p) and math.isnan(drift)
 
 
 def test_block_matches_per_instance_beyond_low_bits():
@@ -579,20 +641,24 @@ def test_success_probability_examples():
 
 
 def test_success_probability_clamp_and_error():
+    # the overlap is raw; settle absorbs the noise and fails the blow-up
     gs = GroundSpace(np.array([0]), -1, 1)
     psi = np.array([np.sqrt(0.5 * (1 + 4e-10)), 0.0], dtype=complex)
-    assert success_probability(psi, gs) == 1.0
+    assert settle(success_probability(psi, gs), True) == (1.0, True)
     psi_bad = np.array([1.0, 0.0], dtype=complex)
-    assert success_probability(psi_bad, gs) == pytest.approx(2.0)
+    p, ok = settle(success_probability(psi_bad, gs), True)
+    assert p == pytest.approx(2.0) and ok is False
 
 
 def test_clamp_probability_both_edges():
-    assert clamp_probability(0.25) == 0.25
-    assert clamp_probability(1.0 + 5e-10) == 1.0
-    assert clamp_probability(-5e-10) == 0.0
+    assert settle(0.25, True) == (0.25, True)
+    assert settle(1.0 + 5e-10, True) == (1.0, True)
+    assert settle(-5e-10, True) == (0.0, True)
+    assert settle(0.25, False) == (0.25, False)  # the verdict of the run stands
     for raw in (1.0 + 2e-9, -2e-9, float("nan")):
-        assert repr(clamp_probability(raw)) == repr(raw)  # returned raw, NaN included
-    assert clamp_probability(-2e-9) == -2e-9
+        p, ok = settle(raw, True)
+        assert repr(p) == repr(raw) and ok is False  # returned raw, NaN included
+    assert settle(-2e-9, True)[0] == -2e-9
 
 
 def test_success_probability_global_phase_invariance():
