@@ -19,12 +19,16 @@ problem Hamiltonian is a complete-graph Ising diagonal
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Iterator
+from types import ModuleType
+from typing import Iterator, NamedTuple
 
 import numpy as np
-from scipy.sparse import _sparsetools, csr_matrix
+import scipy
 
 from .errors import CapacityError
 
@@ -50,22 +54,35 @@ def _check_qubits(n_qubits: int, limit: int = MAX_QUBITS) -> None:
         raise CapacityError(f"{n_qubits} qubits exceeds the supported limit of {limit}")
 
 
+class CSR(NamedTuple):
+    """A square sparse matrix as the three arrays of compressed sparse rows.
+
+    Row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``; the row (and column) count is
+    ``indptr.size - 1``.  :func:`csr_product` is the one product.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
 @dataclass(frozen=True)
 class TransverseField:
     """Single-bit-flip coupling structure on the low m = min(N-1, 12) qubits.
 
-    ``couplings`` is the sparse symmetric float64 matrix with value -1 at
-    ``(i, i ^ 2**k)`` for every ``i < 2**m`` and ``k < m``; it multiplies
-    the float64 view of a complex state (see :func:`csr_product`), so no
-    complex copy of it is ever made.  For N <= 13 it is the whole
-    half-space flip matrix.  Beyond, it acts on the low bits of
-    each contiguous run of 2**m half-space entries, and the flips of the
-    higher bits and of the top qubit (the reversal of the half vector) are
-    applied separately (see :func:`apply_initial`).
+    ``couplings`` is the symmetric float64 matrix with value -1 at
+    ``(i, i ^ 2**k)`` for every ``i < 2**m`` and ``k < m``, as the three
+    arrays of a :class:`CSR`; it multiplies the float64 view of a complex
+    state (see :func:`csr_product`), so no complex copy of it is ever made.
+    For N <= 13 it is the whole half-space flip matrix.  Beyond, it acts on
+    the low bits of each contiguous run of 2**m half-space entries, and the
+    flips of the higher bits and of the top qubit (the reversal of the half
+    vector) are applied separately (see :func:`apply_initial`).
     """
 
     n_qubits: int
-    couplings: csr_matrix
+    couplings: CSR
 
 
 @dataclass(frozen=True)
@@ -95,19 +112,19 @@ class GroundSpace:
     degeneracy: int
 
 
-def _flip_matrix(n_bits: int, value: float | complex) -> csr_matrix:
-    """CSR matrix with ``value`` at ``(i, i ^ 2**k)`` for i < 2**n_bits, k < n_bits.
+def _flip_matrix(n_bits: int, value: float) -> CSR:
+    """The :class:`CSR` with ``value`` at ``(i, i ^ 2**k)`` for i < 2**n_bits, k < n_bits.
 
-    Every row holds n_bits entries, so the CSR arrays are written directly
-    (column indices sorted within each row) rather than assembled from
-    coordinates, which would hold several index arrays of the full entry
-    count at once.
+    Every row holds n_bits entries, so the three arrays are written directly
+    (int32 column indices sorted within each row, float64 values) rather
+    than assembled from coordinates, which would hold several index arrays
+    of the full entry count at once.
     """
     dim = 1 << n_bits
     idx = np.arange(dim, dtype=np.int32)
     cols = np.sort(idx[:, None] ^ (1 << np.arange(n_bits, dtype=np.int32)), axis=1)
     indptr = np.arange(0, cols.size + 1, n_bits, dtype=np.int32)
-    return csr_matrix((np.full(cols.size, value), cols.ravel(), indptr), shape=(dim, dim))
+    return CSR(np.full(cols.size, value, dtype=np.float64), cols.ravel(), indptr)
 
 
 def transverse_field_half(n_qubits: int) -> TransverseField:
@@ -121,25 +138,45 @@ def transverse_field_half(n_qubits: int) -> TransverseField:
     return TransverseField(n_qubits, _flip_matrix(min(n_qubits - 1, LOW_FLIP_BITS), -1.0))
 
 
-def csr_product(mat: csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``mat @ x`` into ``out`` for a float64 CSR and a complex128 ``x``.
+def _load_sparsetools(directory: str) -> ModuleType:
+    """scipy's compiled CSR routines, loaded from the extension file in ``directory``.
+
+    Importing them as ``scipy.sparse._sparsetools`` runs the ``scipy.sparse``
+    package first, whose array-API layer imports much of numpy besides
+    (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``): half of this
+    package's import time, in every process, for one routine.  Where
+    ``directory`` holds no such file (an editable scipy, say), the package
+    is imported after all.
+    """
+    spec = importlib.machinery.PathFinder.find_spec("_sparsetools", [directory])
+    if spec is None:
+        from scipy.sparse import _sparsetools
+        return _sparsetools
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools(os.path.join(os.path.dirname(scipy.__file__), "sparse"))
+
+
+def csr_product(mat: CSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``mat @ x`` into ``out`` for a float64 :class:`CSR` and a complex128 ``x``.
 
     ``x`` and ``out`` are C-contiguous, of the same shape, with the matrix
     acting on their first axis.  The product runs on their float64 views,
     in which every complex entry is two adjacent real columns: this is
-    scipy's routine for ``mat @ x`` on a real block (``csr_matvecs`` into a
-    zeroed result), called on ``out`` instead of a new array.  For finite
-    entries the result is bit for bit that of the same matrix stored
+    scipy's routine for a CSR matrix times a real block (``csr_matvecs``
+    into a zeroed result), called on ``out`` instead of a new array.  For
+    finite entries the result is bit for bit that of the same matrix stored
     complex: there a real entry c times x + iy is (cx - 0y) + i(cy + 0x),
     whose zero terms change nothing once the zeroed sum absorbs their sign.
-    The matrix is square, as every one passed here is: its row count is
-    checked against ``x``, its column count is not.
+    The matrix is square (see :class:`CSR`): its row count is checked
+    against ``x``.
     """
     indptr, indices, data = mat.indptr, mat.indices, mat.data
     n = indptr.shape[0] - 1
-    # the routine trusts its sizes: a mismatch would write past ``out``.  The
-    # size and dtype are read from the matrix's arrays, not through scipy's
-    # properties: at N = 8 the product itself takes only a few microseconds
+    # the routine trusts its sizes: a mismatch would write past ``out``
     if not (
         x.shape[0] == n and x.shape == out.shape
         and x.dtype == out.dtype == np.complex128 and data.dtype == np.float64
@@ -176,7 +213,7 @@ def tile_work(tf: TransverseField, shape: tuple[int, ...]) -> np.ndarray | None:
     a time down all rows, land in an eighth of the cache sets: at N = 18
     they ran 2.8x slower.  None for N <= 13, which needs no work.
     """
-    low = tf.couplings.shape[0]
+    low = tf.couplings.indptr.size - 1
     if low == 1 << (tf.n_qubits - 1):
         return None
     return np.zeros((2, low, math.prod(shape) // low + 1), dtype=np.complex128)
@@ -228,7 +265,7 @@ def apply_initial(
     psi = np.ascontiguousarray(psi, dtype=np.complex128)
     if out is None:
         out = np.empty_like(psi)
-    low = tf.couplings.shape[0]
+    low = tf.couplings.indptr.size - 1
     if low == dim:  # N <= 13: no high bits, and no reshapes, whose overhead shows at N=8
         csr_product(tf.couplings, psi, out)
         flipped = None
@@ -370,8 +407,8 @@ def lift_to_full(psi: np.ndarray) -> np.ndarray:
     return np.concatenate([psi, psi[::-1]])
 
 
-def full_flip_matrix(n_qubits: int) -> csr_matrix:
-    """Full-space transverse-field matrix: -1 at ``(i, i ^ 2**k)`` for all k.
+def full_flip_matrix(n_qubits: int) -> CSR:
+    """Full-space transverse-field matrix: -1 at ``(i, i ^ 2**k)`` for all k, as a :class:`CSR`.
 
     Used by the Lindblad module and the dense oracles; no symmetry reduction.
     """

@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from annealsim.landau_zener import LZParams, lz_ground_state, lz_hamiltonian
 from annealsim.spin_system import (
-    IsingDiagonal, _check_qubits, full_flip_matrix, lift_to_full, uniform_initial_state
+    CSR, IsingDiagonal, _check_qubits, full_flip_matrix, lift_to_full, uniform_initial_state
 )
 from annealsim.taylor_propagator import _l2, taylor_segment
 
@@ -94,6 +95,12 @@ class Reference(NamedTuple):
     steps: int
 
 
+def scipy_csr(mat: CSR) -> csr_matrix:
+    """The square :class:`~annealsim.spin_system.CSR` ``mat`` as scipy's CSR matrix on its arrays."""
+    n = mat.indptr.size - 1
+    return csr_matrix((mat.data, mat.indices, mat.indptr), shape=(n, n))
+
+
 def rk4_steps(scale: float) -> int:
     """Default step count for a generator whose T*||A(s)|| is at most ``scale``:
     :data:`STEPS_PER_UNIT` per unit, rounded up to an even count."""
@@ -135,7 +142,7 @@ def rk4_schrodinger_batch(
     """
     _check_qubits(n_qubits, MAX_DENSE_QUBITS)
     dim = 1 << n_qubits
-    hi = full_flip_matrix(n_qubits).toarray().astype(np.complex128)
+    hi = scipy_csr(full_flip_matrix(n_qubits)).toarray().astype(np.complex128)
     diags = np.atleast_2d(np.asarray(full_diags, dtype=np.float64))
     if steps is None:  # ||H(s)|| <= N + max|E|
         steps = rk4_steps(t_anneal * (n_qubits + np.abs(diags).max()))
@@ -251,7 +258,7 @@ def lindblad_segment(
 def dense_spectrum(n_qubits: int, hf: IsingDiagonal, s: float) -> SpectralSlice:
     """Eigenvalues of (1-s) H_i + s H_f in the full space, ascending."""
     _check_qubits(n_qubits, MAX_DENSE_QUBITS)
-    h = (1.0 - s) * full_flip_matrix(n_qubits).toarray()
+    h = (1.0 - s) * scipy_csr(full_flip_matrix(n_qubits)).toarray()
     h[np.diag_indices_from(h)] += s * hf.full_diag()
     eigenvalues = np.linalg.eigvalsh(h)
     return SpectralSlice(s, eigenvalues, float(eigenvalues[1] - eigenvalues[0]))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import annealsim
 from annealsim.cli import _schedule_from, build_parser, main
 from annealsim.spin_system import random_ising_half
 from annealsim.taylor_propagator import AnnealParams, SegmentSchedule, propagate
@@ -348,3 +353,13 @@ def test_csv_outputs_use_lf(tmp_path, capsys):
     capsys.readouterr()
     for path in (hist, curve):
         assert b"\r" not in path.read_bytes()
+
+
+def test_module_entry_point_runs_the_cli():
+    # a checkout runs the CLI as python -m annealsim, with no install
+    src = Path(annealsim.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "annealsim", "single", "--qubits", "4", "--time", "1", "--seed", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "converged" in proc.stdout

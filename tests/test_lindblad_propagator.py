@@ -26,6 +26,7 @@ from oracle import (
     apply_liouvillian_const,
     apply_liouvillian_ramp,
     lindblad_segment,
+    scipy_csr,
 )
 
 
@@ -117,7 +118,7 @@ def test_segment_closed_evolution_matches_pure_state():
         inst = random_ising_half(n, 11)
         t_anneal = 2.0
         res = propagate(AnnealParams(n, t_anneal), inst, SegmentSchedule(segments=2))
-        hi = full_flip_matrix(n).toarray().astype(complex)
+        hi = scipy_csr(full_flip_matrix(n)).toarray().astype(complex)
         fd = inst.full_diag().astype(float)
         c = -1j * t_anneal
         ramp = c * (np.diag(fd) - hi)
@@ -140,7 +141,7 @@ def test_fast_segment_matches_generic(n, l_scale):
     t_anneal, s0 = 2.0, 0.25
     inst = random_ising_half(n, 3)
     fd = inst.full_diag()
-    hi = full_flip_matrix(n).toarray().astype(complex)
+    hi = scipy_csr(full_flip_matrix(n)).toarray().astype(complex)
     c = -1j * t_anneal
     lop = build_energy_lowering_op(fd, l_scale) if l_scale else None
     ctx = SuperopContext.create(

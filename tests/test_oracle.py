@@ -27,6 +27,7 @@ from oracle import (
     rk4_lindblad,
     rk4_schrodinger,
     rk4_schrodinger_batch,
+    scipy_csr,
 )
 
 def test_rk4_stationary_state():
@@ -72,7 +73,7 @@ def test_rk4_lindblad_amplitude_damping():
 def test_rk4_lindblad_closed_matches_schrodinger():
     n, t = 3, 2.0
     inst = random_ising_half(n, 4)
-    hi = full_flip_matrix(n).toarray().astype(complex)
+    hi = scipy_csr(full_flip_matrix(n)).toarray().astype(complex)
     fd = inst.full_diag().astype(float)
     c = -1j * t
     ctx = SuperopContext.create(c * hi, c * (np.diag(fd) - hi), None, t)
@@ -86,7 +87,7 @@ def test_rk4_lindblad_closed_matches_schrodinger():
 def test_rk4_lindblad_cross_checks_taylor_recurrence():
     n, t = 4, 2.0
     inst = random_ising_half(n, 1)
-    hi = full_flip_matrix(n).toarray().astype(complex)
+    hi = scipy_csr(full_flip_matrix(n)).toarray().astype(complex)
     fd = inst.full_diag().astype(float)
     c = -1j * t
     lop = build_energy_lowering_op(inst.full_diag(), 0.1)

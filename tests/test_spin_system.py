@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import annealsim.spin_system as ss
 from annealsim.errors import CapacityError
 from annealsim.spin_system import (
     LOW_FLIP_BITS,
@@ -20,16 +25,17 @@ from annealsim.spin_system import (
     transverse_field_half,
     uniform_initial_state,
 )
+from oracle import scipy_csr
 
 
 def test_transverse_field_n2_matrix():
     tf = transverse_field_half(2)
-    assert np.array_equal(tf.couplings.toarray(), [[0, -1], [-1, 0]])
+    assert np.array_equal(scipy_csr(tf.couplings).toarray(), [[0, -1], [-1, 0]])
 
 
 def test_transverse_field_n3_layout():
     # hand-traced flip pattern on 2 qubits: (i, i^1) and (i, i^2), all -1
-    m = transverse_field_half(3).couplings.toarray()
+    m = scipy_csr(transverse_field_half(3).couplings).toarray()
     expected = np.zeros((4, 4))
     for i in range(4):
         expected[i, i ^ 1] = -1
@@ -39,7 +45,7 @@ def test_transverse_field_n3_layout():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
 def test_transverse_field_nonzero_count_and_symmetry(n):
-    m = transverse_field_half(n).couplings
+    m = scipy_csr(transverse_field_half(n).couplings)
     assert m.nnz == (n - 1) * 2 ** (n - 1)
     assert m.shape == (2 ** (n - 1),) * 2
     assert (m != m.T).nnz == 0
@@ -78,7 +84,7 @@ def test_apply_initial_dimension_mismatch():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_apply_initial_matches_dense_full_space(n):
     tf = transverse_field_half(n)
-    hi_full = full_flip_matrix(n).toarray()
+    hi_full = scipy_csr(full_flip_matrix(n)).toarray()
     rng = np.random.default_rng(n)
     dim = 1 << (n - 1)
     # random complex inputs over a range of magnitudes, then a real input
@@ -96,7 +102,7 @@ def test_apply_initial_high_bits_match_full_space(n):
     # beyond N = 13 the low-bit matrix, the high-bit half-block swaps and the
     # reversal together must give the full-space flip sum
     tf = transverse_field_half(n)
-    hi_full = full_flip_matrix(n)
+    hi_full = scipy_csr(full_flip_matrix(n))
     rng = np.random.default_rng(n)
     dim = 1 << (n - 1)
     cases = [(scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim)), scale)
@@ -115,7 +121,8 @@ def test_driver_matrix_is_whole_flip_matrix_up_to_n13(n):
     # up to N = 13 the low bits are all the half-space bits: today's matrix
     got = transverse_field_half(n).couplings
     ref = _flip_matrix(n - 1, -1.0)
-    assert got.shape == ref.shape and got.dtype == ref.dtype == np.float64
+    assert scipy_csr(got).shape == scipy_csr(ref).shape
+    assert got.data.dtype == ref.data.dtype == np.float64
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
@@ -145,7 +152,7 @@ def test_apply_initial_allocates_no_matrix_copy(n):
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peaks[0] < 3 * psi.nbytes + 2 * tf.couplings.shape[0] * 16 + 16384
+    assert peaks[0] < 3 * psi.nbytes + 2 * (tf.couplings.indptr.size - 1) * 16 + 16384
     assert peaks[1] < psi.nbytes // 16
 
 
@@ -154,7 +161,7 @@ def _complex_csr_route(n, psi):
     -1+0j entries, scipy's ``@`` on the transposed low-bit block, then the
     high-bit subtracts and the reversal."""
     m = min(n - 1, LOW_FLIP_BITS)
-    c = _flip_matrix(m, -1.0 + 0.0j)
+    c = scipy_csr(_flip_matrix(m, -1.0)).astype(np.complex128)
     dim, low = 1 << (n - 1), 1 << m
     if low == dim:
         out = c @ psi
@@ -199,10 +206,47 @@ def test_csr_product_is_scipy_product(shape):
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     out = np.full_like(x, np.nan)  # stale contents must not leak in
     csr_product(mat, x, out)
-    ref = mat @ x.view(np.float64)
+    ref = scipy_csr(mat) @ x.view(np.float64)
     assert ref.dtype == np.float64
     assert ref.tobytes() == out.view(np.float64).tobytes()
-    assert np.array_equal(out, _flip_matrix(rows.bit_length() - 1, -1.0 + 0.0j) @ x)
+    assert np.array_equal(out, scipy_csr(mat).astype(np.complex128) @ x)
+
+
+def test_sparsetools_loader_falls_back_to_scipy_package(tmp_path, monkeypatch):
+    # a scipy without the extension file beside its package (an editable
+    # build, say) is served through the package; the routine is the same
+    from scipy.sparse import _sparsetools as package_module
+
+    assert ss._load_sparsetools(str(tmp_path)) is package_module
+    assert ss._sparsetools is not package_module
+    mat = _flip_matrix(6, -1.0)
+    x = np.random.default_rng(6).normal(size=(64, 3)) * (1 - 2j)
+    from_file = csr_product(mat, x, np.empty_like(x)).copy()
+    monkeypatch.setattr(ss, "_sparsetools", package_module)
+    assert csr_product(mat, x, np.empty_like(x)).tobytes() == from_file.tobytes()
+
+
+SPARSE_PACKAGE_CHECK = """
+import sys
+from annealsim import (AnnealParams, EnsembleConfig, LZParams, lz_propagate, propagate,
+                       propagate_density, random_ising_half, run_ensemble)
+assert propagate(AnnealParams(8, 2.0), random_ising_half(8, 1)).converged
+assert propagate_density(AnnealParams(3, 2.0), random_ising_half(3, 1), 0.1).converged
+assert lz_propagate(LZParams(1.0, 20.0)).converged
+result = run_ensemble(EnsembleConfig(8, 2.0, 6, 1), workers=2)
+assert result.workers == 2 and result.failure_count == 0
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.sparse"))
+assert not loaded, loaded
+"""
+
+
+def test_simulator_never_imports_scipy_sparse_package():
+    # csr_product needs one compiled routine; importing the scipy.sparse
+    # package for it would double the start-up of every process
+    src = Path(ss.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", SPARSE_PACKAGE_CHECK], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_ising_half_diag_allocates_no_spin_matrix():
@@ -231,7 +275,7 @@ def test_ising_half_diag_allocates_no_spin_matrix():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_full_driver_operator_norm_is_n(n):
-    hi = full_flip_matrix(n).toarray()
+    hi = scipy_csr(full_flip_matrix(n)).toarray()
     assert abs(np.linalg.norm(hi, 2) - n) < 1e-10
 
 
