@@ -69,6 +69,7 @@ class EnsembleConfig:
         if self.mode not in ("unitary", "lindblad"):
             raise ValueError(f"unknown mode {self.mode!r}")
         _check_qubits(self.n_qubits, MAX_QUBITS if self.mode == "unitary" else MAX_DENSITY_QUBITS)
+        AnnealParams(self.n_qubits, self.t_anneal)  # the one check of the anneal time
         if not 0 <= self.l_scale < math.inf:  # NaN too
             raise ValueError(f"l_scale must be finite and >= 0, got {self.l_scale}")
         if self.mode == "unitary" and self.l_scale != 0:
@@ -230,14 +231,15 @@ def sweep_T(
     """Success probability of one fixed instance across anneal times.
 
     Failed points (non-convergence, blow-up or overflow) are recorded as
-    NaN, never dropped silently.  ``mode`` and ``l_scale`` are checked as
-    :class:`EnsembleConfig` checks them.
+    NaN, never dropped silently.  The times, ``mode`` and ``l_scale`` are
+    checked as :class:`EnsembleConfig` checks them, before any point runs.
     """
     t_values = np.asarray(list(t_list), dtype=np.float64)  # t_list may be an iterator
     schedule = schedule or SegmentSchedule()
+    configs = [EnsembleConfig(n_qubits, float(t), 1, hf_seed, schedule, mode=mode, l_scale=l_scale)
+               for t in t_values]
     ps = []
-    for t in t_values:
-        cfg = EnsembleConfig(n_qubits, float(t), 1, hf_seed, schedule, mode=mode, l_scale=l_scale)
+    for cfg in configs:
         [rec] = _run_block(cfg, 0, [hf_seed])
         ps.append(rec.success_p if rec.converged else math.nan)
     return TCurve(t_values, np.asarray(ps))

@@ -44,21 +44,25 @@ class DensityPropagationResult:
     converged: bool
 
 
-def build_energy_lowering_op(hf_full_diag: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def build_energy_lowering_op(
+    hf_full_diag: np.ndarray, scale: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
     """Ladder operator stepping down the energy-sorted basis of H_f, times ``scale``.
 
     Basis indices are sorted by (energy ascending, computational index
     ascending); in that ordering the operator has sqrt(1), sqrt(2), ... on
     the first superdiagonal, then is mapped back to computational indices.
     The tie-break matters: it selects which degenerate ground state the
-    dissipator relaxes towards.  Returns the dense complex matrix.
+    dissipator relaxes towards.  Returns the operator's one entry per row
+    as ``(src, w)``: row i holds ``w[i]`` at column ``src[i]``, and the
+    empty row of the top energy holds weight 0 at column 0.
     """
-    diag = np.asarray(hf_full_diag)
-    dim = diag.shape[0]
-    order = np.argsort(diag, kind="stable")
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    mat[order[:-1], order[1:]] = scale * np.sqrt(np.arange(1, dim))
-    return mat
+    order = np.argsort(hf_full_diag, kind="stable")
+    src = np.zeros(order.size, dtype=np.intp)
+    w = np.zeros(order.size)
+    src[order[:-1]] = order[1:]
+    w[order[:-1]] = scale * np.sqrt(np.arange(1, order.size))
+    return src, w
 
 
 def _density_pair(n_qubits: int, full_diag: np.ndarray, l_scale: float) -> Apply:
@@ -73,7 +77,8 @@ def _density_pair(n_qubits: int, full_diag: np.ndarray, l_scale: float) -> Apply
     L rho L^dag = (w w^T) * rho[src][:, src] is a gather, and L^dag L is
     diagonal.  Each operation treats an entry and its mirror alike, so the
     outputs are exactly (anti-)Hermitian.  A term writes into ``a_out``,
-    ``b_out`` and two closure-owned work matrices, and allocates nothing.
+    ``b_out`` and closure-owned work matrices (a second one only when
+    dissipating), and allocates nothing.
     """
     dim = full_diag.shape[0]
     hi = full_flip_matrix(n_qubits)
@@ -82,14 +87,13 @@ def _density_pair(n_qubits: int, full_diag: np.ndarray, l_scale: float) -> Apply
     # cast through a buffer that numpy allocates on every product
     field_gaps = (diag[:, None] - diag).astype(np.complex128)  # [H_f, rho] = this * rho
     dissipates = l_scale > 0.0
+    work = np.empty((dim, dim), dtype=np.complex128)
     if dissipates:
-        mags = build_energy_lowering_op(full_diag, l_scale).real
-        # one entry per row, none in the top energy's, which gathers weight 0
-        gather, w = mags.argmax(axis=1), mags.max(axis=1)
-        lind_sq = np.einsum("ij,ij->j", mags, mags)  # L^dag L is diagonal
+        gather, w = build_energy_lowering_op(full_diag, l_scale)
+        lind_sq = np.bincount(gather, w * w, dim)  # L^dag L is diagonal
         gain = 1j * np.outer(w, w)  # one symmetric matrix, so mirrors round alike
         loss = 0.5j * (lind_sq[:, None] + lind_sq)  # i {L^dag L, rho}/2 = loss * rho
-    work, prod = np.empty((2, dim, dim), dtype=np.complex128)
+        prod = np.empty_like(work)
 
     def apply(flat, a_out, b_out):
         rho = flat.reshape(dim, dim)

@@ -190,6 +190,11 @@ def csr_product(mat: CSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _front(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous array of ``shape`` on the first entries of ``buf``'s memory."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 def tile_rows(shape: tuple[int, ...]) -> int | None:
     """Rows per tile of a state of ``shape``, or None when it is one tile.
 
@@ -237,9 +242,11 @@ def apply_initial(
       :func:`csr_product` to the low-bit axis of the (2**(N-1-m), 2**m, B)
       view, moved to the front by a transposed copy; the copy and the
       product go to ``work``, :func:`tile_work`'s pair of arrays (allocated
-      when not given), and the product's transpose is the flip part of
-      ``out``.  For N <= 13 there are no higher bits: the product is
-      written straight into ``out`` and ``work`` is not used;
+      when not given; one made for a wider block is laid out again for
+      ``psi``'s width on the front of its memory), and the product's
+      transpose is the flip part of ``out``.  For N <= 13 there are no
+      higher bits: the product is written straight into ``out`` and
+      ``work`` is not used;
     * the flip of each bit k with m <= k < N-1: the row with bit k flipped
       subtracted, the first time from the transposed product (which so
       reaches ``out`` without a copy of its own), then in place: within a
@@ -270,9 +277,9 @@ def apply_initial(
         csr_product(tf.couplings, psi, out)
         flipped = None
     else:
-        x, y = tile_work(tf, psi.shape) if work is None else work
         # one product for all runs: one per run, or on the top bits, ran 1.3-2x slower at N >= 15
         cols = psi.size // low
+        x, y = tile_work(tf, psi.shape) if work is None else _front(work, (2, low, cols + 1))
         np.copyto(x[:, :cols].reshape(low, dim // low, -1),
                   psi.reshape(dim // low, low, -1).transpose(1, 0, 2))
         csr_product(tf.couplings, x, y)

@@ -6,7 +6,7 @@ A_0 = H_i, B = H_f - H_i), the master equation (the same pair as
 commutators, plus i*D for the s-independent dissipator D) and the two-level
 benchmark.  Around s0, with A = A_0 + s0*B, the Taylor coefficients obey
 
-    psi_1 = f A psi_0,     psi_n = (f/n) (A psi_{n-1} + B psi_{n-2})   (n >= 2).
+    psi_n = (f/n) (A psi_{n-1} + B psi_{n-2})   (n >= 1, psi_{-1} = 0).
 
 The schedule is linear in s, so a generator is one fixed pair, built once
 per run as a closure ``apply(v, a_out, b_out)`` that writes A_0 v and B v
@@ -44,6 +44,7 @@ from .spin_system import (
     GroundSpace,
     IsingDiagonal,
     TransverseField,
+    _front,
     apply_initial,
     ground_space,
     tile_rows,
@@ -115,29 +116,9 @@ class PropagationResult:
     converged: bool
 
 
-def _l2(x: np.ndarray) -> float:
-    """Flat 2-norm of a real or complex array of any shape, without BLAS.
-
-    The sum of squares is an ``einsum`` over the real view of the entries
-    (a complex128 array is read as twice as many float64 values), which
-    numpy evaluates in its own loop.  ``np.linalg.norm`` and ``np.vdot``
-    call a threaded BLAS dot instead, whose helper thread keeps spinning
-    beside the main thread after the call and doubles the CPU time of a
-    serial run.  Overflow gives ``inf``, as it does there.
-    """
-    flat = np.ravel(x)
-    flat = flat.view(flat.real.dtype)
-    return math.sqrt(np.einsum("i,i->", flat, flat))
-
-
 def _columns(x: np.ndarray) -> np.ndarray:
     """The problems of a state as columns: a (dim, 1) view of a vector."""
     return x.reshape(x.shape[0], -1)
-
-
-def _front(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A C-contiguous array of ``shape`` on the first entries of ``buf``'s memory."""
-    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 class _Problems:
@@ -150,15 +131,13 @@ class _Problems:
     least over the live problems, so a term in which none can stop costs no
     more.  Otherwise :meth:`freeze` decides each live problem at once: at
     most ``tol/NEAR`` it stops, above ``tol*NEAR`` it runs on, and only in
-    the band between, or with a non-finite estimate, the exact test
-    ``scale*_l2`` of its contiguous column decides.  The estimate and
-    ``_l2`` sum the same ``2*dim`` squares in different orders, so they
-    differ by at most about ``2*dim*eps`` relative, far inside the band of
-    2e-6: every decision is that of a one-column run.  A problem that stops
-    or overflows (its sum is then NaN) is frozen: its sum is copied to the
-    returned block, and its term and (n-2) product are zeroed, so that it
-    never trips the test again.  :meth:`compact` drops the frozen columns
-    from the width the kernel works on.
+    the band between, or with a non-finite estimate, the exact test, the
+    :meth:`squares` of its contiguous column, decides.  The estimate and
+    the exact test sum the same ``2*dim`` squares in different orders, so
+    they differ by at most about ``2*dim*eps`` relative, far inside the band
+    of 2e-6: every decision is that of a one-column run.  A problem that
+    stops or overflows (its sum is then NaN) retires at once: its sum is
+    copied to the returned block, and the kernel drops its column.
     """
 
     # the band of estimates around tol in which the exact test decides
@@ -166,17 +145,24 @@ class _Problems:
 
     def __init__(self, acc: np.ndarray):
         self.vector = acc.ndim == 1
-        self.n_live = width = _columns(acc).shape[1]
-        self.ids = np.arange(width)  # each current column's problem
-        self.frozen_pad = np.zeros(width)  # +inf on frozen columns, for the min
+        width = _columns(acc).shape[1]
+        self.ids = np.arange(width)  # each live column's problem
         self.terms = np.zeros(width, dtype=np.int64)
         self.ok = np.zeros(width, dtype=bool)
-        self.out = None  # the returned block, made when some problems freeze before the rest
+        self.out = None  # the returned block, made when some problems retire before the rest
 
     @staticmethod
     def squares(v: np.ndarray):
         """Each problem's sum of squares over the rows ``v``: a float for a
-        vector, one per column for a block."""
+        vector, one per column for a block.
+
+        The sum is an ``einsum`` over the real view of the entries (a
+        complex128 array is read as twice as many float64 values), which
+        numpy evaluates in its own loop.  ``np.linalg.norm`` and ``np.vdot``
+        call a threaded BLAS dot instead, whose helper thread keeps spinning
+        beside the main thread after the call and doubles the CPU time of a
+        serial run.  Overflow gives ``inf``, as it does there.
+        """
         flat = v.view(v.real.dtype)  # a complex column is two adjacent float columns
         if v.ndim == 1:  # as a (dim, 1) block this costs 6x at N = 18
             return np.einsum("i,i->", flat, flat)
@@ -185,23 +171,24 @@ class _Problems:
 
     def norm(self, sq) -> float:
         """Least norm among the live problems from their sums of squares;
-        NaN if any live problem is not finite (frozen columns are zero)."""
+        NaN if any is not finite."""
         self.sq = sq
         if self.vector:
             return math.sqrt(sq)
         if not sq.max() < math.inf:
             return math.nan
-        return math.sqrt((sq + self.frozen_pad).min())
+        return math.sqrt(sq.min())
 
-    def freeze(self, n, scale, tol, acc, new, ramp) -> bool:
-        """Freeze the problems that stop or overflow at term n; True when all are frozen."""
-        acc, new, ramp = _columns(acc), _columns(new), _columns(ramp)
-        near = scale * np.sqrt(self.sq + self.frozen_pad)  # +inf on frozen columns
+    def freeze(self, n, scale, tol, acc, new) -> np.ndarray:
+        """Retire the problems that stop or overflow at term n; returns the
+        positions of the live columns in ``acc``, none when all are retired."""
+        acc, new = _columns(acc), _columns(new)
+        sq = np.atleast_1d(self.sq)
+        near = scale * np.sqrt(sq)
         stop = near <= tol / self.NEAR
-        # in the band, or not finite on a live column (a frozen one's squares are 0)
         over = []
-        for j in np.flatnonzero(((near <= tol * self.NEAR) ^ stop) | ~np.isfinite(self.sq)):
-            nrm = scale * _l2(np.ascontiguousarray(new[:, j]))
+        for j in np.flatnonzero(((near <= tol * self.NEAR) ^ stop) | ~np.isfinite(sq)):
+            nrm = scale * math.sqrt(self.squares(np.ascontiguousarray(new[:, j])))
             stop[j] = nrm <= tol
             if not math.isfinite(nrm):
                 over.append(j)
@@ -211,35 +198,20 @@ class _Problems:
         if over:
             acc[:, over] = math.nan  # overflowed: no terms counted
             stop[over] = True
-        done = np.flatnonzero(stop)
-        if not done.size:
-            return False
-        self.n_live -= done.size
-        if self.out is None:
-            if not self.n_live:  # all at once: the sums are the result
-                return True
-            self.out = np.empty((acc.shape[0], self.terms.size), acc.dtype)
-        self.out[:, self.ids[done]] = acc[:, done]
-        if not self.n_live:
-            return True
-        self.frozen_pad[done] = math.inf
-        new[:, done] = 0
-        ramp[:, done] = 0
-        return False
-
-    def compact(self) -> np.ndarray:
-        """Keep only the live columns; returns their current positions."""
-        keep = np.flatnonzero(self.frozen_pad == 0)
-        self.ids = self.ids[keep]
-        self.frozen_pad = self.frozen_pad[keep]
+        keep = np.flatnonzero(~stop)
+        if keep.size < stop.size:
+            if self.out is None and keep.size:
+                self.out = np.empty((acc.shape[0], self.terms.size), acc.dtype)
+            if self.out is not None:  # else all retire at once: the sums are the result
+                self.out[:, self.ids[stop]] = acc[:, stop]
+            self.ids = self.ids[keep]
         return keep
 
     def result(self, acc: np.ndarray, max_terms: int):
-        if self.n_live:  # problems that used up max_terms
-            live = self.frozen_pad == 0
-            self.terms[self.ids[live]] = max_terms
+        if self.ids.size:  # problems that used up max_terms
+            self.terms[self.ids] = max_terms
             if self.out is not None:
-                self.out[:, self.ids[live]] = _columns(acc)[:, live]
+                self.out[:, self.ids] = _columns(acc)
         if self.out is not None:
             acc = self.out
         if self.vector:
@@ -247,7 +219,7 @@ class _Problems:
         return acc, self.terms, self.ok
 
 
-# a problem's squares overflow before its entries do, and it is then frozen
+# a problem's squares overflow before its entries do, and it then retires
 # as overflowed: the pair sum of its squares need not warn
 @np.errstate(over="ignore")
 def taylor_segment(
@@ -277,8 +249,10 @@ def taylor_segment(
     (n-2) product and the two outputs), plus the sum, one tile of scratch
     for the shift and the scaled term and, once some columns of a block
     stop before the rest, the returned block; the pair owns any scratch of
-    its own.  The stop test is taken as described at :class:`_Problems`, on
-    norms summed over the tiles.
+    its own.  The loop starts at n = 1 from psi_0 and a zero (n-2)
+    product, so psi_1 is the recurrence's first term.  The stop test is
+    taken from n = 2 as described at :class:`_Problems`, on norms summed
+    over the tiles.
 
     A 1-D state is one problem (flatten a density matrix first), and a
     C-contiguous 2-D state of shape (dim, B) is B independent problems, one
@@ -292,31 +266,28 @@ def taylor_segment(
     NaN with 0 terms and not converged, and any others run on; nothing is
     raised.
 
-    ``narrow(cols)``, when given, returns the pair restricted to the block
-    columns ``cols`` (ascending indices into ``psi_in``'s columns).  When a
-    freeze leaves at most half of the current width live, the kernel then
-    gathers the live columns to the front of its own buffers (the sum and
-    the two kept products each into a buffer that is free at that point,
-    so nothing is allocated) and runs on with the narrowed pair, and the
-    frozen columns cost nothing more.  Without ``narrow`` the width never
-    changes.  Either way each column's state is that of its one-column run
-    bit for bit.
+    A block needs ``narrow(cols)``, which returns the pair restricted to the
+    block columns ``cols`` (ascending indices into ``psi_in``'s columns).
+    At every term in which some columns stop or overflow, the kernel
+    gathers the live ones to the front of its own buffers (the sum and the
+    two kept products each into a buffer that is free at that point, so
+    nothing is allocated) and runs on with the narrowed pair, so a stopped
+    column costs nothing more.  Each column's state is that of its
+    one-column run bit for bit.
     """
     if max_terms < 2:
         raise ValueError("max_terms must be >= 2")
+    if psi_in.ndim == 2 and narrow is None:
+        raise ValueError("a block of problems needs narrow")
     term, ramp_prev, new, ramp = np.empty((4,) + psi_in.shape, psi_in.dtype)
-    for _ in apply(psi_in, term, ramp_prev) or ():  # a tiling pair works as it is iterated
-        pass
-    np.multiply(ramp_prev, s0, out=new)  # new is free until the next term
-    term += new
-    term *= factor
-    acc = step * term
-    acc += psi_in
+    np.copyto(term, psi_in)
+    ramp_prev.fill(0)
+    acc = psi_in.copy()
     problems = _Problems(acc)
     trigger = tol * problems.NEAR
     scratch = None  # one tile, reused while it is still in cache
     squares = problems.squares
-    for n in range(2, max_terms + 1):
+    for n in range(1, max_terms + 1):
         tiles = apply(term, new, ramp)
         bufs = (new, ramp, ramp_prev, acc)
         c, scale, sq = factor / n, step**n, None
@@ -332,11 +303,11 @@ def taylor_segment(
             part = squares(nw)
             sq = part if sq is None else sq + part
         nrm = scale * problems.norm(sq)
-        if not trigger < nrm < math.inf:  # a problem may stop or overflow here
-            if problems.freeze(n, scale, tol, acc, new, ramp):
+        if n > 1 and not trigger < nrm < math.inf:  # a problem may stop or overflow here
+            keep = problems.freeze(n, scale, tol, acc, new)
+            if not keep.size:
                 break
-            if narrow is not None and 2 * problems.n_live <= acc.shape[1]:
-                keep = problems.compact()
+            if keep.size < _columns(acc).shape[1]:
                 shape = (acc.shape[0], keep.size)
                 # a whole-state scratch keeps its memory; a tile is made anew
                 scratch = _front(scratch, shape) if scratch.shape == acc.shape else None
@@ -420,17 +391,13 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray, work: np.ndarray | Non
 
     Beyond N = 13 the low-bit product runs in ``work``, the
     :func:`tile_work` of a state at least as wide as ``diag_f`` (None for
-    N <= 13): the pair lays its own out on the front of that memory, so a
-    narrowed pair shares its full-width pair's and allocates none.  A state
-    of at most :data:`~annealsim.spin_system.TILE_ENTRIES` entries is one
-    tile: the pair returns None.  A larger one is tiled (see
+    N <= 13), so a narrowed pair shares its full-width pair's and allocates
+    none.  A state of at most :data:`~annealsim.spin_system.TILE_ENTRIES`
+    entries is one tile: the pair returns None.  A larger one is tiled (see
     :func:`tile_rows`): the call returns an iterator whose first step does
     the low-bit product, and whose steps each finish both products on one
     row tile.
     """
-    if work is not None:  # two (2**m, k + 1) arrays, k + 1 columns for this width
-        work = _front(work, (2, work.shape[1], diag_f.size // work.shape[1] + 1))
-
     def apply(v, a_out, b_out):
         apply_initial(tf, v, a_out, work)
         np.multiply(diag_f, v, out=b_out)
@@ -474,11 +441,11 @@ def propagate_block(
     The instances share the driver, and their half diagonals form one
     complex (2**(N-1), B) block, so one driver product per term serves all
     of them.  Each column stops, overflows and is counted on its own, and
-    its result equals that of its instance run alone bit for bit.  Once at
-    most half of a segment's columns are still running, the kernel narrows
-    the pair to them (the diagonal's live columns, in the low-bit work of
-    the full width), so a finished column costs nothing more.  A lone instance runs as a vector: as a (dim, 1)
-    block it costs up to 1.5x.
+    its result equals that of its instance run alone bit for bit.  At every
+    term in which columns stop, the kernel narrows the pair to the rest (the
+    diagonal's live columns, in the low-bit work of the full width), so a
+    block pays for each column's own terms only.  A lone instance runs as a
+    vector: as a (dim, 1) block it costs up to 1.5x.
     """
     if any(hf.n_qubits != params.n_qubits for hf in instances):
         raise ValueError("params and Ising instance disagree on qubit count")

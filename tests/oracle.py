@@ -8,10 +8,11 @@ norm bound T*||A|| of its generator, and also runs at half that count: the
 difference of the two is a step-doubling estimate of its own error.  The
 dense superoperator route (:class:`SuperopContext`, :func:`lindblad_segment`)
 runs the Taylor kernel on full matrices, as the reference that the
-structured Lindblad pair is checked against.  Also here: dense spectra, the
-exact two-level gap, the coefficient norms of a segment with its majorant
-(the recurrence and its closed form) and the alternative power stopping
-rule, which reads those norms.
+structured Lindblad pair is checked against, with the dense ladder
+operator of its dissipator (:func:`energy_lowering_matrix`).  Also here:
+dense spectra, the exact two-level gap, the coefficient norms of a segment
+with its majorant (the recurrence and its closed form) and the alternative
+power stopping rule, which reads those norms.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from annealsim.landau_zener import LZParams, lz_ground_state, lz_hamiltonian
 from annealsim.spin_system import (
     CSR, IsingDiagonal, _check_qubits, full_flip_matrix, lift_to_full, uniform_initial_state
 )
-from annealsim.taylor_propagator import _l2, taylor_segment
+from annealsim.taylor_propagator import _Problems, taylor_segment
 
 MAX_DENSE_QUBITS = 10
 # The paper's Landau-Zener benchmark (delta = 1, T = 20).  Its digits from
@@ -255,6 +256,23 @@ def lindblad_segment(
     return rho.reshape(shape), terms, ok
 
 
+def energy_lowering_matrix(hf_full_diag: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The dense ladder operator of the dissipator, as a complex matrix.
+
+    In the basis sorted by (energy ascending, computational index
+    ascending) it has ``scale`` times sqrt(1), sqrt(2), ... on the first
+    superdiagonal; the tie-break selects which degenerate ground state the
+    dissipator relaxes towards.  The reference for the row form of
+    :func:`annealsim.lindblad_propagator.build_energy_lowering_op`.
+    """
+    diag = np.asarray(hf_full_diag)
+    dim = diag.shape[0]
+    order = np.argsort(diag, kind="stable")
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    mat[order[:-1], order[1:]] = scale * np.sqrt(np.arange(1, dim))
+    return mat
+
+
 def dense_spectrum(n_qubits: int, hf: IsingDiagonal, s: float) -> SpectralSlice:
     """Eigenvalues of (1-s) H_i + s H_f in the full space, ascending."""
     _check_qubits(n_qubits, MAX_DENSE_QUBITS)
@@ -289,7 +307,7 @@ def segment_coefficient_norms(apply, psi_in: np.ndarray, n_terms: int) -> np.nda
     norms = []
 
     def recording(v, a_out, b_out):
-        norms.append(_l2(v))
+        norms.append(math.sqrt(_Problems.squares(v)))
         return apply(v, a_out, b_out)
 
     _, terms, _ = taylor_segment(recording, 1.0, psi_in, 1.0, -math.inf, max(n_terms + 1, 2))

@@ -259,6 +259,17 @@ def test_config_validation():
         EnsembleConfig(4, 2.0, runs=1, master_seed=0, mode="thermal")
 
 
+@pytest.mark.parametrize("t_anneal", [-1.0, 0.0, math.nan, math.inf])
+def test_config_rejects_bad_anneal_time(t_anneal, monkeypatch):
+    # at construction, as AnnealParams rejects it: before any seed is drawn
+    # or any pool is forked; sweep_T checks every point before it runs one
+    with pytest.raises(ValueError, match="anneal time"):
+        EnsembleConfig(4, t_anneal, runs=4, master_seed=1)
+    monkeypatch.setattr(ens, "_run_block", lambda *args: pytest.fail("a point ran"))
+    with pytest.raises(ValueError, match="anneal time"):
+        sweep_T(3, 1, [2.0, t_anneal])
+
+
 def test_blown_up_instances_are_recorded():
     # one segment at T=10 blows the N=6 series up to P ~ 1e35 without an
     # overflow; each instance is a recorded failure and the run completes

@@ -25,19 +25,20 @@ from oracle import (
     SuperopContext,
     apply_liouvillian_const,
     apply_liouvillian_ramp,
+    energy_lowering_matrix,
     lindblad_segment,
     scipy_csr,
 )
 
 
 def test_lowering_op_two_levels():
-    op = build_energy_lowering_op(np.array([0, 1]))
+    op = energy_lowering_matrix(np.array([0, 1]))
     assert np.array_equal(op, [[0, 1], [0, 0]])
 
 
 def test_lowering_op_sorted_superdiagonal():
     diag = np.array([3, -1, 0, 2])
-    op = build_energy_lowering_op(diag)
+    op = energy_lowering_matrix(diag)
     order = np.argsort(diag, kind="stable")
     sorted_mat = op[np.ix_(order, order)]
     expected = np.zeros((4, 4))
@@ -49,7 +50,7 @@ def test_lowering_op_degenerate_ordering():
     # N=2 ferromagnet: full diagonal (-1, 1, 1, -1); energy-sorted order with
     # index tie-break is (0, 3, 1, 2).  Verified by direct multiplication.
     diag = np.array([-1, 1, 1, -1])
-    op = build_energy_lowering_op(diag)
+    op = energy_lowering_matrix(diag)
     order = np.argsort(diag, kind="stable")
     assert list(order) == [0, 3, 1, 2]
     sorted_mat = op[np.ix_(order, order)]
@@ -60,6 +61,32 @@ def test_lowering_op_degenerate_ordering():
     assert np.allclose(sorted(np.linalg.eigvalsh(ada).real), [0, 1, 2, 3], atol=1e-12)
     aad = op @ op.conj().T
     assert np.allclose(np.diag(aad).real, [1, 3, 0, 2])
+
+
+def _ferromagnet_full_diag(n):
+    j = np.zeros((n, n), dtype=np.int64)
+    j[np.triu_indices(n, k=1)] = 1
+    return lift_to_full(ising_half_diag(n, j))
+
+
+@pytest.mark.parametrize(
+    "diag",
+    [
+        np.random.default_rng(3).integers(-6, 7, size=64),  # N=6, with ties
+        _ferromagnet_full_diag(2),
+        _ferromagnet_full_diag(4),
+    ],
+)
+def test_lowering_op_rows_are_the_dense_operator(diag):
+    # row i of the dense ladder holds w[i] at column src[i] and nothing
+    # else; the empty top row is weight 0 at column 0
+    src, w = build_energy_lowering_op(diag, 0.3)
+    dense = energy_lowering_matrix(diag, 0.3)
+    rows = np.zeros_like(dense)
+    rows[np.arange(diag.size), src] = w
+    assert np.array_equal(rows, dense)
+    top = np.argsort(diag, kind="stable")[-1]
+    assert src[top] == 0 and w[top] == 0
 
 
 def test_liouvillian_const_commuting_diagonals():
@@ -143,7 +170,7 @@ def test_fast_segment_matches_generic(n, l_scale):
     fd = inst.full_diag()
     hi = scipy_csr(full_flip_matrix(n)).toarray().astype(complex)
     c = -1j * t_anneal
-    lop = build_energy_lowering_op(fd, l_scale) if l_scale else None
+    lop = energy_lowering_matrix(fd, l_scale) if l_scale else None
     ctx = SuperopContext.create(
         c * ((1 - s0) * hi + s0 * np.diag(fd.astype(float))),
         c * (np.diag(fd.astype(float)) - hi),

@@ -6,7 +6,6 @@ import pytest
 from annealsim import cli, ensemble, landau_zener, lindblad_propagator, taylor_propagator
 from annealsim.errors import CapacityError
 from annealsim.landau_zener import LZParams, lz_ground_state, lz_propagate
-from annealsim.lindblad_propagator import build_energy_lowering_op
 from annealsim.spin_system import (
     IsingDiagonal,
     full_flip_matrix,
@@ -21,6 +20,7 @@ from oracle import (
     LZ_P_TWO_SEGMENTS,
     SuperopContext,
     dense_spectrum,
+    energy_lowering_matrix,
     lindblad_segment,
     lz_gap,
     rk4_landau_zener,
@@ -90,7 +90,7 @@ def test_rk4_lindblad_cross_checks_taylor_recurrence():
     hi = scipy_csr(full_flip_matrix(n)).toarray().astype(complex)
     fd = inst.full_diag().astype(float)
     c = -1j * t
-    lop = build_energy_lowering_op(inst.full_diag(), 0.1)
+    lop = energy_lowering_matrix(inst.full_diag(), 0.1)
     ramp = c * (np.diag(fd) - hi)
     psi0 = lift_to_full(uniform_initial_state(n))
     rho0 = np.outer(psi0, psi0.conj())

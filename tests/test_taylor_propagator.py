@@ -108,8 +108,11 @@ def test_segment_shift_equals_folded_pair(shape, pair):
     psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     psi /= np.linalg.norm(psi, axis=0)
     c = -0.5j
-    got, t_got, ok_got = taylor_segment(pair(a0, b), c, psi, 0.5, 1e-13, 300, s0)
-    ref, t_ref, ok_ref = taylor_segment(pair(folded, b), c, psi, 0.5, 1e-13, 300)
+    # a matrix pair acts on the rows, so it serves any set of columns
+    got, t_got, ok_got = taylor_segment(pair(a0, b), c, psi, 0.5, 1e-13, 300, s0,
+                                        lambda cols: pair(a0, b))
+    ref, t_ref, ok_ref = taylor_segment(pair(folded, b), c, psi, 0.5, 1e-13, 300, 0.0,
+                                        lambda cols: pair(folded, b))
     assert np.all(ok_got) and np.all(ok_ref)
     assert np.array_equal(t_got, t_ref)
     assert got.shape == shape and np.max(np.abs(got - ref)) < 1e-13
@@ -176,7 +179,8 @@ def test_block_column_failure_leaves_neighbour_bitwise(scale, monkeypatch):
         block_psi = np.repeat(psi[:, None], 2, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             got, terms, ok = taylor_segment(
-                _ising_apply(tf, block_diag, None), c, block_psi, step, 1e-12, max_terms, s0
+                _ising_apply(tf, block_diag, None), c, block_psi, step, 1e-12, max_terms, s0,
+                narrow=lambda cols: _ising_apply(tf, block_diag[:, cols], None),
             )
         ref, t_ref, ok_ref = one_column(diag)
         assert ok_ref and ok[0] and t_ref < max_terms
@@ -214,6 +218,7 @@ def test_all_columns_overflowing_end_the_run(monkeypatch):
         state, terms, drift, ok = run_segments(
             _ising_apply(tf, block, None), -1j * t_anneal, psi, t_anneal,
             SegmentSchedule(segments=3), lambda v: 2.0 * _Problems.squares(v),
+            lambda cols: _ising_apply(tf, block[:, cols], None),
         )
         results = propagate_block(
             AnnealParams(n, t_anneal), [random_ising_half(n, 1)] * 2, SegmentSchedule(segments=3)
@@ -263,28 +268,59 @@ def test_compacted_block_columns_are_their_one_instance_runs(monkeypatch):
     assert block[15].terms_per_segment == [] and np.isnan(block[15].psi_final).all()
 
 
+def test_block_pays_only_for_its_columns_own_terms(monkeypatch):
+    # a column leaves the block at the term it stops: the widths of the
+    # driver products sum to the columns' own term counts
+    widths = []
+
+    def counted(tf, psi, out, work):
+        widths.append(psi.shape[1])
+        return apply_initial(tf, psi, out, work)
+
+    monkeypatch.setattr(tp, "apply_initial", counted)
+    params, schedule = AnnealParams(6, 5.0), SegmentSchedule(segments=3)
+    block = propagate_block(params, [random_ising_half(6, seed) for seed in (2, 5, 6)], schedule)
+    assert min(widths) == 1
+    assert sum(widths) == sum(sum(r.terms_per_segment) for r in block)
+
+
+def test_block_without_narrow_is_rejected():
+    psi = np.ones((4, 2), dtype=complex)
+    with pytest.raises(ValueError, match="narrow"):
+        taylor_segment(_scalar_pair(np.ones(2), np.zeros(2)), -1j, psi, 0.5)
+
+
 def test_exact_norms_only_in_the_band_or_non_finite(monkeypatch):
     # a live column's block estimate decides its stop test unless it lies
     # within a factor NEAR of tol, or is not finite: only then is the exact
-    # norm of its contiguous column taken
+    # norm of its contiguous column taken: the only squares of a 1-D array,
+    # as block terms and the drift weights pass 2-D views
     n, step, s0 = 6, 0.25, 0.5
     tf = transverse_field_half(n)
     diags = [random_ising_half(n, k).half_diag.astype(complex) for k in (2, 5, 6)]
     psi = np.repeat(uniform_initial_state(n)[:, None], 3, axis=1)
     exact, sums = [], []
-    l2, norm = tp._l2, tp._Problems.norm
-    monkeypatch.setattr(tp, "_l2", lambda x: exact.append(l2(x)) or exact[-1])
+    squares, norm = tp._Problems.squares, tp._Problems.norm
+
+    def spy(v):
+        sq = squares(v)
+        if v.ndim == 1:
+            exact.append(math.sqrt(sq))
+        return sq
+
+    monkeypatch.setattr(tp._Problems, "squares", staticmethod(spy))
     monkeypatch.setattr(tp._Problems, "norm", lambda self, sq: sums.append(sq.copy()) or norm(self, sq))
 
     def run(block, tol):
         sums.clear()
-        return taylor_segment(_ising_apply(tf, block, None), -3j, psi, step, tol, 200, s0)
+        return taylor_segment(_ising_apply(tf, block, None), -3j, psi, step, tol, 200, s0,
+                              narrow=lambda cols: _ising_apply(tf, block[:, cols], None))
 
     _, terms, ok = run(np.stack(diags, axis=1), 1e-12)
     assert ok.all() and len(set(terms)) == 3 and exact == []
     # a tol equal to column 0's estimate at its last term puts it in the band
     stop = terms[0]
-    tol = step**stop * np.sqrt(sums[stop - 2][0])
+    tol = step**stop * np.sqrt(sums[stop - 1][0])
     _, terms2, ok2 = run(np.stack(diags, axis=1), tol)
     assert len(exact) == 1 and abs(step**stop * exact[0] / tol - 1) < 1e-12
     assert terms2[0] in (stop, stop + 1)
@@ -306,53 +342,50 @@ def _scalar_pair(a, b):
 
 
 def test_real_block_columns_are_their_one_column_runs():
-    # a real state's column is one float column, not a complex pair; with
-    # and without narrowing, each column is its one-column run
+    # a real state's column is one float column, not a complex pair; each
+    # column of the narrowing block is its one-column run
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(2, 6)) * [[1], [0.3]] + [[1], [0]]
     psi = rng.normal(size=(8, 6))
-    for narrow in (None, lambda cols: _scalar_pair(a[cols], b[cols])):
-        got, terms, ok = taylor_segment(_scalar_pair(a, b), -0.7, psi, 0.5, 1e-12, 200, 0.2, narrow)
-        assert ok.all() and len(set(terms)) > 1
-        for j in range(6):
-            col = np.ascontiguousarray(psi[:, j])
-            ref, t_ref, ok_ref = taylor_segment(_scalar_pair(a[j], b[j]), -0.7, col, 0.5, 1e-12, 200, 0.2)
-            assert got.dtype == ref.dtype == np.float64 and terms[j] == t_ref
-            assert got[:, j].tobytes() == ref.tobytes()
+    got, terms, ok = taylor_segment(_scalar_pair(a, b), -0.7, psi, 0.5, 1e-12, 200, 0.2,
+                                    lambda cols: _scalar_pair(a[cols], b[cols]))
+    assert ok.all() and len(set(terms)) > 1
+    for j in range(6):
+        col = np.ascontiguousarray(psi[:, j])
+        ref, t_ref, ok_ref = taylor_segment(_scalar_pair(a[j], b[j]), -0.7, col, 0.5, 1e-12, 200, 0.2)
+        assert got.dtype == ref.dtype == np.float64 and terms[j] == t_ref
+        assert got[:, j].tobytes() == ref.tobytes()
 
 
 def test_compaction_allocates_no_state_buffer():
-    # a segment that narrows its 16 columns down to 1 peaks no higher than
-    # the same segment at full width, up to a few small index arrays: the
+    # a segment that narrows its 16 columns down to 1 peaks at seven states
+    # (the four rotating buffers, the sum, the scratch and the returned
+    # block, made when some columns stop before the rest) and the copy of
+    # the columns that stop together, up to a few small index arrays: the
     # live columns move into the kernel's own buffers.  The pair's narrowing
-    # allocates only its two length-k coefficient vectors.  Either peak is
-    # seven states (the four rotating buffers, the sum, the scratch and the
-    # returned block, made when some columns stop before the rest) and the
-    # copy of the columns that stop together
+    # allocates only its two length-k coefficient vectors
     dim, width = 4096, 16
     a, b = np.linspace(1.0, 24.0, width), np.full(width, 0.5)
     psi = np.ones((dim, width), dtype=complex) / np.sqrt(dim)
-    narrowings, peaks, results = [], [], []
+    narrowings = []
 
     def narrow(cols):
         narrowings.append(cols.size)
         return _scalar_pair(a[cols], b[cols])
 
-    for narrowing in (None, narrow):
-        tracemalloc.start()
-        try:
-            segment = taylor_segment(_scalar_pair(a, b), -1j, psi, 0.5, 1e-12, 200, 0.5, narrowing)
-            results.append(segment)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        narrowed, terms, ok = taylor_segment(_scalar_pair(a, b), -1j, psi, 0.5, 1e-12, 200, 0.5, narrow)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert narrowings and min(narrowings) == 1
-    assert peaks[1] < peaks[0] + 16384
-    assert peaks[0] < 7.5 * psi.nbytes
-    (full, t_full, ok_full), (narrowed, t_narrowed, ok_narrowed) = results
-    assert full.tobytes() == narrowed.tobytes()
-    assert np.array_equal(t_full, t_narrowed) and ok_full.all() and ok_narrowed.all()
-    assert len(set(t_full)) > 8
+    assert peak < 7.5 * psi.nbytes
+    assert ok.all() and len(set(terms)) > 8
+    for j in range(width):
+        col = np.ascontiguousarray(psi[:, j])
+        ref, t_ref, ok_ref = taylor_segment(_scalar_pair(a[j], b[j]), -1j, col, 0.5, 1e-12, 200, 0.5)
+        assert narrowed[:, j].tobytes() == ref.tobytes() and terms[j] == t_ref and ok_ref
 
 
 def test_block_flags_only_the_drifting_column():
@@ -521,7 +554,7 @@ def test_two_tile_segment_is_bitwise_one_tile_segment(monkeypatch):
     ref, t_ref, ok_ref = taylor_segment(apply, -10j, psi, 0.025, 1e-12, 500, 0.5)
     assert ok and ok_ref and terms == t_ref > 10
     assert got.tobytes() == ref.tobytes()
-    assert len(tiled_sums) == len(sums) == terms - 1
+    assert len(tiled_sums) == len(sums) == terms
     assert np.allclose(tiled_sums, sums, rtol=1e-12, atol=0)
 
 
