@@ -5,33 +5,29 @@ sweep with histogram), ``lindblad`` (one dissipative run), ``lz`` and
 ``lz-sweep`` (two-level benchmark), ``scaling`` (wall-time sweep over N).
 
 Exit codes: 0 success; 1 invalid flags, including every value or size the
-library rejects; 2 completed but non-converged, which covers runs that
-overflow or blow up (no run failure raises).  Outputs are deterministic for
-identical flags; wall-clock measurements are isolated in the ``timing``
-block of JSON records.  Worker count for ensembles comes from --workers or
-the ANNEALSIM_WORKERS environment variable (default: the CPUs this process
-may run on); n workers are this process plus n - 1 forked ones.
+library rejects and an output path that is not a file in an existing
+directory (checked before the run); 2 completed but non-converged, which
+covers runs that overflow or blow up (no run failure raises).  This module
+writes every output: JSON run records and CSV files.  Outputs are
+deterministic for identical flags; wall-clock measurements are isolated in
+the ``timing`` block of JSON records.  Worker count for ensembles comes from
+--workers or the ANNEALSIM_WORKERS environment variable (default: the CPUs
+this process may run on); n workers are this process plus n - 1 forked ones.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import math
+import os
 import sys
 import time
 from functools import partial
 
 import numpy as np
 
-from .ensemble import (
-    EnsembleConfig,
-    _json_float,
-    record,
-    run_ensemble,
-    run_record,
-    scaling_sweep,
-    write_csv,
-    write_json,
-)
+from .ensemble import EnsembleConfig, EnsembleResult, run_ensemble, scaling_sweep
 from .errors import CapacityError
 from .lindblad_propagator import propagate_density
 from .landau_zener import LZParams, lz_propagate
@@ -47,6 +43,7 @@ from .taylor_propagator import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
+SCHEMA_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,6 +53,87 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _json_float(x: float) -> float | None:
+    # JSON has no NaN; an overflowed run's NaN fields are written as null
+    return None if math.isnan(x) else x
+
+
+def record(
+    kind: str,
+    config: dict,
+    schedule: SegmentSchedule,
+    t_anneal: float,
+    timing: dict,
+    **sections,
+) -> dict:
+    """JSON-ready run record: ``config`` gains the resolved schedule, the
+    ``sections`` become top-level entries, and all wall-clock data lives in
+    the separate ``timing`` block."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "config": {
+            **config,
+            "segments": schedule.resolve(t_anneal),
+            "tol": schedule.tol,
+            "max_terms": schedule.max_terms,
+        },
+        **sections,
+        "timing": timing,
+    }
+
+
+def run_record(config: EnsembleConfig, result: EnsembleResult, wall_seconds: float) -> dict:
+    """JSON-ready record of an ensemble run."""
+    bins = config.bins
+    return record(
+        "ensemble",
+        {
+            "qubits": config.n_qubits,
+            "time": config.t_anneal,
+            "runs": config.runs,
+            "master_seed": config.master_seed,
+            "bins": bins,
+            "mode": config.mode,
+            "l_scale": config.l_scale,
+        },
+        config.schedule,
+        config.t_anneal,
+        {"wall_seconds": wall_seconds, "workers": result.workers, "blocks": result.blocks},
+        histogram={
+            "bin_edges": [i / bins for i in range(bins + 1)],
+            "counts": [int(c) for c in result.histogram],
+        },
+        instances=[
+            {"index": r.index, "seed": r.seed, "p": _json_float(r.success_p),
+             "terms": r.terms_total, "norm_drift": _json_float(r.norm_drift),
+             "converged": r.converged}
+            for r in result.records
+        ],
+        failures=[{"index": r.index, "seed": r.seed} for r in result.failures],
+        summary={
+            "converged": len(result.probabilities),
+            "failed": result.failure_count,
+            "mean_p": float(result.probabilities.mean()) if result.probabilities.size else None,
+        },
+    )
+
+
+def write_json(path: str, data: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path: str, header: list[str], rows) -> None:
+    """Comma-separated text with LF line ends; cells of ``rows`` (Python ints
+    and floats) are written as their ``repr``."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _schedule_from(args) -> SegmentSchedule:
@@ -156,7 +234,8 @@ def _run_one(args, kind, run, config, drift):
         config = {"qubits": args.qubits, "time": args.time, "seed": args.seed, **config}
         result = {"p": _json_float(res.success_p), drift: _json_float(getattr(res, drift)),
                   "terms_per_segment": res.terms_per_segment, "converged": res.converged}
-        write_json(args.out, record(kind, config, schedule, args.time, wall, result=result))
+        write_json(args.out, record(kind, config, schedule, args.time, {"wall_seconds": wall},
+                                    result=result))
     return (EXIT_OK if res.converged else EXIT_NOT_CONVERGED), res
 
 
@@ -181,12 +260,12 @@ def _cmd_ensemble(parser, args) -> int:
     t0 = time.perf_counter()
     result = run_ensemble(config, workers=args.workers)
     wall = time.perf_counter() - t0
+    out = run_record(config, result, wall)
     if args.format == "json":
-        write_json(args.out, run_record(config, result, wall))
-    else:
-        bins = config.bins
-        write_csv(args.out, ["bin_low", "bin_high", "count"],
-                  [(i / bins, (i + 1) / bins, int(c)) for i, c in enumerate(result.histogram)])
+        write_json(args.out, out)
+    else:  # the record's histogram: one bin-edge rule for both formats
+        edges, counts = out["histogram"]["bin_edges"], out["histogram"]["counts"]
+        write_csv(args.out, ["bin_low", "bin_high", "count"], zip(edges, edges[1:], counts))
     print(
         f"ensemble done: {len(result.probabilities)} converged, "
         f"{result.failure_count} failed, wrote {args.out}"
@@ -263,9 +342,12 @@ def main(argv=None) -> int:
         "lz-sweep": _cmd_lz_sweep,
         "scaling": _cmd_scaling,
     }
+    for path in (vars(args).get("out"), vars(args).get("csv")):  # checked before the run
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            parser.error(f"cannot write {path!r}: not a file in an existing directory")
     try:
         return handlers[args.command](parser, args)
-    except (ValueError, CapacityError) as exc:  # input the library rejects is a flag error
+    except (ValueError, CapacityError, OSError) as exc:  # rejected input, unwritable output
         parser.error(str(exc))
 
 

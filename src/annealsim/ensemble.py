@@ -27,7 +27,6 @@ to the last bin).
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -42,10 +41,9 @@ from .lindblad_propagator import MAX_DENSITY_QUBITS, propagate_density
 from .spin_system import MAX_QUBITS, _check_qubits, random_ising_block, random_ising_half
 from .taylor_propagator import AnnealParams, SegmentSchedule, propagate, propagate_block
 
-SCHEMA_VERSION = 2
 WORKERS_ENV_VAR = "ANNEALSIM_WORKERS"
 # Half-space entries of one unitary block: 64 columns at N = 8, 4 at N = 12,
-# one (a plain per-instance run) from N = 15 on.  Twice as wide measured no
+# one (a plain per-instance run) from N = 14 on.  Twice as wide measured no
 # faster at N = 8, 10 or 12.
 BLOCK_ENTRIES = 8192
 
@@ -277,92 +275,3 @@ def scaling_sweep(
         ys = np.log(np.asarray(means)[order])
         slope = float(np.polyfit(xs, ys, 1)[0])
     return ScalingResult(n_values, means, slope)
-
-
-def _json_float(x: float) -> float | None:
-    # JSON has no NaN; an overflowed run's NaN fields are written as null
-    return None if math.isnan(x) else x
-
-
-def record_to_dict(rec: InstanceRecord) -> dict:
-    return {
-        "index": rec.index,
-        "seed": rec.seed,
-        "p": _json_float(rec.success_p),
-        "terms": rec.terms_total,
-        "norm_drift": _json_float(rec.norm_drift),
-        "converged": rec.converged,
-    }
-
-
-def record(
-    kind: str,
-    config: dict,
-    schedule: SegmentSchedule,
-    t_anneal: float,
-    wall_seconds: float,
-    **sections,
-) -> dict:
-    """JSON-ready run record: ``config`` gains the resolved schedule, the
-    ``sections`` become top-level entries, and all timing lives in the
-    separate block."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": kind,
-        "config": {
-            **config,
-            "segments": schedule.resolve(t_anneal),
-            "tol": schedule.tol,
-            "max_terms": schedule.max_terms,
-        },
-        **sections,
-        "timing": {"wall_seconds": wall_seconds},
-    }
-
-
-def run_record(config: EnsembleConfig, result: EnsembleResult, wall_seconds: float) -> dict:
-    """JSON-ready record of an ensemble run."""
-    bins = config.bins
-    out = record(
-        "ensemble",
-        {
-            "qubits": config.n_qubits,
-            "time": config.t_anneal,
-            "runs": config.runs,
-            "master_seed": config.master_seed,
-            "bins": bins,
-            "mode": config.mode,
-            "l_scale": config.l_scale,
-        },
-        config.schedule,
-        config.t_anneal,
-        wall_seconds,
-        histogram={
-            "bin_edges": [i / bins for i in range(bins + 1)],
-            "counts": [int(c) for c in result.histogram],
-        },
-        instances=[record_to_dict(r) for r in result.records],
-        failures=[{"index": r.index, "seed": r.seed} for r in result.failures],
-        summary={
-            "converged": len(result.probabilities),
-            "failed": result.failure_count,
-            "mean_p": float(result.probabilities.mean()) if result.probabilities.size else None,
-        },
-    )
-    out["timing"].update(workers=result.workers, blocks=result.blocks)
-    return out
-
-
-def write_json(path: str, record: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_csv(path: str, header: list[str], rows) -> None:
-    """Comma-separated text with LF line ends; cells of ``rows`` (Python ints
-    and floats) are written as their ``repr``."""
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, row)) + "\n")

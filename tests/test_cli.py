@@ -93,6 +93,9 @@ def test_ensemble_json_and_csv(tmp_path, capsys):
     assert len(lines) == 9
     counts = [int(row.split(",")[2]) for row in lines[1:]]
     assert counts == record["histogram"]["counts"]
+    edges = record["histogram"]["bin_edges"]
+    assert [float(row.split(",")[0]) for row in lines[1:]] == edges[:-1]
+    assert [float(row.split(",")[1]) for row in lines[1:]] == edges[1:]
 
 
 def test_ensemble_worker_count_independence(tmp_path, capsys):
@@ -283,6 +286,17 @@ def test_rejected_input_exits_1(tmp_path, capsys, monkeypatch):
         ["scaling", "--qubits-list", "4", "--time", "0"],
         ["scaling", "--qubits-list", "4", "--time", "2", "--runs", "0"],
     ]
+    # an output path must be a file in an existing directory
+    for bad in (str(tmp_path / "missing" / "x.out"), str(tmp_path)):
+        table += [
+            ["single", "--qubits", "4", "--time", "1", "--seed", "1", "--out", bad],
+            ensemble[:-1] + [bad],
+            ensemble[:-1] + [bad, "--format", "csv"],
+            ["lindblad", "--qubits", "3", "--time", "2", "--seed", "1", "--out", bad],
+            ["lindblad", "--qubits", "3", "--time", "2", "--seed", "1", "--csv", bad],
+            ["lz-sweep", "--points", "2", "--out", bad],
+            ["scaling", "--qubits-list", "4", "--time", "1", "--runs", "1", "--out", bad],
+        ]
     for argv in table:
         code = run_cli(argv)
         err = capsys.readouterr().err
@@ -296,6 +310,29 @@ def test_rejected_input_exits_1(tmp_path, capsys, monkeypatch):
         assert code == 1, value
         assert "error: ANNEALSIM_WORKERS" in err, value
     assert not (tmp_path / "x.json").exists()
+
+
+def test_unwritable_out_stops_the_ensemble_before_it_runs(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("annealsim.cli.run_ensemble", lambda *a, **k: calls.append(a))
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert run_cli(["ensemble", "--qubits", "3", "--time", "2", "--runs", "2",
+                        "--seed", "1", "--out", str(out)]) == 1
+        assert "error: cannot write" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_write_error_exits_1(tmp_path, capsys, monkeypatch):
+    # an output that fails while written (say, a read-only directory) is a flag error
+    def refuse(path, *args):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr("annealsim.cli.write_json", refuse)
+    out = str(tmp_path / "x.json")
+    assert run_cli(["single", "--qubits", "4", "--time", "1", "--seed", "1", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "error: [Errno 13] Permission denied" in err
+    assert "Traceback" not in err
 
 
 def test_overflowing_runs_exit_2(tmp_path, capsys):

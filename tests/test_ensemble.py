@@ -16,10 +16,10 @@ from annealsim.ensemble import (
     instance_seed,
     resolve_workers,
     run_ensemble,
-    run_record,
     scaling_sweep,
     sweep_T,
 )
+from annealsim.cli import run_record
 from annealsim.spin_system import (
     apply_initial,
     ground_space,
@@ -66,6 +66,8 @@ def test_unitary_blocks_match_direct_propagate():
         direct.append(InstanceRecord(
             k, seed, res.success_p, sum(res.terms_per_segment), res.norm_drift, res.converged
         ))
+    assert block_width(13, 10000, 1) == 2
+    assert block_width(14, 10000, 1) == 1  # a block is one column from N = 14 on
     for workers, width in ((1, 64), (2, 64), (3, 44)):
         assert block_width(n, runs, workers) == width
         config = EnsembleConfig(n, t_anneal, runs, master_seed=7)
