@@ -44,7 +44,6 @@ from .spin_system import (
     GroundSpace,
     IsingDiagonal,
     TransverseField,
-    _front,
     apply_initial,
     ground_space,
     tile_rows,
@@ -121,6 +120,11 @@ def _columns(x: np.ndarray) -> np.ndarray:
     return x.reshape(x.shape[0], -1)
 
 
+def _front(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous array of ``shape`` on the first entries of ``buf``'s memory."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 class _Problems:
     """Per-problem bookkeeping of :func:`taylor_segment`.
 
@@ -172,18 +176,17 @@ class _Problems:
     def norm(self, sq) -> float:
         """Least norm among the live problems from their sums of squares;
         NaN if any is not finite."""
-        self.sq = sq
         if self.vector:
             return math.sqrt(sq)
         if not sq.max() < math.inf:
             return math.nan
         return math.sqrt(sq.min())
 
-    def freeze(self, n, scale, tol, acc, new) -> np.ndarray:
-        """Retire the problems that stop or overflow at term n; returns the
-        positions of the live columns in ``acc``, none when all are retired."""
+    def freeze(self, n, scale, tol, sq, acc, new) -> np.ndarray:
+        """Retire the problems whose sums of squares ``sq`` stop or overflow at term n;
+        returns the positions of the live columns in ``acc``, none when all are retired."""
         acc, new = _columns(acc), _columns(new)
-        sq = np.atleast_1d(self.sq)
+        sq = np.atleast_1d(sq)
         near = scale * np.sqrt(sq)
         stop = near <= tol / self.NEAR
         over = []
@@ -304,7 +307,7 @@ def taylor_segment(
             sq = part if sq is None else sq + part
         nrm = scale * problems.norm(sq)
         if n > 1 and not trigger < nrm < math.inf:  # a problem may stop or overflow here
-            keep = problems.freeze(n, scale, tol, acc, new)
+            keep = problems.freeze(n, scale, tol, sq, acc, new)
             if not keep.size:
                 break
             if keep.size < _columns(acc).shape[1]:
@@ -378,7 +381,7 @@ def settle(raw_p: float, ok: bool) -> tuple[float, bool]:
     return raw_p, False
 
 
-def _ising_apply(tf: TransverseField, diag_f: np.ndarray, work: np.ndarray | None) -> Apply:
+def _ising_apply(tf: TransverseField, diag_f: np.ndarray) -> Apply:
     """The annealing pair A_0 = H_i, B = H_f - H_i (factor -iT).
 
     ``apply(v, a_out, b_out)`` writes one driver product into ``a_out``
@@ -389,15 +392,17 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray, work: np.ndarray | Non
     ``propagate`` passes the diagonal as complex128, like the states.  A
     (dim, B) diagonal block and state run B instances, column by column.
 
-    Beyond N = 13 the low-bit product runs in ``work``, the
-    :func:`tile_work` of a state at least as wide as ``diag_f`` (None for
-    N <= 13), so a narrowed pair shares its full-width pair's and allocates
-    none.  A state of at most :data:`~annealsim.spin_system.TILE_ENTRIES`
+    Beyond N = 13 the low-bit product runs in the pair's own
+    :func:`tile_work`, made once for the width of ``diag_f`` (None for
+    N <= 13), so a pair narrowed to a block's live columns makes its own.
+    A state of at most :data:`~annealsim.spin_system.TILE_ENTRIES`
     entries is one tile: the pair returns None.  A larger one is tiled (see
     :func:`tile_rows`): the call returns an iterator whose first step does
     the low-bit product, and whose steps each finish both products on one
     row tile.
     """
+    work = tile_work(tf, diag_f.shape)
+
     def apply(v, a_out, b_out):
         apply_initial(tf, v, a_out, work)
         np.multiply(diag_f, v, out=b_out)
@@ -442,10 +447,10 @@ def propagate_block(
     complex (2**(N-1), B) block, so one driver product per term serves all
     of them.  Each column stops, overflows and is counted on its own, and
     its result equals that of its instance run alone bit for bit.  At every
-    term in which columns stop, the kernel narrows the pair to the rest (the
-    diagonal's live columns, in the low-bit work of the full width), so a
-    block pays for each column's own terms only.  A lone instance runs as a
-    vector: as a (dim, 1) block it costs up to 1.5x.
+    term in which columns stop, the kernel narrows the pair to the rest (a
+    pair on the diagonal's live columns), so a block pays for each column's
+    own terms only.  A lone instance runs as a vector: as a (dim, 1) block
+    it costs up to 1.5x.
     """
     if any(hf.n_qubits != params.n_qubits for hf in instances):
         raise ValueError("params and Ising instance disagree on qubit count")
@@ -458,13 +463,12 @@ def propagate_block(
         diag_f = np.stack([hf.half_diag for hf in instances], axis=1).astype(np.complex128)
         psi0 = np.repeat(psi0[:, None], width, axis=1)
     tf = transverse_field_half(params.n_qubits)
-    work = tile_work(tf, diag_f.shape)  # the low-bit product's input and output, at every width
     psi, terms, drift, converged = run_segments(
-        _ising_apply(tf, diag_f, work), -1j * params.t_anneal, psi0, params.t_anneal, schedule,
+        _ising_apply(tf, diag_f), -1j * params.t_anneal, psi0, params.t_anneal, schedule,
         # the lifted squared norm over the column view: a vector sums its
         # squares in the order of a block column, so the drifts agree
         lambda v: 2.0 * _Problems.squares(_columns(v)),
-        lambda cols: _ising_apply(tf, diag_f[:, cols], work),
+        lambda cols: _ising_apply(tf, diag_f[:, cols]),
     )
     terms = np.array(terms, dtype=np.int64).reshape(-1, width)
     results = []

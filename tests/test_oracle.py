@@ -3,7 +3,9 @@ import inspect
 import numpy as np
 import pytest
 
-from annealsim import cli, ensemble, landau_zener, lindblad_propagator, taylor_propagator
+from annealsim import (
+    cli, ensemble, landau_zener, lindblad_propagator, spin_system, taylor_propagator,
+)
 from annealsim.errors import CapacityError
 from annealsim.landau_zener import LZParams, lz_ground_state, lz_propagate
 from annealsim.spin_system import (
@@ -221,6 +223,22 @@ def test_only_the_kernel_reads_the_drift_bound():
         code = compile(inspect.getsource(module), module.__file__, "exec")
         assert "MAX_DRIFT" not in _code_names(code), module.__name__
     assert "MAX_DRIFT" in _code_names(taylor_propagator.run_segments.__code__)
+
+
+def test_each_ising_pair_owns_its_low_bit_work():
+    # the low-bit work of the driver product is made by the pair that uses
+    # it, at its own width: no other function of the kernel reads tile_work,
+    # and spin_system keeps no helper to lay a wider work out again
+    code = compile(inspect.getsource(taylor_propagator), taylor_propagator.__file__, "exec")
+    readers = {c.co_name for c in code.co_consts
+               if hasattr(c, "co_names") and "tile_work" in _code_names(c)}
+    assert readers == {"_ising_apply"}
+    assert not hasattr(spin_system, "_front")
+    # and the kernel takes no private name from spin_system
+    private = [name for name in vars(taylor_propagator)
+               if name.startswith("_") and not name.startswith("__")]
+    assert not [name for name in private
+                if getattr(spin_system, name, None) is getattr(taylor_propagator, name)]
 
 
 def test_rk4_estimate_bounds_its_error():

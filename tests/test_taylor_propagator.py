@@ -151,7 +151,7 @@ def test_specialized_segment_matches_generic(n, s0, pair):
         return c * (diag_f * v - apply_initial(tf, v))
 
     ref, t_ref, ok_ref = taylor_segment(pair(apply_const, apply_ramp), 1.0, psi_in, step, 1e-13, 400)
-    got, t_got, ok_got = taylor_segment(_ising_apply(tf, diag_f, None), c, psi_in, step, 1e-13, 400, s0)
+    got, t_got, ok_got = taylor_segment(_ising_apply(tf, diag_f), c, psi_in, step, 1e-13, 400, s0)
     assert ok_ref and ok_got
     assert t_ref == t_got
     assert np.max(np.abs(ref - got)) < 1e-13
@@ -173,14 +173,14 @@ def test_block_column_failure_leaves_neighbour_bitwise(scale, monkeypatch):
         c = -1j * t_anneal
 
         def one_column(d):
-            return taylor_segment(_ising_apply(tf, d, None), c, psi, step, 1e-12, max_terms, s0)
+            return taylor_segment(_ising_apply(tf, d), c, psi, step, 1e-12, max_terms, s0)
 
         block_diag = np.stack([diag, scale * diag], axis=1)
         block_psi = np.repeat(psi[:, None], 2, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             got, terms, ok = taylor_segment(
-                _ising_apply(tf, block_diag, None), c, block_psi, step, 1e-12, max_terms, s0,
-                narrow=lambda cols: _ising_apply(tf, block_diag[:, cols], None),
+                _ising_apply(tf, block_diag), c, block_psi, step, 1e-12, max_terms, s0,
+                narrow=lambda cols: _ising_apply(tf, block_diag[:, cols]),
             )
         ref, t_ref, ok_ref = one_column(diag)
         assert ok_ref and ok[0] and t_ref < max_terms
@@ -216,9 +216,9 @@ def test_all_columns_overflowing_end_the_run(monkeypatch):
     psi = np.repeat(uniform_initial_state(n)[:, None], 2, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         state, terms, drift, ok = run_segments(
-            _ising_apply(tf, block, None), -1j * t_anneal, psi, t_anneal,
+            _ising_apply(tf, block), -1j * t_anneal, psi, t_anneal,
             SegmentSchedule(segments=3), lambda v: 2.0 * _Problems.squares(v),
-            lambda cols: _ising_apply(tf, block[:, cols], None),
+            lambda cols: _ising_apply(tf, block[:, cols]),
         )
         results = propagate_block(
             AnnealParams(n, t_anneal), [random_ising_half(n, 1)] * 2, SegmentSchedule(segments=3)
@@ -313,8 +313,8 @@ def test_exact_norms_only_in_the_band_or_non_finite(monkeypatch):
 
     def run(block, tol):
         sums.clear()
-        return taylor_segment(_ising_apply(tf, block, None), -3j, psi, step, tol, 200, s0,
-                              narrow=lambda cols: _ising_apply(tf, block[:, cols], None))
+        return taylor_segment(_ising_apply(tf, block), -3j, psi, step, tol, 200, s0,
+                              narrow=lambda cols: _ising_apply(tf, block[:, cols]))
 
     _, terms, ok = run(np.stack(diags, axis=1), 1e-12)
     assert ok.all() and len(set(terms)) == 3 and exact == []
@@ -461,26 +461,24 @@ def test_block_matches_per_instance_beyond_low_bits():
 
 
 @pytest.mark.parametrize("n, seeds", [(14, (3, 4)), (8, (1, 2, 5, 6))])
-def test_block_allocates_its_low_bit_work_once(n, seeds, monkeypatch):
-    # the pairs narrowed to a block's live columns lay their low-bit work out
-    # on the full-width pair's: one tile_work per run, however often it narrows
-    works, widths = [], []
-
-    def spy(tf, shape):
-        works.append(shape)
-        return ss.tile_work(tf, shape)
+def test_each_pair_holds_the_work_of_its_width(n, seeds, monkeypatch):
+    # every pair, the full-width one and each narrowed to a block's live
+    # columns, hands the driver product the low-bit work of its own width
+    widths = []
 
     def counted(tf, psi, out, work, *rows):
+        if n > 13:
+            assert work.shape == ss.tile_work(tf, psi.shape).shape
+        else:
+            assert work is None
         widths.append(psi.shape[1])
         return apply_initial(tf, psi, out, work, *rows)
 
     params, schedule = AnnealParams(n, 2.0), SegmentSchedule(segments=8)
     instances = [random_ising_half(n, seed) for seed in seeds]
     alone = [propagate(params, hf, schedule).psi_final for hf in instances]
-    monkeypatch.setattr(tp, "tile_work", spy)
     monkeypatch.setattr(tp, "apply_initial", counted)
     block = propagate_block(params, instances, schedule)
-    assert works == [(1 << (n - 1), len(seeds))]
     assert min(widths) < len(seeds)  # the block narrowed
     for got, ref in zip(block, alone):
         assert got.psi_final.tobytes() == ref.tobytes()
@@ -545,12 +543,12 @@ def test_two_tile_segment_is_bitwise_one_tile_segment(monkeypatch):
     assert ss.tile_rows(psi.shape) == psi.size // 2
     sums, norm = [], tp._Problems.norm
     monkeypatch.setattr(tp._Problems, "norm", lambda self, sq: sums.append(sq) or norm(self, sq))
-    apply = _ising_apply(tf, diag, ss.tile_work(tf, diag.shape))
+    apply = _ising_apply(tf, diag)
     got, terms, ok = taylor_segment(apply, -10j, psi, 0.025, 1e-12, 500, 0.5)
     tiled_sums = sums[:]
     sums.clear()
     monkeypatch.setattr(ss, "TILE_ENTRIES", psi.size)
-    apply = _ising_apply(tf, diag, ss.tile_work(tf, diag.shape))
+    apply = _ising_apply(tf, diag)
     ref, t_ref, ok_ref = taylor_segment(apply, -10j, psi, 0.025, 1e-12, 500, 0.5)
     assert ok and ok_ref and terms == t_ref > 10
     assert got.tobytes() == ref.tobytes()
@@ -563,7 +561,7 @@ def _n14_pair():
     n = 14
     tf = transverse_field_half(n)
     diag = random_ising_half(n, 5).half_diag.astype(complex)
-    return _ising_apply(tf, diag, ss.tile_work(tf, diag.shape)), uniform_initial_state(n)
+    return _ising_apply(tf, diag), uniform_initial_state(n)
 
 
 def _n14_segment(apply, psi, max_terms, tol=1e-12):
@@ -600,7 +598,7 @@ def test_segment_memory_does_not_grow_with_terms(monkeypatch):
         tf, diag = transverse_field_half(14), psi.astype(complex)
         tracemalloc.start()
         try:
-            _ising_apply(tf, diag, ss.tile_work(tf, diag.shape))
+            _ising_apply(tf, diag)
             build_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
