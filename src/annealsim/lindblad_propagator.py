@@ -4,11 +4,16 @@ The master equation in reduced time,
 
     d/ds rho = -iT [H(s), rho] + T (L rho L^dag - {L^dag L, rho}/2),
 
-is the kernel's form (see :mod:`annealsim.taylor_propagator`) with factor
--iT, A_0 rho = [H_i, rho] + i D[rho] and B rho = [H_f - H_i, rho], where D
-is the dissipator in brackets: it is s-independent, so it has no ramp part.
-The Hilbert-Schmidt norm controls truncation.  The generator maps Hermitian
-matrices to Hermitian ones, and the pair keeps every coefficient exactly so.
+has a real symmetric H(s) and a real ladder L here.  With rho = R + iI (R
+symmetric, I antisymmetric), the real M = R + I holds rho whole and obeys
+
+    d/ds M = T ([H(s), M]^T + D[M]),   D[M] = L M L^T - {L^T L, M}/2.
+
+That is the kernel's form (see :mod:`annealsim.taylor_propagator`) with the
+real factor T, A_0 M = [H_i, M]^T + D[M] and B M = [H_f - H_i, M]^T; D is
+s-independent, so it has no ramp part.  Every real M is a Hermitian rho.
+As <R, I> = 0, ||M||_F is the Hilbert-Schmidt norm of rho, which controls
+truncation, and Tr M = Tr rho.
 
 Densities live in the full 2**N space: the energy-ladder dissipator does not
 respect the spin-flip symmetry, so no half-space reduction is possible here.
@@ -66,53 +71,46 @@ def build_energy_lowering_op(
 
 
 def _density_pair(n_qubits: int, full_diag: np.ndarray, l_scale: float) -> Apply:
-    """The master-equation pair A_0 rho = [H_i, rho] + i D[rho], B rho = [H_f - H_i, rho].
+    """The master-equation pair A_0 M = [H_i, M]^T + D[M], B M = [H_f - H_i, M]^T.
 
-    The pair acts on rho flattened to one vector, which the kernel treats as
-    one problem (a 2-D state would be read as independent columns).  Every
-    coefficient is Hermitian, so rho H_i = (H_i rho)^dag: the driver
-    commutator is X - X^dag with X = H_i rho, one :func:`csr_product` of the
-    float64 flip matrix.  The field commutator scales by the energy gaps.
-    The ladder operator has one entry per row, w_i at column src_i, so
-    L rho L^dag = (w w^T) * rho[src][:, src] is a gather, and L^dag L is
-    diagonal.  Each operation treats an entry and its mirror alike, so the
-    outputs are exactly (anti-)Hermitian.  A term writes into ``a_out``,
+    The pair acts on M flattened to one vector, which the kernel treats as
+    one problem (a 2-D state would be read as independent columns).  As H_i
+    is symmetric, [H_i, M]^T = (H_i M)^T - H_i M^T, two :func:`csr_product`
+    calls, and [H_f, M]^T scales M^T by the energy gaps.  The ladder has one
+    entry per row, w_i at column src_i, so L M L^T = (w w^T) * M[src][:, src]
+    is a gather, and L^T L is diagonal.  A term writes into ``a_out``,
     ``b_out`` and closure-owned work matrices (a second one only when
     dissipating), and allocates nothing.
     """
     dim = full_diag.shape[0]
     hi = full_flip_matrix(n_qubits)
-    diag = full_diag.astype(np.float64)
-    # the factors are stored complex, like rho: a float64 factor would be
-    # cast through a buffer that numpy allocates on every product
-    field_gaps = (diag[:, None] - diag).astype(np.complex128)  # [H_f, rho] = this * rho
+    field_gaps = (full_diag - full_diag[:, None]).astype(np.float64)  # [H_f, M]^T = this * M^T
     dissipates = l_scale > 0.0
-    work = np.empty((dim, dim), dtype=np.complex128)
+    work = np.empty((dim, dim))
     if dissipates:
         gather, w = build_energy_lowering_op(full_diag, l_scale)
-        lind_sq = np.bincount(gather, w * w, dim)  # L^dag L is diagonal
-        gain = 1j * np.outer(w, w)  # one symmetric matrix, so mirrors round alike
-        loss = 0.5j * (lind_sq[:, None] + lind_sq)  # i {L^dag L, rho}/2 = loss * rho
+        lind_sq = np.bincount(gather, w * w, dim)  # L^T L is diagonal
+        gain = np.outer(w, w)
+        loss = 0.5 * (lind_sq[:, None] + lind_sq)  # {L^T L, M}/2 = loss * M
         prod = np.empty_like(work)
 
     def apply(flat, a_out, b_out):
-        rho = flat.reshape(dim, dim)
-        drv = a_out.reshape(dim, dim)
-        csr_product(hi, rho, drv)  # X = H_i rho
-        np.copyto(work, drv.T)  # conjugating the transposed view would run buffered
-        np.conjugate(work, out=work)
-        drv -= work  # [H_i, rho] = X - X^dag
-        ramp = b_out.reshape(dim, dim)
-        np.multiply(field_gaps, rho, out=ramp)  # [H_f, rho]
-        ramp -= drv  # [H_f - H_i, rho]
+        m, drv, ramp = flat.reshape(dim, dim), a_out.reshape(dim, dim), b_out.reshape(dim, dim)
+        np.copyto(work, m.T)  # a ufunc reading the transposed view would run buffered
+        csr_product(hi, m, ramp)  # H_i M
+        np.copyto(drv, ramp.T)
+        csr_product(hi, work, ramp)  # H_i M^T
+        drv -= ramp  # [H_i, M]^T
+        np.multiply(field_gaps, work, out=ramp)  # [H_f, M]^T
+        ramp -= drv  # [H_f - H_i, M]^T
         if dissipates:
             # mode="clip" writes straight into out; "raise" buffers a whole copy
-            np.take(rho, gather, axis=0, out=work, mode="clip")
+            np.take(m, gather, axis=0, out=work, mode="clip")
             np.take(work, gather, axis=1, out=prod, mode="clip")
-            np.multiply(gain, prod, out=prod)  # i L rho L^dag
-            np.multiply(loss, rho, out=work)
+            np.multiply(gain, prod, out=prod)  # L M L^T
+            np.multiply(loss, m, out=work)
             np.subtract(prod, work, out=prod)
-            drv += prod  # + i D[rho]
+            drv += prod  # + D[M]
 
     return apply
 
@@ -125,11 +123,11 @@ def propagate_density(
 ) -> DensityPropagationResult:
     """Evolve rho from the pure uniform state to s=1 in the full space.
 
-    The success probability is the total ground-space population
-    Tr(Pi rho(1)), read off the real diagonal.  rho stays exactly Hermitian
-    (see :func:`_density_pair`), so its trace is the weight by which
-    :func:`~annealsim.taylor_propagator.run_segments` judges the run;
-    nothing is renormalised.
+    The kernel runs M = Re rho + Im rho (see :func:`_density_pair`) from
+    M_0 = psi_0 psi_0^T, judged by its trace (see
+    :func:`~annealsim.taylor_propagator.run_segments`); nothing is
+    renormalised.  ``rho_final`` = (M + M^T)/2 + i(M - M^T)/2 is Hermitian by
+    construction, and P = Tr(Pi rho(1)) is read off its diagonal.
     """
     n = params.n_qubits
     _check_qubits(n, MAX_DENSITY_QUBITS)
@@ -138,14 +136,14 @@ def propagate_density(
     if not 0 <= l_scale < math.inf:  # NaN too
         raise ValueError(f"l_scale must be finite and >= 0, got {l_scale}")
     full_diag = hf.full_diag()
-    apply = _density_pair(n, full_diag, l_scale)
-    psi0 = lift_to_full(uniform_initial_state(n))
+    psi0 = lift_to_full(uniform_initial_state(n)).real
     dim = psi0.size
     flat, terms, drift, converged = run_segments(
-        apply, -1j * params.t_anneal, np.outer(psi0, psi0.conj()).ravel(), params.t_anneal,
-        schedule, lambda v: np.trace(v.reshape(dim, dim)).real,
+        _density_pair(n, full_diag, l_scale), params.t_anneal, np.outer(psi0, psi0).ravel(),
+        params.t_anneal, schedule, lambda v: np.trace(v.reshape(dim, dim)),
     )
-    rho = flat.reshape(dim, dim)
+    m = flat.reshape(dim, dim)
+    rho = (m + m.T) / 2 + 0.5j * (m - m.T)
     gs_full = np.flatnonzero(full_diag == full_diag.min())
-    success_p, converged = settle(float(np.sum(np.diag(rho).real[gs_full])), bool(converged))
+    success_p, converged = settle(float(np.sum(np.diag(m)[gs_full])), bool(converged))
     return DensityPropagationResult(rho, success_p, float(drift), terms, converged)

@@ -100,7 +100,7 @@ class IsingDiagonal:
     couplings: np.ndarray = field(repr=False)
 
     def full_diag(self) -> np.ndarray:
-        return np.concatenate([self.half_diag, self.half_diag[::-1]])
+        return lift_to_full(self.half_diag)
 
 
 @dataclass(frozen=True)
@@ -161,32 +161,32 @@ _sparsetools = _load_sparsetools(os.path.join(os.path.dirname(scipy.__file__), "
 
 
 def csr_product(mat: CSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write ``mat @ x`` into ``out`` for a float64 :class:`CSR` and a complex128 ``x``.
+    """Write ``mat @ x`` into ``out`` for a float64 :class:`CSR` and a float64 or complex128 ``x``.
 
-    ``x`` and ``out`` are C-contiguous, of the same shape, with the matrix
-    acting on their first axis.  The product runs on their float64 views,
-    in which every complex entry is two adjacent real columns: this is
-    scipy's routine for a CSR matrix times a real block (``csr_matvecs``
-    into a zeroed result), called on ``out`` instead of a new array.  For
-    finite entries the result is bit for bit that of the same matrix stored
-    complex: there a real entry c times x + iy is (cx - 0y) + i(cy + 0x),
-    whose zero terms change nothing once the zeroed sum absorbs their sign.
-    The matrix is square (see :class:`CSR`): its row count is checked
-    against ``x``.
+    ``x`` and ``out`` are C-contiguous, of the same shape and dtype, with
+    the matrix acting on their first axis.  The product runs on their
+    float64 views, in which a complex entry is two adjacent real columns:
+    this is scipy's routine for a CSR matrix times a real block
+    (``csr_matvecs`` into a zeroed result), called on ``out`` instead of a
+    new array.  For finite entries a complex result is bit for bit that of
+    the same matrix stored complex: there a real entry c times x + iy is
+    (cx - 0y) + i(cy + 0x), whose zero terms change nothing once the zeroed
+    sum absorbs their sign.  The matrix is square (see :class:`CSR`): its
+    row count is checked against ``x``.
     """
     indptr, indices, data = mat.indptr, mat.indices, mat.data
     n = indptr.shape[0] - 1
     # the routine trusts its sizes: a mismatch would write past ``out``
     if not (
         x.shape[0] == n and x.shape == out.shape
-        and x.dtype == out.dtype == np.complex128 and data.dtype == np.float64
-        and x.flags.c_contiguous and out.flags.c_contiguous
+        and x.dtype == out.dtype and x.dtype in (np.complex128, np.float64)
+        and data.dtype == np.float64 and x.flags.c_contiguous and out.flags.c_contiguous
     ):
-        raise ValueError("csr_product needs a float64 matrix and C-contiguous complex128 "
-                         "x and out of one shape, with its row count")
-    yr = out.view(np.float64)
+        raise ValueError("csr_product needs a float64 matrix and C-contiguous x and out of "
+                         "one shape and dtype (float64 or complex128), with its row count")
+    xr, yr = x.view(np.float64), out.view(np.float64)
     yr.fill(0.0)
-    _sparsetools.csr_matvecs(n, n, x.size * 2 // n, indptr, indices, data, x.view(np.float64), yr)
+    _sparsetools.csr_matvecs(n, n, xr.size // n, indptr, indices, data, xr, yr)
     return out
 
 

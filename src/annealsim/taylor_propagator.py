@@ -2,8 +2,8 @@
 
 Every evolution here reads d/ds x = f (A_0 + s B) x with a scalar f and
 constant maps A_0, B: the Schroedinger equation in the half space (f = -iT,
-A_0 = H_i, B = H_f - H_i), the master equation (the same pair as
-commutators, plus i*D for the s-independent dissipator D) and the two-level
+A_0 = H_i, B = H_f - H_i), the master equation on a real matrix (f = T,
+the commutators transposed, plus the dissipator D in A_0) and the two-level
 benchmark.  Around s0, with A = A_0 + s0*B, the Taylor coefficients obey
 
     psi_n = (f/n) (A psi_{n-1} + B psi_{n-2})   (n >= 1, psi_{-1} = 0).

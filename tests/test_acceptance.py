@@ -15,7 +15,7 @@ from annealsim.ensemble import EnsembleConfig, instance_seed, run_ensemble, scal
 from annealsim.landau_zener import LZParams, lz_propagate
 from annealsim.lindblad_propagator import propagate_density
 from annealsim.spin_system import lift_to_full, random_ising_half
-from annealsim.taylor_propagator import AnnealParams, SegmentSchedule, propagate
+from annealsim.taylor_propagator import AnnealParams, SegmentSchedule, propagate, propagate_block
 from oracle import (
     LZ_P_TWO_SEGMENTS,
     SuperopContext,
@@ -89,8 +89,9 @@ def test_criterion_03_oracle_equivalence():
             ref = rk4_schrodinger_batch(n, diags, t_anneal)
             worst_estimate = max(worst_estimate, float(ref.error.max()))
             total_steps += ref.steps + ref.steps // 2  # the fine pass and the half-step one
-            for i, inst in enumerate(instances):
-                res = propagate(AnnealParams(n, t_anneal), inst)
+            # one block per (N, T): each column is its lone propagate run bit
+            # for bit (test_unitary_blocks_match_direct_propagate)
+            for i, res in enumerate(propagate_block(AnnealParams(n, t_anneal), instances)):
                 if not res.converged:
                     continue
                 worst = max(worst, abs(res.success_p - ref.p[i]))

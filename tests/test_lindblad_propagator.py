@@ -13,7 +13,6 @@ from annealsim.lindblad_propagator import (
 )
 from annealsim.spin_system import (
     IsingDiagonal,
-    csr_product,
     full_flip_matrix,
     ising_half_diag,
     lift_to_full,
@@ -165,6 +164,8 @@ def test_segment_closed_evolution_matches_pure_state():
 @pytest.mark.parametrize("l_scale", [0.0, 0.1, 0.3])
 @pytest.mark.parametrize("n", [3, 5])
 def test_fast_segment_matches_generic(n, l_scale):
+    # the pair runs M = Re rho + Im rho with the real factor T; the oracle
+    # runs the complex rho with factor -iT
     t_anneal, s0 = 2.0, 0.25
     inst = random_ising_half(n, 3)
     fd = inst.full_diag()
@@ -180,30 +181,31 @@ def test_fast_segment_matches_generic(n, l_scale):
     psi0 = lift_to_full(uniform_initial_state(n))
     rho0 = np.outer(psi0, psi0.conj())
     ref, t_ref, _ = lindblad_segment(ctx, rho0, 0.5, 1e-13, 300)
+    m0 = np.outer(psi0.real, psi0.real)
     flat, t_got, _ = taylor_segment(
-        _density_pair(n, fd, l_scale), c, rho0.ravel(), 0.5, 1e-13, 300, s0
+        _density_pair(n, fd, l_scale), t_anneal, m0.ravel(), 0.5, 1e-13, 300, s0
     )
+    m = flat.reshape(m0.shape)
     assert t_ref == t_got
-    assert np.linalg.norm(ref - flat.reshape(rho0.shape)) < 1e-13
+    assert np.linalg.norm(ref - ((m + m.T) / 2 + 0.5j * (m - m.T))) < 1e-13
 
 
 @pytest.mark.parametrize("l_scale", [0.0, 0.1])
 def test_density_pair_allocates_nothing(l_scale):
     # the pair writes into the kernel's buffers and its own two work
-    # matrices: no temporary of rho's size, nor a numpy iteration buffer
+    # matrices: no temporary of M's size, nor a numpy iteration buffer
     n = 6
     apply = _density_pair(n, random_ising_half(n, 2).full_diag(), l_scale)
-    rng = np.random.default_rng(5)
-    rho = rng.normal(size=4**n) + 1j * rng.normal(size=4**n)
-    a_out, b_out = np.empty_like(rho), np.empty_like(rho)
-    apply(rho, a_out, b_out)
+    m = np.random.default_rng(5).normal(size=4**n)
+    a_out, b_out = np.empty_like(m), np.empty_like(m)
+    apply(m, a_out, b_out)
     tracemalloc.start()
     try:
-        apply(rho, a_out, b_out)
+        apply(m, a_out, b_out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < rho.nbytes // 16
+    assert peak < m.nbytes // 16
 
 
 def _ferromagnet(n):
@@ -215,30 +217,33 @@ def _ferromagnet(n):
 
 @pytest.mark.parametrize("kind, l_scale", [("random", 0.0), ("random", 0.3), ("ferromagnet", 0.1)])
 def test_propagate_density_is_exactly_hermitian(kind, l_scale):
-    # each operation of the pair treats an entry and its mirror alike (the
-    # random instance at l_scale 0.1 is test_propagate_density_invariants_dissipative)
+    # rho is built Hermitian from M = Re rho + Im rho (the random instance
+    # at l_scale 0.1 is test_propagate_density_invariants_dissipative)
     inst = _ferromagnet(4) if kind == "ferromagnet" else random_ising_half(4, 1)
     res = propagate_density(AnnealParams(4, 4.0), inst, l_scale)
     assert res.converged
+    assert res.rho_final.dtype == np.complex128
     assert np.array_equal(res.rho_final, res.rho_final.conj().T)
 
 
-def test_commutator_is_two_product_route_for_hermitian_rho():
-    # [H_i, rho] as X - X^dag with X = H_i rho equals H_i rho - (H_i rho^dag)^dag
-    # bit for bit once rho is Hermitian
+@pytest.mark.parametrize("l_scale", [0.0, 0.3])
+def test_density_pair_is_the_transposed_commutators(l_scale):
+    # A_0 M = [H_i, M]^T + D[M] and B M = [H_f - H_i, M]^T, against dense
+    # matrices, on a real M that is not symmetric
     n = 5
     dim = 2**n
-    rng = np.random.default_rng(9)
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = m + m.conj().T
-    a_out, b_out = np.empty(dim * dim, complex), np.empty(dim * dim, complex)
-    _density_pair(n, random_ising_half(n, 4).full_diag(), 0.0)(rho.ravel(), a_out, b_out)
-    hi = full_flip_matrix(n)
-    left, right = np.empty_like(rho), np.empty_like(rho)
-    csr_product(hi, rho, left)
-    csr_product(hi, np.ascontiguousarray(rho.conj().T), right)
-    old = left - np.ascontiguousarray(right.conj().T)
-    assert np.array_equal(a_out.reshape(dim, dim).view(np.float64), old.view(np.float64))
+    fd = random_ising_half(n, 4).full_diag()
+    m = np.random.default_rng(9).normal(size=(dim, dim))
+    a_out, b_out = np.empty(dim * dim), np.empty(dim * dim)
+    _density_pair(n, fd, l_scale)(m.ravel(), a_out, b_out)
+    hi = scipy_csr(full_flip_matrix(n)).toarray()
+    ramp = np.diag(fd.astype(float)) - hi
+    lind = energy_lowering_matrix(fd, l_scale).real
+    lind_sq = lind.T @ lind
+    dissipator = lind @ m @ lind.T - 0.5 * (lind_sq @ m + m @ lind_sq)
+    assert np.allclose(a_out.reshape(dim, dim), (hi @ m - m @ hi).T + dissipator,
+                       rtol=0, atol=1e-12)
+    assert np.allclose(b_out.reshape(dim, dim), (ramp @ m - m @ ramp).T, rtol=0, atol=1e-12)
 
 
 def test_propagate_density_builds_its_generator_once(monkeypatch):

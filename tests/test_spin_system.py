@@ -212,6 +212,34 @@ def test_csr_product_is_scipy_product(shape):
     assert np.array_equal(out, scipy_csr(mat).astype(np.complex128) @ x)
 
 
+@pytest.mark.parametrize("shape", [(64,), (256, 256), (4096, 3)])
+def test_csr_product_float64_is_scipy_product(shape):
+    # a real block runs the same routine on the block itself (the Lindblad
+    # pair's matrices), and a vector is one column
+    rows = shape[0]
+    mat = _flip_matrix(rows.bit_length() - 1, -1.0)
+    x = np.random.default_rng(rows).normal(size=shape)
+    out = np.full_like(x, np.nan)
+    csr_product(mat, x, out)
+    ref = scipy_csr(mat) @ x
+    assert ref.dtype == np.float64
+    assert ref.tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("x_dtype, out_dtype", [
+    (np.complex128, np.float64),  # csr_matvecs would write twice out's size
+    (np.float64, np.complex128),
+    (np.float32, np.float32),
+    (np.complex64, np.complex64),
+])
+def test_csr_product_rejects_other_dtypes(x_dtype, out_dtype):
+    mat = _flip_matrix(3, -1.0)
+    x, out = np.ones((8, 2), dtype=x_dtype), np.zeros((8, 2), dtype=out_dtype)
+    with pytest.raises(ValueError):
+        csr_product(mat, x, out)
+    assert not out.any()
+
+
 def test_sparsetools_loader_falls_back_to_scipy_package(tmp_path, monkeypatch):
     # a scipy without the extension file beside its package (an editable
     # build, say) is served through the package; the routine is the same
