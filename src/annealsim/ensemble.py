@@ -28,6 +28,7 @@ to the last bin).
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -64,6 +65,8 @@ class EnsembleConfig:
             raise ValueError("runs must be >= 1")
         if self.bins < 2:
             raise ValueError("bins must be >= 2")
+        if not isinstance(self.schedule, SegmentSchedule):
+            raise ValueError(f"schedule must be a SegmentSchedule, got {self.schedule!r}")
         if self.mode not in ("unitary", "lindblad"):
             raise ValueError(f"unknown mode {self.mode!r}")
         _check_qubits(self.n_qubits, MAX_QUBITS if self.mode == "unitary" else MAX_DENSITY_QUBITS)
@@ -161,9 +164,9 @@ def resolve_workers(workers: int | None = None) -> int:
             if hasattr(os, "sched_getaffinity"):
                 return len(os.sched_getaffinity(0))
             return os.cpu_count() or 1
-    try:
-        count = int(value)
-    except ValueError:
+    try:  # a string from the environment, else an integer: 1.5 is no count
+        count = int(value) if workers is None else operator.index(workers)
+    except (TypeError, ValueError):
         count = 0
     if count < 1:
         raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
@@ -211,7 +214,7 @@ def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> Ensemble
 def histogram(ps: np.ndarray, bins: int) -> np.ndarray:
     """Counts over uniform bins on [0, 1]; out-of-range values are an error."""
     ps = np.asarray(ps, dtype=np.float64)
-    if ps.size and (ps.min() < 0.0 or ps.max() > 1.0):
+    if ps.size and not (ps.min() >= 0.0 and ps.max() <= 1.0):  # NaN fails too
         raise ValueError("probabilities outside [0, 1]; upstream invariant violated")
     idx = np.floor(ps * bins).astype(np.int64)
     idx[idx == bins] = bins - 1

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_system import (
-    IsingDiagonal, _check_qubits, csr_product, full_flip_matrix, lift_to_full, uniform_initial_state
+    IsingDiagonal, _check_qubits, csr_product, full_flip_matrix, ground_space, lift_to_full,
+    uniform_initial_state,
 )
 from .taylor_propagator import AnnealParams, Apply, SegmentSchedule, run_segments, settle
 
@@ -144,6 +145,6 @@ def propagate_density(
     )
     m = flat.reshape(dim, dim)
     rho = (m + m.T) / 2 + 0.5j * (m - m.T)
-    gs_full = np.flatnonzero(full_diag == full_diag.min())
-    success_p, converged = settle(float(np.sum(np.diag(m)[gs_full])), bool(converged))
+    p = float(np.sum(np.diag(m)[ground_space(full_diag)]))
+    success_p, converged = settle(p, bool(converged))
     return DensityPropagationResult(rho, success_p, float(drift), terms, converged)

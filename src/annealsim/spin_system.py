@@ -103,39 +103,30 @@ class IsingDiagonal:
         return lift_to_full(self.half_diag)
 
 
-@dataclass(frozen=True)
-class GroundSpace:
-    """Half-space indices attaining the minimal Ising energy."""
-
-    indices: np.ndarray
-    energy: int
-    degeneracy: int
-
-
-def _flip_matrix(n_bits: int, value: float) -> CSR:
-    """The :class:`CSR` with ``value`` at ``(i, i ^ 2**k)`` for i < 2**n_bits, k < n_bits.
+def full_flip_matrix(n_bits: int) -> CSR:
+    """The driver on ``n_bits`` bits: -1 at ``(i, i ^ 2**k)`` for all k, as a :class:`CSR`.
 
     Every row holds n_bits entries, so the three arrays are written directly
     (int32 column indices sorted within each row, float64 values) rather
     than assembled from coordinates, which would hold several index arrays
-    of the full entry count at once.
+    of the full entry count at once.  On N bits it is the full-space driver.
     """
     dim = 1 << n_bits
     idx = np.arange(dim, dtype=np.int32)
     cols = np.sort(idx[:, None] ^ (1 << np.arange(n_bits, dtype=np.int32)), axis=1)
     indptr = np.arange(0, cols.size + 1, n_bits, dtype=np.int32)
-    return CSR(np.full(cols.size, value, dtype=np.float64), cols.ravel(), indptr)
+    return CSR(np.full(cols.size, -1.0), cols.ravel(), indptr)
 
 
 def transverse_field_half(n_qubits: int) -> TransverseField:
     """Build the half-space flip structure for ``n_qubits`` qubits.
 
-    The matrix is ``_flip_matrix(m, -1.0)`` for the low m = min(N-1, 12)
-    bits: 2**m rows of m entries, all equal to -1, so 0.6 MB at every
-    N >= 13 (the full half-space matrix would be 45 MB at N=18).
+    The matrix is ``full_flip_matrix(m)`` for the low m = min(N-1, 12)
+    bits: 2**m rows of m entries, so 0.6 MB at every N >= 13 (the full
+    half-space matrix would be 45 MB at N=18).
     """
     _check_qubits(n_qubits)
-    return TransverseField(n_qubits, _flip_matrix(min(n_qubits - 1, LOW_FLIP_BITS), -1.0))
+    return TransverseField(n_qubits, full_flip_matrix(min(n_qubits - 1, LOW_FLIP_BITS)))
 
 
 def _load_sparsetools(directory: str) -> ModuleType:
@@ -384,11 +375,12 @@ def random_ising_half(n_qubits: int, seed: int) -> IsingDiagonal:
     return random_ising_block(n_qubits, [seed])[0]
 
 
-def ground_space(h: IsingDiagonal) -> GroundSpace:
-    """Locate all minimal entries of the half diagonal (exact integers)."""
-    energy = int(h.half_diag.min())
-    indices = np.flatnonzero(h.half_diag == energy)
-    return GroundSpace(indices, energy, int(indices.size))
+def ground_space(diag: np.ndarray) -> np.ndarray:
+    """The indices of the minimal entries of an Ising diagonal, half or full.
+
+    Exact integer comparison: the one ground-space rule of both state spaces.
+    """
+    return np.flatnonzero(diag == diag.min())
 
 
 def uniform_initial_state(n_qubits: int) -> np.ndarray:
@@ -405,11 +397,3 @@ def uniform_initial_state(n_qubits: int) -> np.ndarray:
 def lift_to_full(psi: np.ndarray) -> np.ndarray:
     """Palindromic extension of a half vector to the full 2**N space."""
     return np.concatenate([psi, psi[::-1]])
-
-
-def full_flip_matrix(n_qubits: int) -> CSR:
-    """Full-space transverse-field matrix: -1 at ``(i, i ^ 2**k)`` for all k, as a :class:`CSR`.
-
-    Used by the Lindblad module and the dense oracles; no symmetry reduction.
-    """
-    return _flip_matrix(n_qubits, -1.0)

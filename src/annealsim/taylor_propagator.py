@@ -41,7 +41,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .spin_system import (
-    GroundSpace,
     IsingDiagonal,
     TransverseField,
     apply_initial,
@@ -474,7 +473,7 @@ def propagate_block(
     results = []
     for j, hf in enumerate(instances):
         col = np.ascontiguousarray(_columns(psi)[:, j])  # reads as a one-column run
-        p, ok = settle(success_probability(col, ground_space(hf)), bool(converged[j]))
+        p, ok = settle(success_probability(col, ground_space(hf.half_diag)), bool(converged[j]))
         # a 0 marks a segment at or after the column's overflow, which a
         # one-column run does not list; a finished segment has at least 2 terms
         results.append(
@@ -483,10 +482,10 @@ def propagate_block(
     return results
 
 
-def success_probability(psi: np.ndarray, gs: GroundSpace) -> float:
-    """Lifted squared overlap of a half vector with the ground space.
+def success_probability(psi: np.ndarray, ground: np.ndarray) -> float:
+    """Lifted squared overlap of a half vector with the ground-space indices ``ground``.
 
     The factor 2 accounts for the mirrored half of the palindromic full
     vector.  The raw value is returned; :func:`settle` clamps it.
     """
-    return 2.0 * float(np.sum(np.abs(psi[gs.indices]) ** 2))
+    return 2.0 * float(np.sum(np.abs(psi[ground]) ** 2))

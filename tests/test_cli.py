@@ -56,7 +56,7 @@ def test_single_no_evolution_limit(capsys):
     p = float(stdout.split("P = ")[1].splitlines()[0])
     from annealsim.spin_system import ground_space
 
-    d_half = ground_space(random_ising_half(4, 1)).degeneracy
+    d_half = ground_space(random_ising_half(4, 1).half_diag).size
     assert abs(p - d_half / 8.0) < 1e-7
 
 

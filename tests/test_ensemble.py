@@ -40,7 +40,7 @@ def test_single_run_no_evolution_limit():
     cfg = EnsembleConfig(2, 1e-8, runs=1, master_seed=5)
     res = run_ensemble(cfg, workers=1)
     inst = random_ising_half(2, instance_seed(5, 0))
-    d_half = ground_space(inst).degeneracy
+    d_half = ground_space(inst.half_diag).size
     assert res.probabilities.shape == (1,)
     assert abs(res.probabilities[0] - d_half / 2.0) < 1e-7
 
@@ -171,6 +171,8 @@ def test_histogram_rejects_out_of_range():
         histogram(np.array([0.5, 1.2]), 4)
     with pytest.raises(ValueError):
         histogram(np.array([-0.1]), 4)
+    with pytest.raises(ValueError, match="outside"):  # not a bincount error after a NaN cast
+        histogram(np.array([0.5, np.nan]), 4)
 
 
 def test_histogram_uniform_statistics():
@@ -217,7 +219,7 @@ def test_resolve_workers_env_var(monkeypatch):
         monkeypatch.setenv("ANNEALSIM_WORKERS", bad)
         with pytest.raises(ValueError, match="ANNEALSIM_WORKERS"):
             resolve_workers()
-    for bad in (0, -3):
+    for bad in (0, -3, 1.5):  # int(1.5) would run one worker
         with pytest.raises(ValueError, match="workers must be"):
             resolve_workers(bad)
     monkeypatch.delenv("ANNEALSIM_WORKERS")
@@ -259,6 +261,8 @@ def test_config_validation():
         EnsembleConfig(4, 2.0, runs=1, master_seed=0, bins=1)
     with pytest.raises(ValueError):
         EnsembleConfig(4, 2.0, runs=1, master_seed=0, mode="thermal")
+    with pytest.raises(ValueError, match="SegmentSchedule"):  # the record writer reads it
+        EnsembleConfig(4, 2.0, runs=3, master_seed=1, schedule=None)
 
 
 @pytest.mark.parametrize("t_anneal", [-1.0, 0.0, math.nan, math.inf])

@@ -14,6 +14,7 @@ from annealsim.lindblad_propagator import (
 from annealsim.spin_system import (
     IsingDiagonal,
     full_flip_matrix,
+    ground_space,
     ising_half_diag,
     lift_to_full,
     random_ising_half,
@@ -269,6 +270,19 @@ def test_propagate_density_closed_matches_unitary():
     assert abs(dens.success_p - pure.success_p) < 1e-6
     full = lift_to_full(pure.psi_final)
     assert np.linalg.norm(dens.rho_final - np.outer(full, full.conj())) < 1e-8
+
+
+@pytest.mark.parametrize("n, seed, half", [(4, 1, [3, 5, 6]), (5, 1, [12, 13]), (6, 3, [19, 28])])
+def test_both_state_spaces_read_one_ground_space(n, seed, half):
+    # the full-space ground space is the half one and its mirrors, so a
+    # closed density and a half vector read P off the same states
+    inst = random_ising_half(n, seed)
+    assert list(ground_space(inst.half_diag)) == half
+    mirrors = [(1 << n) - 1 - i for i in half]
+    assert list(ground_space(inst.full_diag())) == sorted(half + mirrors)
+    params = AnnealParams(n, 4.0)
+    assert abs(propagate_density(params, inst, 0.0).success_p
+               - propagate(params, inst).success_p) < 1e-10
 
 
 def test_propagate_density_invariants_dissipative():

@@ -11,8 +11,6 @@ import annealsim.spin_system as ss
 from annealsim.errors import CapacityError
 from annealsim.spin_system import (
     LOW_FLIP_BITS,
-    IsingDiagonal,
-    _flip_matrix,
     apply_initial,
     csr_product,
     full_flip_matrix,
@@ -120,7 +118,7 @@ def test_apply_initial_high_bits_match_full_space(n):
 def test_driver_matrix_is_whole_flip_matrix_up_to_n13(n):
     # up to N = 13 the low bits are all the half-space bits: today's matrix
     got = transverse_field_half(n).couplings
-    ref = _flip_matrix(n - 1, -1.0)
+    ref = full_flip_matrix(n - 1)
     assert scipy_csr(got).shape == scipy_csr(ref).shape
     assert got.data.dtype == ref.data.dtype == np.float64
     for attr in ("data", "indices", "indptr"):
@@ -161,7 +159,7 @@ def _complex_csr_route(n, psi):
     -1+0j entries, scipy's ``@`` on the transposed low-bit block, then the
     high-bit subtracts and the reversal."""
     m = min(n - 1, LOW_FLIP_BITS)
-    c = scipy_csr(_flip_matrix(m, -1.0)).astype(np.complex128)
+    c = scipy_csr(full_flip_matrix(m)).astype(np.complex128)
     dim, low = 1 << (n - 1), 1 << m
     if low == dim:
         out = c @ psi
@@ -201,7 +199,7 @@ def test_csr_product_is_scipy_product(shape):
     # csr_product calls scipy's private csr_matvecs on a zeroed output;
     # it must stay the routine behind mat @ x
     rows, width = shape
-    mat = _flip_matrix(rows.bit_length() - 1, -1.0)
+    mat = full_flip_matrix(rows.bit_length() - 1)
     rng = np.random.default_rng(rows)
     x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     out = np.full_like(x, np.nan)  # stale contents must not leak in
@@ -217,7 +215,7 @@ def test_csr_product_float64_is_scipy_product(shape):
     # a real block runs the same routine on the block itself (the Lindblad
     # pair's matrices), and a vector is one column
     rows = shape[0]
-    mat = _flip_matrix(rows.bit_length() - 1, -1.0)
+    mat = full_flip_matrix(rows.bit_length() - 1)
     x = np.random.default_rng(rows).normal(size=shape)
     out = np.full_like(x, np.nan)
     csr_product(mat, x, out)
@@ -233,7 +231,7 @@ def test_csr_product_float64_is_scipy_product(shape):
     (np.complex64, np.complex64),
 ])
 def test_csr_product_rejects_other_dtypes(x_dtype, out_dtype):
-    mat = _flip_matrix(3, -1.0)
+    mat = full_flip_matrix(3)
     x, out = np.ones((8, 2), dtype=x_dtype), np.zeros((8, 2), dtype=out_dtype)
     with pytest.raises(ValueError):
         csr_product(mat, x, out)
@@ -247,7 +245,7 @@ def test_sparsetools_loader_falls_back_to_scipy_package(tmp_path, monkeypatch):
 
     assert ss._load_sparsetools(str(tmp_path)) is package_module
     assert ss._sparsetools is not package_module
-    mat = _flip_matrix(6, -1.0)
+    mat = full_flip_matrix(6)
     x = np.random.default_rng(6).normal(size=(64, 3)) * (1 - 2j)
     from_file = csr_product(mat, x, np.empty_like(x)).copy()
     monkeypatch.setattr(ss, "_sparsetools", package_module)
@@ -318,8 +316,8 @@ def test_ising_half_diag_all_aligned():
     j[np.triu_indices(3, 1)] = 1
     half = ising_half_diag(3, j)
     assert np.array_equal(half, [-3, 1, 1, 1])
-    gs = ground_space(IsingDiagonal(3, half, 0, j))
-    assert list(gs.indices) == [0] and gs.degeneracy == 1 and gs.energy == -3
+    gs = ground_space(half)
+    assert list(gs) == [0] and gs.size == 1 and half.min() == -3
 
 
 def test_ising_half_diag_mixed_couplings():
@@ -330,8 +328,8 @@ def test_ising_half_diag_mixed_couplings():
     j[0, 1] = -1
     half = ising_half_diag(3, j)
     assert np.array_equal(half, [-1, -1, -1, 3])
-    gs = ground_space(IsingDiagonal(3, half, 0, j))
-    assert list(gs.indices) == [0, 1, 2] and gs.degeneracy == 3
+    gs = ground_space(half)
+    assert list(gs) == [0, 1, 2] and gs.size == 3
 
 
 def test_ising_half_diag_brute_force_agreement():
@@ -387,8 +385,9 @@ def test_random_ising_seed_determinism():
 
 
 def test_ground_space_examples():
-    gs = ground_space(IsingDiagonal(2, np.array([-1, 1]), 0, np.zeros((2, 2), dtype=np.int64)))
-    assert list(gs.indices) == [0] and gs.energy == -1 and gs.degeneracy == 1
+    diag = np.array([-1, 1])
+    gs = ground_space(diag)
+    assert list(gs) == [0] and diag.min() == -1 and gs.size == 1
 
 
 def test_uniform_initial_state():
