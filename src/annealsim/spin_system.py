@@ -73,16 +73,18 @@ class TransverseField:
 
     ``couplings`` is the symmetric float64 matrix with value -1 at
     ``(i, i ^ 2**k)`` for every ``i < 2**m`` and ``k < m``, as the three
-    arrays of a :class:`CSR`; it multiplies the float64 view of a complex
-    state (see :func:`csr_product`), so no complex copy of it is ever made.
-    For N <= 13 it is the whole half-space flip matrix.  Beyond, it acts on
-    the low bits of each contiguous run of 2**m half-space entries, and the
+    arrays of a :class:`CSR`.  For N <= 13 it is the whole half-space
+    driver: each row ends with the top-qubit flip, -1 at ``2**(N-1) - 1 - i``
+    (see :func:`transverse_field_half`), and ``complex_data`` holds its
+    entries as complex128 for one-column products.  Beyond, it acts on the
+    low bits of each contiguous run of 2**m half-space entries, and the
     flips of the higher bits and of the top qubit (the reversal of the half
     vector) are applied separately (see :func:`apply_initial`).
     """
 
     n_qubits: int
     couplings: CSR
+    complex_data: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -122,11 +124,20 @@ def transverse_field_half(n_qubits: int) -> TransverseField:
     """Build the half-space flip structure for ``n_qubits`` qubits.
 
     The matrix is ``full_flip_matrix(m)`` for the low m = min(N-1, 12)
-    bits: 2**m rows of m entries, so 0.6 MB at every N >= 13 (the full
-    half-space matrix would be 45 MB at N=18).
+    bits: 2**m rows of m entries, so 0.6 MB at every N >= 14 (the full
+    half-space matrix would be 45 MB at N=18).  For N <= 13 each row ends
+    with the top-qubit flip, so it sums in the order of the two passes it
+    replaces: the bit flips, then the reversed entry (at N = 2 a repeat of
+    column 1, which both scipy routines add in turn, as before).
     """
     _check_qubits(n_qubits)
-    return TransverseField(n_qubits, full_flip_matrix(min(n_qubits - 1, LOW_FLIP_BITS)))
+    m = n_qubits - 1
+    if m > LOW_FLIP_BITS:
+        return TransverseField(n_qubits, full_flip_matrix(LOW_FLIP_BITS))
+    flips, dim = full_flip_matrix(m), 1 << m
+    cols = np.insert(flips.indices.reshape(dim, m), m, np.arange(dim - 1, -1, -1), axis=1).ravel()
+    mat = CSR(np.full(cols.size, -1.0), cols, np.arange(0, cols.size + 1, m + 1, dtype=np.int32))
+    return TransverseField(n_qubits, mat, mat.data.astype(np.complex128))
 
 
 def _load_sparsetools(directory: str) -> ModuleType:
@@ -159,11 +170,13 @@ def csr_product(mat: CSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     float64 views, in which a complex entry is two adjacent real columns:
     this is scipy's routine for a CSR matrix times a real block
     (``csr_matvecs`` into a zeroed result), called on ``out`` instead of a
-    new array.  For finite entries a complex result is bit for bit that of
-    the same matrix stored complex: there a real entry c times x + iy is
-    (cx - 0y) + i(cy + 0x), whose zero terms change nothing once the zeroed
-    sum absorbs their sign.  The matrix is square (see :class:`CSR`): its
-    row count is checked against ``x``.
+    new array, for the Lindblad pair's matrices and for driver products of
+    more than one column (one column runs scipy's complex routine, see
+    :func:`apply_initial`).  For finite entries a complex result is bit for
+    bit that of the same matrix stored complex: there a real entry c times
+    x + iy is (cx - 0y) + i(cy + 0x), whose zero terms change nothing once
+    the zeroed sum absorbs their sign.  The matrix is square (see
+    :class:`CSR`): its row count is checked against ``x``.
     """
     indptr, indices, data = mat.indptr, mat.indices, mat.data
     n = indptr.shape[0] - 1
@@ -204,9 +217,9 @@ def tile_work(tf: TransverseField, shape: tuple[int, ...]) -> np.ndarray | None:
     a time down all rows, land in an eighth of the cache sets: at N = 18
     they ran 2.8x slower.  None for N <= 13, which needs no work.
     """
-    low = tf.couplings.indptr.size - 1
-    if low == 1 << (tf.n_qubits - 1):
+    if tf.complex_data is not None:
         return None
+    low = tf.couplings.indptr.size - 1
     return np.zeros((2, low, math.prod(shape) // low + 1), dtype=np.complex128)
 
 
@@ -221,16 +234,18 @@ def apply_initial(
 
     ``psi`` is a half vector or a C-contiguous (2**(N-1), B) block of them;
     each column is transformed on its own.  ``out`` (complex128, psi's
-    shape, C-contiguous) receives the result; without it one is allocated.
-    Three steps:
+    shape, C-contiguous; checked) receives the result; without it one is
+    allocated.  For N <= 13 ``couplings`` is the whole driver, and the call
+    is one compiled product into ``out``: scipy's ``csr_matvec`` on
+    ``complex_data`` for one column (a vector or a (dim, 1) block), which
+    is scipy's complex ``c @ psi``, and :func:`csr_product` for a wider
+    block; ``work`` is not used.  Beyond, three steps:
 
     * the flips of the low m bits: ``couplings`` applied by
       :func:`csr_product` to the low-bit axis of the (2**(N-1-m), 2**m, B)
       view, moved to the front by a transposed copy; the copy and the
       product go to ``work``, ``tile_work(tf, psi.shape)`` (allocated when
-      not given), and the product's transpose is the flip part of ``out``.
-      For N <= 13 there are no higher bits: the product is written straight
-      into ``out`` and ``work`` is not used;
+      not given), and the product's transpose is the flip part of ``out``;
     * the flip of each bit k with m <= k < N-1: the row with bit k flipped
       subtracted, the first time from the transposed product (which so
       reaches ``out`` without a copy of its own), then in place: within a
@@ -241,13 +256,13 @@ def apply_initial(
       reversal of the half vector, subtracted.
 
     Without ``rows`` the call returns ``out`` complete, as one tile.  With
-    it (and ``out``), only the low-bit product is done in the call, and the
-    rest is left to the returned iterator: each row slice it yields,
-    ``rows`` rows long from the top (see :func:`tile_rows`), is final in
-    ``out`` and free to the caller, while ``psi``, ``work`` and the rest of
-    ``out`` must stay untouched until the iterator is exhausted.  Each entry
-    goes through the same operations in the same order either way, so the
-    bits agree.  Given ``out`` and ``work``, a call allocates no vector, and
+    it (and ``out``), the call does the product (beyond N = 13 the low-bit
+    one only) and leaves the rest to the returned iterator: each row slice
+    it yields, ``rows`` rows long from the top (see :func:`tile_rows`), is
+    final in ``out`` and free to the caller, while ``psi``, ``work`` and the
+    rest of ``out`` must stay untouched until the iterator is exhausted.
+    Each entry goes through the same operations in the same order either
+    way, so the bits agree.  Given ``out`` and ``work``, a call allocates no vector, and
     every subtraction is in place.  A real ``psi`` is read as complex.
     """
     dim = 1 << (tf.n_qubits - 1)
@@ -256,46 +271,46 @@ def apply_initial(
     psi = np.ascontiguousarray(psi, dtype=np.complex128)
     if out is None:
         out = np.empty_like(psi)
-    low = tf.couplings.indptr.size - 1
-    if low == dim:  # N <= 13: no high bits, and no reshapes, whose overhead shows at N=8
-        csr_product(tf.couplings, psi, out)
-        flipped = None
-    else:
-        # one product for all runs: one per run, or on the top bits, ran 1.3-2x slower at N >= 15
-        cols = psi.size // low
-        x, y = tile_work(tf, psi.shape) if work is None else work
-        np.copyto(x[:, :cols].reshape(low, dim // low, -1),
-                  psi.reshape(dim // low, low, -1).transpose(1, 0, 2))
-        csr_product(tf.couplings, x, y)
-        flipped = y[:, :cols].reshape(low, dim // low, -1)
+    mat = tf.couplings
+    if tf.complex_data is not None:  # N <= 13: one compiled call, and no reshapes
+        if psi.size != dim:
+            csr_product(mat, psi, out)
+        elif out.shape == psi.shape and out.dtype == np.complex128 and out.flags.c_contiguous:
+            out.fill(0)  # the routine adds to out: its sizes are checked above
+            _sparsetools.csr_matvec(dim, dim, mat.indptr, mat.indices, tf.complex_data, psi, out)
+        else:
+            raise ValueError("out must be a C-contiguous complex128 array of the state's shape")
+        return out if rows is None else (slice(r0, r0 + rows) for r0 in range(0, dim, rows))
+    # one product for all runs: one per run, or on the top bits, ran 1.3-2x slower at N >= 15
+    low = mat.indptr.size - 1
+    cols = psi.size // low
+    x, y = tile_work(tf, psi.shape) if work is None else work
+    np.copyto(x[:, :cols].reshape(low, dim // low, -1),
+              psi.reshape(dim // low, low, -1).transpose(1, 0, 2))
+    csr_product(mat, x, y)
+    flipped = y[:, :cols].reshape(low, dim // low, -1)
     if rows is not None:
         return _finish_rows(tf, psi, out, flipped, rows)
-    if flipped is None:
-        out -= psi[::-1]
-    else:
-        for _ in _finish_rows(tf, psi, out, flipped, dim):
-            pass
+    for _ in _finish_rows(tf, psi, out, flipped, dim):
+        pass
     return out
 
 
 def _finish_rows(tf, psi, out, flipped, rows) -> Iterator[slice]:
     """The steps of :func:`apply_initial` after the low-bit product, ``rows`` rows at a time.
 
-    ``flipped`` is that product as a (2**m, 2**(N-1-m), B) array, or None
-    when there are no higher bits.
+    ``flipped`` is that product as a (2**m, 2**(N-1-m), B) array.
     """
-    dim = psi.shape[0]
+    dim, low = psi.shape[0], flipped.shape[0]
     for r0 in range(0, dim, rows):
         tile = slice(r0, r0 + rows)
         o = out[tile]
-        if flipped is not None:
-            low = flipped.shape[0]
-            hi, lo = divmod(r0, low)
-            src = flipped[lo:lo + rows, hi:hi + max(rows // low, 1)].transpose(1, 0, 2)
-            dst = o.reshape(src.shape)  # (high part, low part, B) of the rows
-            for k in range(low.bit_length() - 1, tf.n_qubits - 1):
-                _subtract_flip(src, psi, dst, r0, k)
-                src = dst
+        hi, lo = divmod(r0, low)
+        src = flipped[lo:lo + rows, hi:hi + max(rows // low, 1)].transpose(1, 0, 2)
+        dst = o.reshape(src.shape)  # (high part, low part, B) of the rows
+        for k in range(low.bit_length() - 1, tf.n_qubits - 1):
+            _subtract_flip(src, psi, dst, r0, k)
+            src = dst
         np.subtract(o, psi[::-1][tile], out=o)
         yield tile
 

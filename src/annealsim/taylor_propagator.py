@@ -159,14 +159,14 @@ class _Problems:
         """Each problem's sum of squares over the rows ``v``: a float for a
         vector, one per column for a block.
 
-        The sum is an ``einsum`` over the real view of the entries (a
-        complex128 array is read as twice as many float64 values), which
-        numpy evaluates in its own loop.  ``np.linalg.norm`` and ``np.vdot``
-        call a threaded BLAS dot instead, whose helper thread keeps spinning
-        beside the main thread after the call and doubles the CPU time of a
-        serial run.  Overflow gives ``inf``, as it does there.
+        The sum is an ``einsum`` over the float64 view of the entries (every
+        state here is float64, or complex128 read as twice as many float64
+        values), which numpy evaluates in its own loop.  ``np.linalg.norm``
+        and ``np.vdot`` call a threaded BLAS dot instead, whose helper thread
+        keeps spinning beside the main thread after the call and doubles the
+        CPU time of a serial run.  Overflow gives ``inf``, as it does there.
         """
-        flat = v.view(v.real.dtype)  # a complex column is two adjacent float columns
+        flat = v.view(np.float64)  # a complex column is two adjacent float columns
         if v.ndim == 1:  # as a (dim, 1) block this costs 6x at N = 18
             return np.einsum("i,i->", flat, flat)
         sq = np.einsum("ij,ij->j", flat, flat)
@@ -385,9 +385,9 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray) -> Apply:
 
     ``apply(v, a_out, b_out)`` writes one driver product into ``a_out``
     (:func:`apply_initial`, through this module's global so that it can be
-    traced, once per term; a float64 low-bit matrix of about 0.6 MB at any
-    N, applied to the float64 view of the state, plus in-place updates) and
-    one diagonal product into ``b_out``.  Nothing is allocated or upcast:
+    traced, once per term: up to N = 13 one compiled call, beyond a float64
+    low-bit matrix of 0.6 MB plus in-place updates) and one diagonal
+    product into ``b_out``.  Nothing is allocated or upcast:
     ``propagate`` passes the diagonal as complex128, like the states.  A
     (dim, B) diagonal block and state run B instances, column by column.
 
@@ -449,7 +449,7 @@ def propagate_block(
     term in which columns stop, the kernel narrows the pair to the rest (a
     pair on the diagonal's live columns), so a block pays for each column's
     own terms only.  A lone instance runs as a vector: as a (dim, 1) block
-    it costs up to 1.5x.
+    it cost 1.33x at N = 8.
     """
     if any(hf.n_qubits != params.n_qubits for hf in instances):
         raise ValueError("params and Ising instance disagree on qubit count")

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -209,6 +210,21 @@ def test_scaling_sweep_single_n_no_fit():
     assert res.fit_slope is None
     assert len(res.mean_seconds) == 1
     assert res.mean_seconds[0] > 0
+
+
+def test_scaling_sweep_times_the_anneals_alone(monkeypatch):
+    # a slow instance draw must not enter the reported time per anneal
+    draw, anneals = ens.random_ising_half, []
+
+    def slow_draw(n, seed):
+        time.sleep(0.2)
+        return draw(n, seed)
+
+    monkeypatch.setattr(ens, "random_ising_half", slow_draw)
+    monkeypatch.setattr(ens, "propagate", lambda params, hf, schedule: anneals.append(hf.seed))
+    res = scaling_sweep([4, 5], 2.0, runs_per_n=2)
+    assert anneals == [instance_seed(0, k) for k in range(2)] * 2
+    assert max(res.mean_seconds) < 0.05
 
 
 def test_resolve_workers_env_var(monkeypatch):

@@ -19,6 +19,7 @@ from annealsim.spin_system import (
     lift_to_full,
     random_ising_block,
     random_ising_half,
+    tile_rows,
     tile_work,
     transverse_field_half,
     uniform_initial_state,
@@ -27,24 +28,27 @@ from oracle import scipy_csr
 
 
 def test_transverse_field_n2_matrix():
+    # the flip of bit 0 and the top-qubit flip both land on the other row
     tf = transverse_field_half(2)
-    assert np.array_equal(scipy_csr(tf.couplings).toarray(), [[0, -1], [-1, 0]])
+    assert np.array_equal(scipy_csr(tf.couplings).toarray(), [[0, -2], [-2, 0]])
 
 
 def test_transverse_field_n3_layout():
-    # hand-traced flip pattern on 2 qubits: (i, i^1) and (i, i^2), all -1
+    # hand-traced flip pattern on 3 qubits: (i, i^1), (i, i^2) and the
+    # top-qubit flip (i, 3 - i), all -1
     m = scipy_csr(transverse_field_half(3).couplings).toarray()
     expected = np.zeros((4, 4))
     for i in range(4):
         expected[i, i ^ 1] = -1
         expected[i, i ^ 2] = -1
+        expected[i, 3 - i] = -1
     assert np.array_equal(m, expected)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
 def test_transverse_field_nonzero_count_and_symmetry(n):
     m = scipy_csr(transverse_field_half(n).couplings)
-    assert m.nnz == (n - 1) * 2 ** (n - 1)
+    assert m.nnz == n * 2 ** (n - 1)
     assert m.shape == (2 ** (n - 1),) * 2
     assert (m != m.T).nnz == 0
     assert np.all(m.diagonal() == 0)
@@ -116,13 +120,21 @@ def test_apply_initial_high_bits_match_full_space(n):
 
 @pytest.mark.parametrize("n", [8, 13])
 def test_driver_matrix_is_whole_flip_matrix_up_to_n13(n):
-    # up to N = 13 the low bits are all the half-space bits: today's matrix
-    got = transverse_field_half(n).couplings
-    ref = full_flip_matrix(n - 1)
-    assert scipy_csr(got).shape == scipy_csr(ref).shape
-    assert got.data.dtype == ref.data.dtype == np.float64
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+    # up to N = 13 the low bits are all the half-space bits: each row of
+    # the flip matrix, then the top-qubit flip (i, dim - 1 - i) as its last entry
+    tf = transverse_field_half(n)
+    got, flips, dim = tf.couplings, full_flip_matrix(n - 1), 1 << (n - 1)
+    indices = []
+    for i in range(dim):
+        indices.extend(flips.indices[flips.indptr[i]:flips.indptr[i + 1]])
+        indices.append(dim - 1 - i)
+    assert scipy_csr(got).shape == scipy_csr(flips).shape
+    assert got.data.dtype == np.float64 and got.indices.dtype == got.indptr.dtype == np.int32
+    assert np.array_equal(got.indptr, np.arange(dim + 1) * n)
+    assert np.array_equal(got.indices, indices)
+    assert np.array_equal(got.data, np.full(dim * n, -1.0))
+    assert tf.complex_data.dtype == np.complex128
+    assert np.array_equal(tf.complex_data, got.data)
 
 
 @pytest.mark.parametrize("n", [18, 20])
@@ -177,12 +189,14 @@ def _complex_csr_route(n, psi):
 
 @pytest.mark.parametrize("n", range(2, 19))
 def test_apply_initial_into_out_is_complex_csr_route_bitwise(n):
-    # the float64 matrix on the real view, written into out, gives the bits
-    # of the complex-matrix product at every size, shape and magnitude
+    # one column through scipy's complex routine, or a block through the
+    # float64 matrix on its real view, written into out, gives the bits of
+    # the complex-matrix product then the reversal at every size, shape and
+    # magnitude, though up to N = 13 the reversal is the matrix's last entry
     tf = transverse_field_half(n)
     rng = np.random.default_rng(n)
     dim = 1 << (n - 1)
-    for shape in ((dim,), (dim, 3)):
+    for shape in ((dim,), (dim, 1), (dim, 3)):
         base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         out, work = np.empty_like(base), tile_work(tf, shape)
         for scale in (1e-150, 1e-12, 1.0, 1e12, 1e150):
@@ -192,6 +206,84 @@ def test_apply_initial_into_out_is_complex_csr_route_bitwise(n):
             ref = _complex_csr_route(n, psi)
             assert ref.dtype == out.dtype and ref.shape == out.shape
             assert ref.tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("n", [6, 13, 14])
+def test_apply_initial_rows_cover_state_with_whole_product_bits(n, monkeypatch):
+    # with rows, the call returns an iterator of row slices at every N,
+    # whose tiles together are the state, each final when yielded, with the
+    # bits of the untiled product
+    monkeypatch.setattr(ss, "TILE_ENTRIES", 16 if n < 14 else 2048)
+    tf = transverse_field_half(n)
+    dim = 1 << (n - 1)
+    rng = np.random.default_rng(n)
+    for shape in ((dim,), (dim, 1), (dim, 3)):
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        whole = apply_initial(tf, psi)
+        out, rows = np.full_like(psi, np.nan), tile_rows(shape)
+        tiles = apply_initial(tf, psi, out, tile_work(tf, shape), rows)
+        assert not isinstance(tiles, np.ndarray)
+        r0 = 0
+        for t in tiles:
+            assert t == slice(r0, r0 + rows)
+            assert out[t].tobytes() == whole[t].tobytes()
+            r0 += rows
+        assert r0 == dim
+        assert out.tobytes() == whole.tobytes()
+
+
+class _CountingSparsetools:
+    """Stands in for scipy's ``_sparsetools`` and lists each routine called."""
+
+    def __init__(self, module):
+        self.module, self.calls = module, []
+
+    def __getattr__(self, name):
+        routine = getattr(self.module, name)
+
+        def counted(*args):
+            self.calls.append(name)
+            return routine(*args)
+
+        return counted
+
+
+@pytest.mark.parametrize("n", [2, 8, 13])
+def test_apply_initial_is_one_compiled_call_up_to_n13(n, monkeypatch):
+    # the whole driver is one CSR: one column runs the complex matvec, a
+    # wider block the float64 matvecs, and nothing else of scipy is called
+    tf = transverse_field_half(n)
+    dim = 1 << (n - 1)
+    proxy = _CountingSparsetools(ss._sparsetools)
+    monkeypatch.setattr(ss, "_sparsetools", proxy)
+    for shape, routine in (((dim,), "csr_matvec"), ((dim, 1), "csr_matvec"),
+                           ((dim, 4), "csr_matvecs")):
+        psi = np.ones(shape, dtype=np.complex128)
+        proxy.calls.clear()
+        apply_initial(tf, psi, np.empty_like(psi))
+        assert proxy.calls == [routine]
+
+
+@pytest.mark.parametrize("n", [2, 8, 13])
+def test_apply_initial_rejects_bad_out_unwritten(n):
+    # the compiled routine trusts its sizes: a wrong length, dtype or layout
+    # of out is refused before anything is written
+    tf = transverse_field_half(n)
+    dim = 1 << (n - 1)
+    for shape, out in (((dim,), np.full(dim - 1, 7.0 + 0j)),
+                       ((dim,), np.full(dim + 1, 7.0 + 0j)),
+                       ((dim,), np.full(dim, 7.0)),
+                       ((dim,), np.full(dim, 7.0 + 0j, dtype=np.complex64)),
+                       ((dim,), np.full(2 * dim, 7.0 + 0j)[::2]),
+                       ((dim, 1), np.full(dim, 7.0 + 0j)),
+                       ((dim, 3), np.full((dim, 3), 7.0))):
+        memory = out if out.base is None else out.base
+        before = memory.copy()
+        with pytest.raises(ValueError):
+            apply_initial(tf, np.ones(shape, dtype=np.complex128), out)
+        assert np.array_equal(memory, before)
+    psi = np.ones(dim, dtype=np.complex128)
+    assert np.array_equal(apply_initial(tf, psi, np.empty_like(psi)), -n * psi)
 
 
 @pytest.mark.parametrize("shape", [(64, 1), (4096, 6), (256, 2)])
