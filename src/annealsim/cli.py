@@ -5,10 +5,10 @@ sweep with histogram), ``lindblad`` (one dissipative run), ``lz`` and
 ``lz-sweep`` (two-level benchmark), ``scaling`` (wall-time sweep over N).
 
 Exit codes: 0 success; 1 invalid flags, including every value or size the
-library rejects and an output path that is not a file in an existing
-directory (checked before the run); 2 completed but non-converged, which
-covers runs that overflow or blow up (no run failure raises).  This module
-writes every output: JSON run records and CSV files.  Outputs are
+library rejects and an output path that is empty or not a file in an
+existing directory (checked before the run); 2 completed but non-converged,
+which covers runs that overflow or blow up (no run failure raises).  This
+module writes every output: JSON run records and CSV files.  Outputs are
 deterministic for identical flags; wall-clock measurements are isolated in
 the ``timing`` block of JSON records.  Worker count for ensembles comes from
 --workers or the ANNEALSIM_WORKERS environment variable (default: the CPUs
@@ -43,7 +43,7 @@ from .taylor_propagator import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,7 +87,7 @@ def record(
 
 def run_record(config: EnsembleConfig, result: EnsembleResult, wall_seconds: float) -> dict:
     """JSON-ready record of an ensemble run."""
-    bins = config.bins
+    bins, ps = config.bins, result.probabilities
     return record(
         "ensemble",
         {
@@ -108,15 +108,16 @@ def run_record(config: EnsembleConfig, result: EnsembleResult, wall_seconds: flo
         },
         instances=[
             {"index": r.index, "seed": r.seed, "p": _json_float(r.success_p),
-             "terms": r.terms_total, "norm_drift": _json_float(r.norm_drift),
+             "terms": r.terms_total, "drift": _json_float(r.norm_drift),
              "converged": r.converged}
             for r in result.records
         ],
         failures=[{"index": r.index, "seed": r.seed} for r in result.failures],
         summary={
-            "converged": len(result.probabilities),
+            "converged": ps.size,
             "failed": result.failure_count,
-            "mean_p": float(result.probabilities.mean()) if result.probabilities.size else None,
+            "mean_p": float(ps.mean()) if ps.size else None,
+            "mean_p_stderr": float(ps.std(ddof=1) / math.sqrt(ps.size)) if ps.size > 1 else None,
         },
     )
 
@@ -214,29 +215,33 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run_one(args, kind, run, config, drift):
-    """Anneal the instance named by the flags with ``run(params, inst,
-    schedule=...)``, print the result and write its JSON record.
+def _report(res, drift: float) -> int:
+    """Print a run's P, drift, terms per segment and verdict; return its exit code."""
+    print(f"P = {res.success_p!r}")
+    print(f"drift = {drift!r}")
+    print(f"terms_per_segment = {res.terms_per_segment}")
+    print(f"converged = {res.converged}")
+    return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
 
-    ``drift`` names the result's drift field, printed and recorded.  Returns
-    the exit code and the result.
-    """
+
+def _run_one(args, kind, run, config, drift_field):
+    """Anneal the instance named by the flags with ``run(params, inst,
+    schedule=...)``, report the result and write its JSON record, with the
+    result's ``drift_field`` as its drift.  Returns the exit code and the result."""
     schedule = _schedule_from(args)
     inst = random_ising_half(args.qubits, args.seed)
     t0 = time.perf_counter()
     res = run(AnnealParams(args.qubits, args.time), inst, schedule=schedule)
     wall = time.perf_counter() - t0
-    print(f"P = {res.success_p!r}")
-    print(f"{drift} = {getattr(res, drift)!r}")
-    print(f"terms_per_segment = {res.terms_per_segment}")
-    print(f"converged = {res.converged}")
-    if args.out:
+    drift = getattr(res, drift_field)
+    code = _report(res, drift)
+    if args.out is not None:
         config = {"qubits": args.qubits, "time": args.time, "seed": args.seed, **config}
-        result = {"p": _json_float(res.success_p), drift: _json_float(getattr(res, drift)),
+        result = {"p": _json_float(res.success_p), "drift": _json_float(drift),
                   "terms_per_segment": res.terms_per_segment, "converged": res.converged}
         write_json(args.out, record(kind, config, schedule, args.time, {"wall_seconds": wall},
                                     result=result))
-    return (EXIT_OK if res.converged else EXIT_NOT_CONVERGED), res
+    return code, res
 
 
 def _cmd_single(parser, args) -> int:
@@ -244,8 +249,6 @@ def _cmd_single(parser, args) -> int:
 
 
 def _cmd_ensemble(parser, args) -> int:
-    if not args.out:
-        parser.error("--out must not be empty")
     schedule = _schedule_from(args)
     config = EnsembleConfig(
         n_qubits=args.qubits,
@@ -275,8 +278,8 @@ def _cmd_ensemble(parser, args) -> int:
 
 def _cmd_lindblad(parser, args) -> int:
     run = partial(propagate_density, l_scale=args.lscale)
-    code, res = _run_one(args, "lindblad", run, {"lscale": args.lscale}, "trace_drift")
-    if args.csv:
+    code, res = _run_one(args, "lindblad", run, {"l_scale": args.lscale}, "trace_drift")
+    if args.csv is not None:
         populations = np.diag(res.rho_final).real
         write_csv(args.csv, ["state", "population"],
                   [(i, float(p)) for i, p in enumerate(populations)])
@@ -291,17 +294,12 @@ def _cmd_lz(parser, args) -> int:
     res = lz_propagate(LZParams(args.delta, args.time), schedule)
     print(f"psi(1) = [{complex(res.psi_final[0])!r}, {complex(res.psi_final[1])!r}]")
     print(f"|psi(1)| = {float(np.linalg.norm(res.psi_final))!r}")
-    print(f"P = {res.success_p!r}")
-    print(f"terms_per_segment = {res.terms_per_segment}")
-    print(f"converged = {res.converged}")
-    return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
+    return _report(res, res.norm_drift)
 
 
 def _cmd_lz_sweep(parser, args) -> int:
     if args.points < 2:
         parser.error("--points must be >= 2")
-    if not args.out:
-        parser.error("--out must not be empty")
     t_values = np.linspace(args.tmin, args.tmax, args.points)
     schedule = _schedule_from(args)
     rows = []
@@ -326,7 +324,7 @@ def _cmd_scaling(parser, args) -> int:
         print(f"N={n}: {sec:.6f} s/instance")
     if result.fit_slope is not None:
         print(f"fitted log-time slope over largest three N: {result.fit_slope:.4f}")
-    if args.out:
+    if args.out is not None:
         write_csv(args.out, ["N", "mean_seconds"], zip(result.n_values, result.mean_seconds))
     return EXIT_OK
 
@@ -343,7 +341,8 @@ def main(argv=None) -> int:
         "scaling": _cmd_scaling,
     }
     for path in (vars(args).get("out"), vars(args).get("csv")):  # checked before the run
-        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        if path is not None and (not path or os.path.isdir(path)
+                                 or not os.path.isdir(os.path.dirname(path) or ".")):
             parser.error(f"cannot write {path!r}: not a file in an existing directory")
     try:
         return handlers[args.command](parser, args)

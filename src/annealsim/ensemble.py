@@ -40,7 +40,9 @@ import numpy as np
 
 from .lindblad_propagator import MAX_DENSITY_QUBITS, propagate_density
 from .spin_system import MAX_QUBITS, _check_qubits, random_ising_block, random_ising_half
-from .taylor_propagator import AnnealParams, SegmentSchedule, propagate, propagate_block
+from .taylor_propagator import (
+    AnnealParams, SegmentSchedule, _check_integer, propagate, propagate_block,
+)
 
 WORKERS_ENV_VAR = "ANNEALSIM_WORKERS"
 # Half-space entries of one unitary block: 64 columns at N = 8, 4 at N = 12,
@@ -61,15 +63,17 @@ class EnsembleConfig:
     l_scale: float = 0.0
 
     def __post_init__(self):
-        if self.runs < 1:
+        if _check_integer("runs", self.runs) < 1:
             raise ValueError("runs must be >= 1")
-        if self.bins < 2:
+        if _check_integer("bins", self.bins) < 2:
             raise ValueError("bins must be >= 2")
+        _check_integer("master_seed", self.master_seed)
         if not isinstance(self.schedule, SegmentSchedule):
             raise ValueError(f"schedule must be a SegmentSchedule, got {self.schedule!r}")
         if self.mode not in ("unitary", "lindblad"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        _check_qubits(self.n_qubits, MAX_QUBITS if self.mode == "unitary" else MAX_DENSITY_QUBITS)
+        limit = MAX_QUBITS if self.mode == "unitary" else MAX_DENSITY_QUBITS
+        _check_qubits(_check_integer("n_qubits", self.n_qubits), limit)
         AnnealParams(self.n_qubits, self.t_anneal)  # the one check of the anneal time
         if not 0 <= self.l_scale < math.inf:  # NaN too
             raise ValueError(f"l_scale must be finite and >= 0, got {self.l_scale}")

@@ -35,6 +35,7 @@ in [0, 1].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -60,6 +61,15 @@ MAX_DRIFT = 1e-6
 # generator pair of a run, unshifted.  It returns None, or an iterator of the
 # row slices as they are finished; see taylor_segment
 Apply = Callable[[np.ndarray, np.ndarray, np.ndarray], Iterable[slice] | None]
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int if it is an integer (``operator.index``: no float,
+    however whole), else a ValueError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -92,11 +102,11 @@ class SegmentSchedule:
     max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self):
-        if self.segments is not None and self.segments < 1:
+        if self.segments is not None and _check_integer("segments", self.segments) < 1:
             raise ValueError("segments must be >= 1")
         if not 0 < self.tol < 1:
             raise ValueError("tol must lie in (0, 1)")
-        if self.max_terms < 2:
+        if _check_integer("max_terms", self.max_terms) < 2:
             raise ValueError("max_terms must be >= 2")
 
     def resolve(self, t_anneal: float) -> int:

@@ -5,9 +5,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import annealsim
 from annealsim.cli import _schedule_from, build_parser, main
+from annealsim.landau_zener import LZParams, lz_propagate
+from annealsim.lindblad_propagator import propagate_density
 from annealsim.spin_system import random_ising_half
 from annealsim.taylor_propagator import AnnealParams, SegmentSchedule, propagate
 from oracle import LZ_P_TWO_SEGMENTS
@@ -46,7 +49,7 @@ def test_single_matches_library(tmp_path, capsys):
     record = json.loads(out.read_text())
     assert record["result"]["p"] == res.success_p
     assert record["result"]["terms_per_segment"] == res.terms_per_segment
-    assert record["schema_version"] == 2
+    assert record["schema_version"] == 3
 
 
 def test_single_no_evolution_limit(capsys):
@@ -115,6 +118,45 @@ def test_ensemble_empty_out_rejected(capsys):
     assert code == 1
 
 
+def test_record_key_sets(tmp_path, capsys):
+    # schema 3: one drift key in every record, one l_scale key in every config
+    one = ["--qubits", "3", "--time", "2", "--seed", "4"]
+    paths = {kind: tmp_path / f"{kind}.json" for kind in ("single", "lindblad", "ensemble")}
+    assert run_cli(["single", *one, "--out", str(paths["single"])]) == 0
+    assert run_cli(["lindblad", *one, "--lscale", "0.1", "--out", str(paths["lindblad"])]) == 0
+    assert run_cli(["ensemble", *one, "--runs", "3", "--mode", "lindblad", "--lscale", "0.1",
+                    "--out", str(paths["ensemble"])]) == 0
+    capsys.readouterr()
+    single, lindblad, ensemble = (json.loads(path.read_text()) for path in paths.values())
+    schedule = {"segments", "tol", "max_terms"}
+    for record, extra in ((single, set()), (lindblad, {"l_scale"})):
+        assert record.keys() == {"schema_version", "kind", "config", "result", "timing"}
+        assert record["config"].keys() == {"qubits", "time", "seed"} | schedule | extra
+        assert record["result"].keys() == {"p", "drift", "terms_per_segment", "converged"}
+        assert record["timing"].keys() == {"wall_seconds"}
+    assert ensemble.keys() == {"schema_version", "kind", "config", "histogram", "instances",
+                               "failures", "summary", "timing"}
+    assert ensemble["config"].keys() == {"qubits", "time", "runs", "master_seed", "bins", "mode",
+                                         "l_scale"} | schedule
+    assert ensemble["histogram"].keys() == {"bin_edges", "counts"}
+    for instance in ensemble["instances"]:
+        assert instance.keys() == {"index", "seed", "p", "terms", "drift", "converged"}
+    assert ensemble["summary"].keys() == {"converged", "failed", "mean_p", "mean_p_stderr"}
+    assert ensemble["timing"].keys() == {"wall_seconds", "workers", "blocks"}
+    assert [r["schema_version"] for r in (single, lindblad, ensemble)] == [3, 3, 3]
+
+
+def test_lindblad_ensemble_drift_is_the_trace_drift(tmp_path, capsys):
+    out = tmp_path / "ens.json"
+    assert run_cli(["ensemble", "--qubits", "3", "--time", "2", "--runs", "3", "--seed", "2",
+                    "--mode", "lindblad", "--lscale", "0.1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for instance in json.loads(out.read_text())["instances"]:
+        res = propagate_density(AnnealParams(3, 2.0), random_ising_half(3, instance["seed"]), 0.1)
+        assert instance["drift"] == res.trace_drift
+        assert instance["p"] == res.success_p
+
+
 def test_ensemble_lindblad_mode(tmp_path, capsys):
     out = tmp_path / "lind_ens.json"
     code = run_cli(["ensemble", "--qubits", "3", "--time", "2", "--runs", "6",
@@ -136,7 +178,7 @@ def test_lindblad_run_and_outputs(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     record = json.loads(out.read_text())
-    assert record["result"]["trace_drift"] < 1e-8
+    assert record["result"]["drift"] < 1e-8
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "state,population"
     pops = np.array([float(r.split(",")[1]) for r in lines[1:]])
@@ -185,6 +227,15 @@ def test_lz_prints_paper_value(capsys):
     assert code == 0
     p = float(stdout.split("P = ")[1].splitlines()[0])
     assert abs(p - LZ_P_TWO_SEGMENTS) < 1e-9
+
+
+def test_lz_reports_as_single_runs_do(capsys):
+    # lz prints P, drift, terms and verdict through the reporter of single runs
+    assert run_cli(["lz", "--delta", "1", "--time", "20", "--segments", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    res = lz_propagate(LZParams(1.0, 20.0), SegmentSchedule(segments=2))
+    assert lines[-4:] == [f"P = {res.success_p!r}", f"drift = {res.norm_drift!r}",
+                          f"terms_per_segment = {res.terms_per_segment}", "converged = True"]
 
 
 def test_lz_pathology_flag(capsys):
@@ -310,6 +361,30 @@ def test_rejected_input_exits_1(tmp_path, capsys, monkeypatch):
         assert code == 1, value
         assert "error: ANNEALSIM_WORKERS" in err, value
     assert not (tmp_path / "x.json").exists()
+
+
+def test_empty_output_path_exits_1_before_the_run(tmp_path, capsys, monkeypatch):
+    # an empty --out or --csv names no file: main rejects it before any run,
+    # and nothing is written
+    def run(*args, **kwargs):
+        pytest.fail("the run started")
+
+    for name in ("propagate", "propagate_density", "run_ensemble", "lz_propagate",
+                 "scaling_sweep"):
+        monkeypatch.setattr(f"annealsim.cli.{name}", run)
+    monkeypatch.chdir(tmp_path)
+    one = ["--qubits", "3", "--time", "1", "--seed", "1"]
+    for argv in (
+        ["single", *one, "--out", ""],
+        ["lindblad", *one, "--out", ""],
+        ["lindblad", *one, "--csv", ""],
+        ["scaling", "--qubits-list", "3", "--time", "1", "--out", ""],
+        ["ensemble", *one, "--runs", "2", "--out", ""],
+        ["lz-sweep", "--points", "2", "--out", ""],
+    ):
+        assert run_cli(argv) == 1, argv
+        assert "error: cannot write ''" in capsys.readouterr().err, argv
+    assert os.listdir(tmp_path) == []
 
 
 def test_unwritable_out_stops_the_ensemble_before_it_runs(tmp_path, capsys, monkeypatch):

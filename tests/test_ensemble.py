@@ -279,6 +279,12 @@ def test_config_validation():
         EnsembleConfig(4, 2.0, runs=1, master_seed=0, mode="thermal")
     with pytest.raises(ValueError, match="SegmentSchedule"):  # the record writer reads it
         EnsembleConfig(4, 2.0, runs=3, master_seed=1, schedule=None)
+    # an integer field takes no float, however whole: a master seed of 1.5
+    # would run as seed 1 and be recorded as 1.5
+    for name, value in (("runs", 2.5), ("bins", 4.5), ("n_qubits", 4.0), ("master_seed", 1.5)):
+        fields = {"n_qubits": 4, "t_anneal": 2.0, "runs": 3, "master_seed": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            EnsembleConfig(**fields)
 
 
 @pytest.mark.parametrize("t_anneal", [-1.0, 0.0, math.nan, math.inf])
@@ -302,6 +308,24 @@ def test_blown_up_instances_are_recorded():
     assert all(r.success_p > 1.0 for r in res.records)
     assert repr(run_ensemble(cfg, workers=2).records) == repr(res.records)
     json.dumps(run_record(cfg, res, 0.0), allow_nan=False)
+
+
+def test_mean_p_stderr_is_the_standard_error_of_the_converged_p():
+    cfg = EnsembleConfig(4, 2.0, runs=12, master_seed=3)
+    res = run_ensemble(cfg, workers=1)
+    ps = [r.success_p for r in res.records if r.converged]
+    n = len(ps)
+    mean = sum(ps) / n
+    stderr = math.sqrt(sum((p - mean) ** 2 for p in ps) / (n - 1)) / math.sqrt(n)
+    summary = run_record(cfg, res, 0.0)["summary"]
+    assert n == 12 and stderr > 0
+    assert math.isclose(summary["mean_p_stderr"], stderr, rel_tol=1e-12)
+    # below two converged runs there is no sample deviation
+    one = EnsembleConfig(4, 2.0, runs=1, master_seed=3)
+    assert run_record(one, run_ensemble(one, workers=1), 0.0)["summary"]["mean_p_stderr"] is None
+    failed = EnsembleConfig(6, 10.0, runs=3, master_seed=1, schedule=SegmentSchedule(segments=1))
+    summary = run_record(failed, run_ensemble(failed, workers=1), 0.0)["summary"]
+    assert summary["converged"] == 0 and summary["mean_p_stderr"] is None
 
 
 def test_sweep_T_blown_up_point_is_nan():

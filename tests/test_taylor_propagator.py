@@ -805,6 +805,11 @@ def test_schedule_validation():
         SegmentSchedule(tol=2.0)
     with pytest.raises(ValueError):
         SegmentSchedule(max_terms=1)
+    # an integer field takes no float, however whole: at construction, not in range()
+    for name, value in (("segments", 2.5), ("segments", 4.0), ("max_terms", 50.5)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SegmentSchedule(**{name: value})
+    assert SegmentSchedule(segments=np.int64(3), max_terms=np.int32(50)).resolve(7.3) == 3
     assert SegmentSchedule().resolve(7.3) == 8
     assert SegmentSchedule(segments=3).resolve(7.3) == 3
     assert SegmentSchedule().resolve(1e-8) == 1
