@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .taylor_propagator import PropagationResult, SegmentSchedule, _Problems, run_segments, settle
+from .taylor_propagator import (
+    Generator, PropagationResult, SegmentSchedule, _Problems, run_segments, settle,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -65,8 +67,10 @@ def lz_propagate(params: LZParams, schedule: SegmentSchedule | None = None) -> P
         np.matmul(const, v, out=a_out)
         np.matmul(ramp, v, out=b_out)
 
+    # the factor -iT is folded into the matrices; the bound is ||H(0)|| + ||H(1)||
+    gen = Generator(apply, 1.0, _Problems.squares, 2.0 * math.hypot(1.0, params.delta))
     psi0 = lz_ground_state(params.delta, 0.0)
-    psi, terms, drift, converged = run_segments(apply, 1.0, psi0, t, schedule, _Problems.squares)
+    psi, terms, drift, converged = run_segments(gen, psi0, t, schedule)
     g1 = lz_ground_state(params.delta, 1.0)
     p, converged = settle(float(np.abs(np.vdot(g1, psi)) ** 2), bool(converged))
     return PropagationResult(psi, p, float(drift), terms, converged)

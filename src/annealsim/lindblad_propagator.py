@@ -33,7 +33,7 @@ from .spin_system import (
     IsingDiagonal, _check_qubits, csr_product, full_flip_matrix, ground_space, lift_to_full,
     uniform_initial_state,
 )
-from .taylor_propagator import AnnealParams, Apply, SegmentSchedule, run_segments, settle
+from .taylor_propagator import AnnealParams, Generator, SegmentSchedule, run_segments, settle
 
 MAX_DENSITY_QUBITS = 10
 
@@ -71,17 +71,21 @@ def build_energy_lowering_op(
     return src, w
 
 
-def _density_pair(n_qubits: int, full_diag: np.ndarray, l_scale: float) -> Apply:
-    """The master-equation pair A_0 M = [H_i, M]^T + D[M], B M = [H_f - H_i, M]^T.
+def _density_pair(
+    n_qubits: int, full_diag: np.ndarray, l_scale: float, t_anneal: float
+) -> Generator:
+    """The master-equation generator: A_0 M = [H_i, M]^T + D[M], B M = [H_f - H_i, M]^T.
 
-    The pair acts on M flattened to one vector, which the kernel treats as
-    one problem (a 2-D state would be read as independent columns).  As H_i
-    is symmetric, [H_i, M]^T = (H_i M)^T - H_i M^T, two :func:`csr_product`
-    calls, and [H_f, M]^T scales M^T by the energy gaps.  The ladder has one
-    entry per row, w_i at column src_i, so L M L^T = (w w^T) * M[src][:, src]
-    is a gather, and L^T L is diagonal.  A term writes into ``a_out``,
-    ``b_out`` and closure-owned work matrices (a second one only when
-    dissipating), and allocates nothing.
+    The factor is T.  The pair acts on M flattened to one vector, which the
+    kernel treats as one problem weighed by its trace (a 2-D state would be
+    read as independent columns); its bound adds ||L^T L|| = l_scale^2
+    (2^N - 1) to the Ising pair's.  As H_i is symmetric, [H_i, M]^T =
+    (H_i M)^T - H_i M^T, two :func:`csr_product` calls, and [H_f, M]^T
+    scales M^T by the energy gaps.  The ladder has one entry per row, w_i
+    at column src_i, so L M L^T = (w w^T) * M[src][:, src] is a gather, and
+    L^T L is diagonal.  A term writes into ``a_out``, ``b_out`` and
+    closure-owned work matrices (a second one only when dissipating), and
+    allocates nothing.
     """
     dim = full_diag.shape[0]
     hi = full_flip_matrix(n_qubits)
@@ -113,7 +117,8 @@ def _density_pair(n_qubits: int, full_diag: np.ndarray, l_scale: float) -> Apply
             np.subtract(prod, work, out=prod)
             drv += prod  # + D[M]
 
-    return apply
+    bound = n_qubits + n_qubits * (n_qubits - 1) / 2 + l_scale**2 * (dim - 1)
+    return Generator(apply, t_anneal, lambda v: np.trace(v.reshape(dim, dim)), bound)
 
 
 def propagate_density(
@@ -140,8 +145,8 @@ def propagate_density(
     psi0 = lift_to_full(uniform_initial_state(n)).real
     dim = psi0.size
     flat, terms, drift, converged = run_segments(
-        _density_pair(n, full_diag, l_scale), params.t_anneal, np.outer(psi0, psi0).ravel(),
-        params.t_anneal, schedule, lambda v: np.trace(v.reshape(dim, dim)),
+        _density_pair(n, full_diag, l_scale, params.t_anneal), np.outer(psi0, psi0).ravel(),
+        params.t_anneal, schedule,
     )
     m = flat.reshape(dim, dim)
     rho = (m + m.T) / 2 + 0.5j * (m - m.T)

@@ -30,7 +30,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import scipy
 
-from .errors import CapacityError
+from .errors import CapacityError, check_integer
 
 # Dimension caps: half-space vectors beyond 2**19 entries (N > 20) leave no
 # headroom for the propagator's work vectors on a desk-scale machine; the
@@ -372,17 +372,18 @@ def random_ising_block(n_qubits: int, seeds: list[int]) -> list[IsingDiagonal]:
     :func:`ising_half_diag` call, so an instance is the same whichever
     seeds it is drawn with.
     """
-    _check_qubits(n_qubits)
+    _check_qubits(check_integer("n_qubits", n_qubits))
+    seeds = [check_integer("seed", seed) for seed in seeds]
     n_pairs = n_qubits * (n_qubits - 1) // 2
     signs = np.empty((len(seeds), n_pairs), dtype=np.int64)
     for row, seed in zip(signs, seeds):
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         row[:] = gen.integers(0, 2, size=n_pairs)
     couplings = np.zeros((len(seeds), n_qubits, n_qubits), dtype=np.int64)
     upper = np.triu_indices(n_qubits, k=1)
     couplings[:, upper[0], upper[1]] = 2 * signs - 1
     halves = ising_half_diag(n_qubits, couplings)
-    return [IsingDiagonal(n_qubits, h, int(s), c) for h, s, c in zip(halves, seeds, couplings)]
+    return [IsingDiagonal(n_qubits, h, s, c) for h, s, c in zip(halves, seeds, couplings)]
 
 
 def random_ising_half(n_qubits: int, seed: int) -> IsingDiagonal:

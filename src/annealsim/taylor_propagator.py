@@ -8,13 +8,13 @@ benchmark.  Around s0, with A = A_0 + s0*B, the Taylor coefficients obey
 
     psi_n = (f/n) (A psi_{n-1} + B psi_{n-2})   (n >= 1, psi_{-1} = 0).
 
-The schedule is linear in s, so a generator is one fixed pair, built once
-per run as a closure ``apply(v, a_out, b_out)`` that writes A_0 v and B v
-into two buffers the kernel owns; only s0 moves from segment to segment,
-and the kernel applies the shift itself.  A term allocates nothing: the
-kernel rotates four state buffers through the recurrence.  A pair may hand
-its products over in row tiles, and the kernel then finishes each tile
-while it is still in cache (see :func:`taylor_segment`).
+The schedule is linear in s, so an evolution is one :class:`Generator`,
+built once per run: the fixed pair, its factor f, its conserved weight and
+a bound on its norm.  Only s0 moves from segment to segment, and the
+kernel applies the shift itself.  A term allocates nothing: the kernel
+rotates four state buffers through the recurrence.  A pair may hand its
+products over in row tiles, and the kernel then finishes each tile while
+it is still in cache (see :func:`taylor_segment`).
 :func:`taylor_segment` is the only loop that runs this recurrence and
 :func:`run_segments` the only loop over segments.  A 2-D state is a block
 of independent problems, one per column, each with its own stop test
@@ -35,12 +35,12 @@ in [0, 1].
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
+from .errors import check_integer
 from .spin_system import (
     IsingDiagonal,
     TransverseField,
@@ -57,19 +57,24 @@ DEFAULT_MAX_TERMS = 500
 # a run whose weight strays further from 1 at a segment boundary is not converged
 MAX_DRIFT = 1e-6
 
-# apply(v, a_out, b_out) writes A_0 v into a_out and B v into b_out: the
-# generator pair of a run, unshifted.  It returns None, or an iterator of the
-# row slices as they are finished; see taylor_segment
-Apply = Callable[[np.ndarray, np.ndarray, np.ndarray], Iterable[slice] | None]
 
+@dataclass(frozen=True)
+class Generator:
+    """The evolution d/ds x = f (A_0 + s B) x of one run.
 
-def _check_integer(name: str, value) -> int:
-    """``value`` as an int if it is an integer (``operator.index``: no float,
-    however whole), else a ValueError naming ``name``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    ``apply(v, a_out, b_out)`` writes A_0 v into ``a_out`` and B v into
+    ``b_out``, unshifted, and returns None or an iterator of the row slices
+    as they are finished (see :func:`taylor_segment`); ``weight(state)`` is
+    what the evolution conserves at 1, a float or one per column of a block;
+    ``bound`` bounds ||H(s)|| over [0, 1], whatever T.  A block needs
+    ``narrow(cols)``, the generator on the block columns ``cols``.
+    """
+
+    apply: Callable[[np.ndarray, np.ndarray, np.ndarray], Iterable[slice] | None]
+    factor: complex
+    weight: Callable[[np.ndarray], float | np.ndarray]
+    bound: float
+    narrow: Callable[[np.ndarray], Generator] | None = None
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,7 @@ class AnnealParams:
     t_anneal: float
 
     def __post_init__(self):
+        check_integer("n_qubits", self.n_qubits)
         if not 0 < self.t_anneal < math.inf:  # NaN too
             raise ValueError(f"anneal time must be positive and finite, got {self.t_anneal}")
 
@@ -102,11 +108,11 @@ class SegmentSchedule:
     max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self):
-        if self.segments is not None and _check_integer("segments", self.segments) < 1:
+        if self.segments is not None and check_integer("segments", self.segments) < 1:
             raise ValueError("segments must be >= 1")
         if not 0 < self.tol < 1:
             raise ValueError("tol must lie in (0, 1)")
-        if _check_integer("max_terms", self.max_terms) < 2:
+        if check_integer("max_terms", self.max_terms) < 2:
             raise ValueError("max_terms must be >= 2")
 
     def resolve(self, t_anneal: float) -> int:
@@ -235,18 +241,16 @@ class _Problems:
 # as overflowed: the pair sum of its squares need not warn
 @np.errstate(over="ignore")
 def taylor_segment(
-    apply: Apply,
-    factor: complex,
+    gen: Generator,
     psi_in: np.ndarray,
     step: float,
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
     s0: float = 0.0,
-    narrow: Callable[[np.ndarray], Apply] | None = None,
 ) -> tuple[np.ndarray, int | np.ndarray, bool | np.ndarray]:
-    """Sum the coefficient recurrence over one segment of length ``step`` from ``s0``.
+    """Sum the recurrence of ``gen`` over one segment of length ``step`` from ``s0``.
 
-    ``apply(v, a_out, b_out)`` writes ``A_0 v`` into ``a_out`` and ``B v``
+    ``gen.apply(v, a_out, b_out)`` writes ``A_0 v`` into ``a_out`` and ``B v``
     into ``b_out``, two C-contiguous buffers of the state's shape and dtype
     that are distinct from ``v``; it must not keep them.  It either returns
     None with both products complete, or returns an iterator of row slices
@@ -278,19 +282,19 @@ def taylor_segment(
     NaN with 0 terms and not converged, and any others run on; nothing is
     raised.
 
-    A block needs ``narrow(cols)``, which returns the pair restricted to the
-    block columns ``cols`` (ascending indices into ``psi_in``'s columns).
-    At every term in which some columns stop or overflow, the kernel
-    gathers the live ones to the front of its own buffers (the sum and the
-    two kept products each into a buffer that is free at that point, so
-    nothing is allocated) and runs on with the narrowed pair, so a stopped
-    column costs nothing more.  Each column's state is that of its
-    one-column run bit for bit.
+    A block needs ``gen.narrow``.  At every term in which some columns stop
+    or overflow, the kernel gathers the live ones to the front of its own
+    buffers (the sum and the two kept products each into a buffer that is
+    free at that point, so nothing is allocated) and runs on with the pair
+    of ``gen.narrow(cols)``, where ``cols`` are the live columns as
+    ascending indices into ``psi_in``'s, so a stopped column costs nothing
+    more.  Each column's state is that of its one-column run bit for bit.
     """
     if max_terms < 2:
         raise ValueError("max_terms must be >= 2")
-    if psi_in.ndim == 2 and narrow is None:
+    if psi_in.ndim == 2 and gen.narrow is None:
         raise ValueError("a block of problems needs narrow")
+    apply, factor = gen.apply, gen.factor
     term, ramp_prev, new, ramp = np.empty((4,) + psi_in.shape, psi_in.dtype)
     np.copyto(term, psi_in)
     ramp_prev.fill(0)
@@ -332,26 +336,22 @@ def taylor_segment(
                             for src, dst in ((new, term), (ramp, ramp_prev), (acc, new))]
                 new, ramp = _front(ramp, shape), _front(acc, shape)
                 term, ramp_prev, acc = gathered
-                apply = narrow(problems.ids)
+                apply = gen.narrow(problems.ids).apply
                 continue
         term, ramp_prev, new, ramp = new, ramp, term, ramp_prev
     return problems.result(acc, max_terms)
 
 
 def run_segments(
-    apply: Apply,
-    factor: complex,
+    gen: Generator,
     state: np.ndarray,
     t_anneal: float,
     schedule: SegmentSchedule | None,
-    weight: Callable[[np.ndarray], float | np.ndarray],
-    narrow: Callable[[np.ndarray], Apply] | None = None,
 ) -> tuple[np.ndarray, list, float | np.ndarray, bool | np.ndarray]:
     """Run :func:`taylor_segment` over the K segments of [0, 1] and judge the run.
 
-    Every segment runs the one pair ``apply``; segment k expands around
-    s0 = k/K.  ``weight(state)`` is the quantity the evolution conserves at
-    1, a float or one per column of a block, and is taken at every boundary.
+    Every segment runs ``gen`` from the full width of a block, and segment
+    k expands around s0 = k/K.  ``gen.weight`` is taken at every boundary.
     Returns ``(state, terms, drift, converged)``: the state at s = 1, the
     term counts of the segments, each problem's largest |weight - 1| (a NaN
     stays NaN) and the one verdict, that every segment stopped and the drift
@@ -359,7 +359,6 @@ def run_segments(
     column (see :func:`taylor_segment`).  A problem that overflows stays NaN,
     counting 0 terms in every later segment.  A segment in which every
     problem has overflowed ends the run, and its terms are not listed.
-    ``narrow`` is handed to every segment, which starts at the full width.
     """
     schedule = schedule or SegmentSchedule()
     n_seg = schedule.resolve(t_anneal)
@@ -368,10 +367,10 @@ def run_segments(
     stopped, drift = True, 0.0
     for k in range(n_seg):
         state, n_terms, ok = taylor_segment(
-            apply, factor, state, step, schedule.tol, schedule.max_terms, k * step, narrow=narrow
+            gen, state, step, schedule.tol, schedule.max_terms, k * step
         )
         stopped = stopped & ok
-        drift = np.maximum(drift, abs(weight(state) - 1.0))  # NaN wins
+        drift = np.maximum(drift, abs(gen.weight(state) - 1.0))  # NaN wins
         if not np.count_nonzero(n_terms):  # every problem overflowed
             break
         terms.append(n_terms)
@@ -390,8 +389,8 @@ def settle(raw_p: float, ok: bool) -> tuple[float, bool]:
     return raw_p, False
 
 
-def _ising_apply(tf: TransverseField, diag_f: np.ndarray) -> Apply:
-    """The annealing pair A_0 = H_i, B = H_f - H_i (factor -iT).
+def _ising_apply(tf: TransverseField, diag_f: np.ndarray, t_anneal: float) -> Generator:
+    """The annealing generator A_0 = H_i, B = H_f - H_i with factor -iT.
 
     ``apply(v, a_out, b_out)`` writes one driver product into ``a_out``
     (:func:`apply_initial`, through this module's global so that it can be
@@ -399,7 +398,9 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray) -> Apply:
     low-bit matrix of 0.6 MB plus in-place updates) and one diagonal
     product into ``b_out``.  Nothing is allocated or upcast:
     ``propagate`` passes the diagonal as complex128, like the states.  A
-    (dim, B) diagonal block and state run B instances, column by column.
+    (dim, B) diagonal block and state run B instances, column by column,
+    and narrow to the diagonal's columns.  The bound ||H_i|| + max|E| =
+    N + N(N-1)/2 holds for every instance of the +/-1 complete graph.
 
     Beyond N = 13 the low-bit product runs in the pair's own
     :func:`tile_work`, made once for the width of ``diag_f`` (None for
@@ -411,15 +412,12 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray) -> Apply:
     row tile.
     """
     work = tile_work(tf, diag_f.shape)
+    rows = tile_rows(diag_f.shape)
 
     def apply(v, a_out, b_out):
         apply_initial(tf, v, a_out, work)
         np.multiply(diag_f, v, out=b_out)
         b_out -= a_out  # (H_f - H_i) v
-
-    rows = tile_rows(diag_f.shape)
-    if rows is None:
-        return apply
 
     def tiled(v, a_out, b_out):
         for t in apply_initial(tf, v, a_out, work, rows):
@@ -427,7 +425,13 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray) -> Apply:
             b -= a_out[t]  # (H_f - H_i) v on the tile
             yield t
 
-    return tiled
+    n = tf.n_qubits
+    return Generator(
+        apply if rows is None else tiled, -1j * t_anneal,
+        # the lifted squared norm over the column view: a vector drifts as a block column
+        lambda v: 2.0 * _Problems.squares(_columns(v)), n + n * (n - 1) / 2,
+        (lambda cols: _ising_apply(tf, diag_f[:, cols], t_anneal)) if diag_f.ndim == 2 else None,
+    )
 
 
 def propagate(
@@ -456,8 +460,8 @@ def propagate_block(
     complex (2**(N-1), B) block, so one driver product per term serves all
     of them.  Each column stops, overflows and is counted on its own, and
     its result equals that of its instance run alone bit for bit.  At every
-    term in which columns stop, the kernel narrows the pair to the rest (a
-    pair on the diagonal's live columns), so a block pays for each column's
+    term in which columns stop, the kernel narrows the generator to the rest
+    (one on the diagonal's live columns), so a block pays for each column's
     own terms only.  A lone instance runs as a vector: as a (dim, 1) block
     it cost 1.33x at N = 8.
     """
@@ -473,11 +477,7 @@ def propagate_block(
         psi0 = np.repeat(psi0[:, None], width, axis=1)
     tf = transverse_field_half(params.n_qubits)
     psi, terms, drift, converged = run_segments(
-        _ising_apply(tf, diag_f), -1j * params.t_anneal, psi0, params.t_anneal, schedule,
-        # the lifted squared norm over the column view: a vector sums its
-        # squares in the order of a block column, so the drifts agree
-        lambda v: 2.0 * _Problems.squares(_columns(v)),
-        lambda cols: _ising_apply(tf, diag_f[:, cols]),
+        _ising_apply(tf, diag_f, params.t_anneal), psi0, params.t_anneal, schedule
     )
     terms = np.array(terms, dtype=np.int64).reshape(-1, width)
     results = []

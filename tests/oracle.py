@@ -18,7 +18,7 @@ power stopping rule, which reads those norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +28,7 @@ from annealsim.landau_zener import LZParams, lz_ground_state, lz_hamiltonian
 from annealsim.spin_system import (
     CSR, IsingDiagonal, _check_qubits, full_flip_matrix, lift_to_full, uniform_initial_state
 )
-from annealsim.taylor_propagator import _Problems, taylor_segment
+from annealsim.taylor_propagator import Generator, _Problems, taylor_segment
 
 MAX_DENSE_QUBITS = 10
 # The paper's Landau-Zener benchmark (delta = 1, T = 20).  Its digits from
@@ -252,7 +252,8 @@ def lindblad_segment(
         np.copyto(a_out.reshape(shape), apply_liouvillian_const(rho, ctx))
         np.copyto(b_out.reshape(shape), apply_liouvillian_ramp(rho, ctx))
 
-    rho, terms, ok = taylor_segment(apply, 1.0, rho_in.ravel(), step, tol, max_terms)
+    gen = Generator(apply, 1.0, lambda flat: np.trace(flat.reshape(shape)), math.inf)
+    rho, terms, ok = taylor_segment(gen, rho_in.ravel(), step, tol, max_terms)
     return rho.reshape(shape), terms, ok
 
 
@@ -296,11 +297,11 @@ class BoundSequence:
     values: np.ndarray
 
 
-def segment_coefficient_norms(apply, psi_in: np.ndarray, n_terms: int) -> np.ndarray:
-    """Norms ||psi_n|| of the first ``n_terms`` coefficients of the pair ``apply``.
+def segment_coefficient_norms(gen: Generator, psi_in: np.ndarray, n_terms: int) -> np.ndarray:
+    """Norms ||psi_n|| of the first ``n_terms`` coefficients of the generator ``gen``.
 
-    Runs :func:`taylor_segment` (factor 1, unit step) with no early stop,
-    recording the norm of every coefficient ``apply`` is given, the input to
+    Runs :func:`taylor_segment` (unit step) with no early stop, recording
+    the norm of every coefficient ``gen.apply`` is given, the input to
     the power stopping rule.  Raises :class:`OverflowError` if a coefficient
     overflows.
     """
@@ -308,9 +309,10 @@ def segment_coefficient_norms(apply, psi_in: np.ndarray, n_terms: int) -> np.nda
 
     def recording(v, a_out, b_out):
         norms.append(math.sqrt(_Problems.squares(v)))
-        return apply(v, a_out, b_out)
+        return gen.apply(v, a_out, b_out)
 
-    _, terms, _ = taylor_segment(recording, 1.0, psi_in, 1.0, -math.inf, max(n_terms + 1, 2))
+    recorded = replace(gen, apply=recording)
+    _, terms, _ = taylor_segment(recorded, psi_in, 1.0, -math.inf, max(n_terms + 1, 2))
     if not np.all(terms):  # psi_n overflowed after the n norms recorded
         raise OverflowError(f"coefficient {len(norms)} overflowed")
     return np.array(norms[: n_terms + 1])
@@ -333,7 +335,8 @@ def coefficient_bound_recurrence(a: float, b: float, n_max: int) -> BoundSequenc
         np.multiply(a, v, out=a_out)
         np.multiply(b, v, out=b_out)
 
-    return BoundSequence(a, b, segment_coefficient_norms(apply, np.ones(1), n_max))
+    gen = Generator(apply, 1.0, _Problems.squares, a + b)
+    return BoundSequence(a, b, segment_coefficient_norms(gen, np.ones(1), n_max))
 
 
 def coefficient_bound_closed(a: float, b: float, n: int) -> float:

@@ -285,6 +285,8 @@ def test_config_validation():
         fields = {"n_qubits": 4, "t_anneal": 2.0, "runs": 3, "master_seed": 1, name: value}
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             EnsembleConfig(**fields)
+    with pytest.raises(ValueError, match="runs_per_n must be an integer"):
+        scaling_sweep([4], 1.0, runs_per_n=2.5)
 
 
 @pytest.mark.parametrize("t_anneal", [-1.0, 0.0, math.nan, math.inf])

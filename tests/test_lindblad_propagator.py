@@ -20,7 +20,9 @@ from annealsim.spin_system import (
     random_ising_half,
     uniform_initial_state,
 )
-from annealsim.taylor_propagator import AnnealParams, SegmentSchedule, propagate, taylor_segment
+from annealsim.taylor_propagator import (
+    AnnealParams, SegmentSchedule, _ising_apply, propagate, taylor_segment, transverse_field_half,
+)
 from oracle import (
     SuperopContext,
     apply_liouvillian_const,
@@ -184,11 +186,25 @@ def test_fast_segment_matches_generic(n, l_scale):
     ref, t_ref, _ = lindblad_segment(ctx, rho0, 0.5, 1e-13, 300)
     m0 = np.outer(psi0.real, psi0.real)
     flat, t_got, _ = taylor_segment(
-        _density_pair(n, fd, l_scale), t_anneal, m0.ravel(), 0.5, 1e-13, 300, s0
+        _density_pair(n, fd, l_scale, t_anneal), m0.ravel(), 0.5, 1e-13, 300, s0
     )
     m = flat.reshape(m0.shape)
     assert t_ref == t_got
     assert np.linalg.norm(ref - ((m + m.T) / 2 + 0.5j * (m - m.T))) < 1e-13
+
+
+@pytest.mark.parametrize("l_scale", [0.0, 0.1, 0.3])
+def test_density_bound_adds_the_dissipator_norm(l_scale):
+    # the density generator's bound is the Ising one plus ||L^T L||, the top
+    # eigenvalue of the dense ladder's L^T L
+    n = 5
+    hf = random_ising_half(n, 4)
+    gen = _density_pair(n, hf.full_diag(), l_scale, 4.0)
+    ising = _ising_apply(transverse_field_half(n), hf.half_diag.astype(complex), 4.0)
+    lind = energy_lowering_matrix(hf.full_diag(), l_scale)
+    top = np.linalg.eigvalsh(lind.conj().T @ lind).max()
+    assert gen.factor == 4.0
+    assert gen.bound - ising.bound == pytest.approx(top, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("l_scale", [0.0, 0.1])
@@ -196,7 +212,7 @@ def test_density_pair_allocates_nothing(l_scale):
     # the pair writes into the kernel's buffers and its own two work
     # matrices: no temporary of M's size, nor a numpy iteration buffer
     n = 6
-    apply = _density_pair(n, random_ising_half(n, 2).full_diag(), l_scale)
+    apply = _density_pair(n, random_ising_half(n, 2).full_diag(), l_scale, 1.0).apply
     m = np.random.default_rng(5).normal(size=4**n)
     a_out, b_out = np.empty_like(m), np.empty_like(m)
     apply(m, a_out, b_out)
@@ -236,7 +252,7 @@ def test_density_pair_is_the_transposed_commutators(l_scale):
     fd = random_ising_half(n, 4).full_diag()
     m = np.random.default_rng(9).normal(size=(dim, dim))
     a_out, b_out = np.empty(dim * dim), np.empty(dim * dim)
-    _density_pair(n, fd, l_scale)(m.ravel(), a_out, b_out)
+    _density_pair(n, fd, l_scale, 1.0).apply(m.ravel(), a_out, b_out)
     hi = scipy_csr(full_flip_matrix(n)).toarray()
     ramp = np.diag(fd.astype(float)) - hi
     lind = energy_lowering_matrix(fd, l_scale).real

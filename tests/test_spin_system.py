@@ -476,6 +476,18 @@ def test_random_ising_seed_determinism():
     assert not np.array_equal(a.half_diag, c.half_diag)
 
 
+def test_random_ising_takes_integers_only():
+    # a float seed, however whole, would draw the seed it truncates to
+    for args, name in (((6, 1.5), "seed"), ((6, 2.0), "seed"), ((4.0, 1), "n_qubits")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            random_ising_half(*args)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        random_ising_block(6, [1, 2.5])
+    big = random_ising_half(6, np.uint64(2**63 + 5))
+    assert big.seed == 2**63 + 5 and type(big.seed) is int
+    assert big.half_diag.tobytes() == random_ising_half(6, 2**63 + 5).half_diag.tobytes()
+
+
 def test_ground_space_examples():
     diag = np.array([-1, 1])
     gs = ground_space(diag)

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import annealsim.landau_zener as lz
 import annealsim.spin_system as ss
 import annealsim.taylor_propagator as tp
-from annealsim.landau_zener import LZParams, lz_propagate
+from annealsim.landau_zener import LZParams, lz_hamiltonian, lz_propagate
 from annealsim.lindblad_propagator import propagate_density
 from annealsim.spin_system import (
     IsingDiagonal,
@@ -20,6 +21,7 @@ from annealsim.spin_system import (
 from annealsim.taylor_propagator import (
     MAX_DRIFT,
     AnnealParams,
+    Generator,
     SegmentSchedule,
     _ising_apply,
     _Problems,
@@ -34,6 +36,7 @@ from annealsim.taylor_propagator import (
 from oracle import (
     coefficient_bound_closed,
     coefficient_bound_recurrence,
+    dense_spectrum,
     power_rule_stop_index,
     rk4_schrodinger,
     segment_coefficient_norms,
@@ -53,7 +56,7 @@ def test_segment_sigma_x_rotation(pair):
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     a = -1j * (np.pi / 2) * sx
     psi, terms, conv = taylor_segment(
-        pair(a, np.zeros_like), 1.0, np.array([1.0 + 0j, 0.0]), 1.0, 1e-14, 100
+        pair(a, np.zeros_like), np.array([1.0 + 0j, 0.0]), 1.0, 1e-14, 100
     )
     assert conv
     assert np.max(np.abs(psi - np.array([0.0, -1.0j]))) < 1e-14
@@ -62,7 +65,7 @@ def test_segment_sigma_x_rotation(pair):
 def test_segment_zero_operators_identity(pair):
     psi_in = np.array([0.3 + 0.1j, -0.2, 0.5])
     psi, terms, conv = taylor_segment(
-        pair(np.zeros_like, np.zeros_like), 1.0, psi_in, 0.5, 1e-12, 50
+        pair(np.zeros_like, np.zeros_like), psi_in, 0.5, 1e-12, 50
     )
     assert conv and terms == 2
     assert np.array_equal(psi, psi_in)
@@ -80,7 +83,7 @@ def test_segment_landau_zener_paper_value(pair):
     for k in range(2):
         shifted = base + (k * 0.5) * ramp
         psi, terms, conv = taylor_segment(
-            pair(shifted, ramp), 1.0, psi, 0.5, 1e-14, 500
+            pair(shifted, ramp), psi, 0.5, 1e-14, 500
         )
         assert conv and terms <= 350
     assert np.max(np.abs(psi - LZ_PSI_PAPER) / np.abs(LZ_PSI_PAPER)) < 1e-10
@@ -90,7 +93,7 @@ def test_segment_overflow_gives_nan(pair):
     # enormous generator on one full-length segment must hit inf before 500
     # terms; the overflow is a result (NaN, 0 terms, not converged), not a raise
     psi, terms, conv = taylor_segment(
-        pair(lambda v: 1e150 * v, np.zeros_like), 1.0, np.ones(2, dtype=complex), 1.0, 1e-12, 500
+        pair(lambda v: 1e150 * v, np.zeros_like), np.ones(2, dtype=complex), 1.0, 1e-12, 500
     )
     assert np.isnan(psi).all() and psi.shape == (2,)
     assert terms == 0 and conv is False
@@ -108,13 +111,38 @@ def test_segment_shift_equals_folded_pair(shape, pair):
     psi /= np.linalg.norm(psi, axis=0)
     c = -0.5j
     # a matrix pair acts on the rows, so it serves any set of columns
-    got, t_got, ok_got = taylor_segment(pair(a0, b), c, psi, 0.5, 1e-13, 300, s0,
-                                        lambda cols: pair(a0, b))
-    ref, t_ref, ok_ref = taylor_segment(pair(folded, b), c, psi, 0.5, 1e-13, 300, 0.0,
-                                        lambda cols: pair(folded, b))
+    got, t_got, ok_got = taylor_segment(pair(a0, b, c), psi, 0.5, 1e-13, 300, s0)
+    ref, t_ref, ok_ref = taylor_segment(pair(folded, b, c), psi, 0.5, 1e-13, 300, 0.0)
     assert np.all(ok_got) and np.all(ok_ref)
     assert np.array_equal(t_got, t_ref)
     assert got.shape == shape and np.max(np.abs(got - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_ising_bound_covers_every_instance(n):
+    # ||H(s)|| <= N + N(N-1)/2 at s = 0, 1/2 and 1, dense, for any instance
+    # of the family: the bound reads N alone, not the instance or T
+    tf = transverse_field_half(n)
+    for seed in range(6):
+        hf = random_ising_half(n, seed)
+        gen = _ising_apply(tf, hf.half_diag.astype(complex), 10.0)
+        assert gen.bound == n + n * (n - 1) / 2 and gen.factor == -10j
+        for s in (0.0, 0.5, 1.0):
+            assert np.abs(dense_spectrum(n, hf, s).eigenvalues).max() <= gen.bound
+
+
+@pytest.mark.parametrize("delta", [0.1, 1.0, 3.0])
+def test_two_level_bound_covers_the_spectrum(delta, monkeypatch):
+    gens = []
+
+    def spy(gen, *args):
+        gens.append(gen)
+        return tp.run_segments(gen, *args)
+
+    monkeypatch.setattr(lz, "run_segments", spy)
+    assert lz_propagate(LZParams(delta, 5.0)).converged
+    for s in np.linspace(0.0, 1.0, 11):
+        assert np.abs(np.linalg.eigvalsh(lz_hamiltonian(delta, s))).max() <= gens[0].bound
 
 
 def test_propagate_builds_its_generator_once(monkeypatch):
@@ -149,8 +177,10 @@ def test_specialized_segment_matches_generic(n, s0, pair):
     def apply_ramp(v):
         return c * (diag_f * v - apply_initial(tf, v))
 
-    ref, t_ref, ok_ref = taylor_segment(pair(apply_const, apply_ramp), 1.0, psi_in, step, 1e-13, 400)
-    got, t_got, ok_got = taylor_segment(_ising_apply(tf, diag_f), c, psi_in, step, 1e-13, 400, s0)
+    ref, t_ref, ok_ref = taylor_segment(pair(apply_const, apply_ramp), psi_in, step, 1e-13, 400)
+    got, t_got, ok_got = taylor_segment(
+        _ising_apply(tf, diag_f, t_anneal), psi_in, step, 1e-13, 400, s0
+    )
     assert ok_ref and ok_got
     assert t_ref == t_got
     assert np.max(np.abs(ref - got)) < 1e-13
@@ -169,17 +199,15 @@ def test_block_column_failure_leaves_neighbour_bitwise(scale, monkeypatch):
         tf = transverse_field_half(n)
         diag = random_ising_half(n, 4).half_diag.astype(complex)
         psi = uniform_initial_state(n)
-        c = -1j * t_anneal
 
         def one_column(d):
-            return taylor_segment(_ising_apply(tf, d), c, psi, step, 1e-12, max_terms, s0)
+            return taylor_segment(_ising_apply(tf, d, t_anneal), psi, step, 1e-12, max_terms, s0)
 
         block_diag = np.stack([diag, scale * diag], axis=1)
         block_psi = np.repeat(psi[:, None], 2, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
             got, terms, ok = taylor_segment(
-                _ising_apply(tf, block_diag), c, block_psi, step, 1e-12, max_terms, s0,
-                narrow=lambda cols: _ising_apply(tf, block_diag[:, cols]),
+                _ising_apply(tf, block_diag, t_anneal), block_psi, step, 1e-12, max_terms, s0
             )
         ref, t_ref, ok_ref = one_column(diag)
         assert ok_ref and ok[0] and t_ref < max_terms
@@ -215,9 +243,7 @@ def test_all_columns_overflowing_end_the_run(monkeypatch):
     psi = np.repeat(uniform_initial_state(n)[:, None], 2, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         state, terms, drift, ok = run_segments(
-            _ising_apply(tf, block), -1j * t_anneal, psi, t_anneal,
-            SegmentSchedule(segments=3), lambda v: 2.0 * _Problems.squares(v),
-            lambda cols: _ising_apply(tf, block[:, cols]),
+            _ising_apply(tf, block, t_anneal), psi, t_anneal, SegmentSchedule(segments=3)
         )
         results = propagate_block(
             AnnealParams(n, t_anneal), [random_ising_half(n, 1)] * 2, SegmentSchedule(segments=3)
@@ -285,8 +311,9 @@ def test_block_pays_only_for_its_columns_own_terms(monkeypatch):
 
 def test_block_without_narrow_is_rejected():
     psi = np.ones((4, 2), dtype=complex)
+    gen = dataclasses.replace(_scalar_pair(np.ones(2), np.zeros(2), -1j), narrow=None)
     with pytest.raises(ValueError, match="narrow"):
-        taylor_segment(_scalar_pair(np.ones(2), np.zeros(2)), -1j, psi, 0.5)
+        taylor_segment(gen, psi, 0.5)
 
 
 def test_exact_norms_only_in_the_band_or_non_finite(monkeypatch):
@@ -312,8 +339,7 @@ def test_exact_norms_only_in_the_band_or_non_finite(monkeypatch):
 
     def run(block, tol):
         sums.clear()
-        return taylor_segment(_ising_apply(tf, block), -3j, psi, step, tol, 200, s0,
-                              narrow=lambda cols: _ising_apply(tf, block[:, cols]))
+        return taylor_segment(_ising_apply(tf, block, 3.0), psi, step, tol, 200, s0)
 
     _, terms, ok = run(np.stack(diags, axis=1), 1e-12)
     assert ok.all() and len(set(terms)) == 3 and exact == []
@@ -331,13 +357,14 @@ def test_exact_norms_only_in_the_band_or_non_finite(monkeypatch):
     assert len(exact) == 1 and not math.isfinite(exact[0])
 
 
-def _scalar_pair(a, b):
+def _scalar_pair(a, b, factor):
     # column j of A_0 is a[j] times the identity, and of B b[j] times it
     def apply(v, a_out, b_out):
         np.multiply(v, a, out=a_out)
         np.multiply(v, b, out=b_out)
 
-    return apply
+    narrow = (lambda cols: _scalar_pair(a[cols], b[cols], factor)) if np.ndim(a) else None
+    return Generator(apply, factor, _Problems.squares, math.inf, narrow)
 
 
 def test_real_block_columns_are_their_one_column_runs():
@@ -346,12 +373,11 @@ def test_real_block_columns_are_their_one_column_runs():
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(2, 6)) * [[1], [0.3]] + [[1], [0]]
     psi = rng.normal(size=(8, 6))
-    got, terms, ok = taylor_segment(_scalar_pair(a, b), -0.7, psi, 0.5, 1e-12, 200, 0.2,
-                                    lambda cols: _scalar_pair(a[cols], b[cols]))
+    got, terms, ok = taylor_segment(_scalar_pair(a, b, -0.7), psi, 0.5, 1e-12, 200, 0.2)
     assert ok.all() and len(set(terms)) > 1
     for j in range(6):
         col = np.ascontiguousarray(psi[:, j])
-        ref, t_ref, ok_ref = taylor_segment(_scalar_pair(a[j], b[j]), -0.7, col, 0.5, 1e-12, 200, 0.2)
+        ref, t_ref, ok_ref = taylor_segment(_scalar_pair(a[j], b[j], -0.7), col, 0.5, 1e-12, 200, 0.2)
         assert got.dtype == ref.dtype == np.float64 and terms[j] == t_ref
         assert got[:, j].tobytes() == ref.tobytes()
 
@@ -370,11 +396,12 @@ def test_compaction_allocates_no_state_buffer():
 
     def narrow(cols):
         narrowings.append(cols.size)
-        return _scalar_pair(a[cols], b[cols])
+        return _scalar_pair(a[cols], b[cols], -1j)
 
     tracemalloc.start()
     try:
-        narrowed, terms, ok = taylor_segment(_scalar_pair(a, b), -1j, psi, 0.5, 1e-12, 200, 0.5, narrow)
+        gen = dataclasses.replace(_scalar_pair(a, b, -1j), narrow=narrow)
+        narrowed, terms, ok = taylor_segment(gen, psi, 0.5, 1e-12, 200, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -383,8 +410,28 @@ def test_compaction_allocates_no_state_buffer():
     assert ok.all() and len(set(terms)) > 8
     for j in range(width):
         col = np.ascontiguousarray(psi[:, j])
-        ref, t_ref, ok_ref = taylor_segment(_scalar_pair(a[j], b[j]), -1j, col, 0.5, 1e-12, 200, 0.5)
+        ref, t_ref, ok_ref = taylor_segment(_scalar_pair(a[j], b[j], -1j), col, 0.5, 1e-12, 200, 0.5)
         assert narrowed[:, j].tobytes() == ref.tobytes() and terms[j] == t_ref and ok_ref
+
+
+def test_kernel_narrows_only_the_generator_it_was_given():
+    # every narrowing asks the generator the segment was given, with
+    # ascending indices into the block it started with; a narrowed
+    # generator is never narrowed again (its narrow is None here)
+    a, b = np.linspace(1.0, 24.0, 16), np.full(16, 0.5)
+    psi = np.ones((64, 16), dtype=complex) / 8
+    asked = []
+
+    def narrow(cols):
+        asked.append(cols.copy())
+        return dataclasses.replace(_scalar_pair(a[cols], b[cols], -1j), narrow=None)
+
+    gen = dataclasses.replace(_scalar_pair(a, b, -1j), narrow=narrow)
+    _, terms, ok = taylor_segment(gen, psi, 0.5, 1e-12, 200, 0.5)
+    assert ok.all() and len(asked) > 2
+    for wider, cols in zip([np.arange(16)] + asked, asked):
+        assert np.all(np.diff(cols) > 0) and np.isin(cols, wider).all()
+        assert cols.size < wider.size
 
 
 def test_block_flags_only_the_drifting_column():
@@ -542,13 +589,11 @@ def test_two_tile_segment_is_bitwise_one_tile_segment(monkeypatch):
     assert ss.tile_rows(psi.shape) == psi.size // 2
     sums, norm = [], tp._Problems.norm
     monkeypatch.setattr(tp._Problems, "norm", lambda self, sq: sums.append(sq) or norm(self, sq))
-    apply = _ising_apply(tf, diag)
-    got, terms, ok = taylor_segment(apply, -10j, psi, 0.025, 1e-12, 500, 0.5)
+    got, terms, ok = taylor_segment(_ising_apply(tf, diag, 10.0), psi, 0.025, 1e-12, 500, 0.5)
     tiled_sums = sums[:]
     sums.clear()
     monkeypatch.setattr(ss, "TILE_ENTRIES", psi.size)
-    apply = _ising_apply(tf, diag)
-    ref, t_ref, ok_ref = taylor_segment(apply, -10j, psi, 0.025, 1e-12, 500, 0.5)
+    ref, t_ref, ok_ref = taylor_segment(_ising_apply(tf, diag, 10.0), psi, 0.025, 1e-12, 500, 0.5)
     assert ok and ok_ref and terms == t_ref > 10
     assert got.tobytes() == ref.tobytes()
     assert len(tiled_sums) == len(sums) == terms
@@ -560,12 +605,12 @@ def _n14_pair():
     n = 14
     tf = transverse_field_half(n)
     diag = random_ising_half(n, 5).half_diag.astype(complex)
-    return _ising_apply(tf, diag), uniform_initial_state(n)
+    return _ising_apply(tf, diag, 10.0), uniform_initial_state(n)
 
 
-def _n14_segment(apply, psi, max_terms, tol=1e-12):
+def _n14_segment(gen, psi, max_terms, tol=1e-12):
     # a segment of 1/10 from s0 = 0.5: about 80 terms at tol 1e-12
-    return taylor_segment(apply, -10j, psi, 0.1, tol, max_terms, 0.5)
+    return taylor_segment(gen, psi, 0.1, tol, max_terms, 0.5)
 
 
 def test_terms_write_into_four_rotating_buffers():
@@ -577,9 +622,9 @@ def test_terms_write_into_four_rotating_buffers():
     def spy(v, a_out, b_out):
         seen.update((a_out.ctypes.data, b_out.ctypes.data))
         calls.append(1)
-        inner(v, a_out, b_out)
+        inner.apply(v, a_out, b_out)
 
-    _, terms, ok = _n14_segment(spy, psi, 500)
+    _, terms, ok = _n14_segment(dataclasses.replace(inner, apply=spy), psi, 500)
     assert ok and terms >= 50 and len(calls) == terms
     assert len(seen) <= 4
     assert psi.ctypes.data not in seen
@@ -593,11 +638,11 @@ def test_segment_memory_does_not_grow_with_terms(monkeypatch):
     for tile_entries in (None, 2048):
         if tile_entries:
             monkeypatch.setattr(ss, "TILE_ENTRIES", tile_entries)
-        apply, psi = _n14_pair()
+        gen, psi = _n14_pair()
         tf, diag = transverse_field_half(14), psi.astype(complex)
         tracemalloc.start()
         try:
-            _ising_apply(tf, diag)
+            _ising_apply(tf, diag, 10.0)
             build_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -606,7 +651,7 @@ def test_segment_memory_does_not_grow_with_terms(monkeypatch):
         for max_terms in (20, 200):
             tracemalloc.start()
             try:
-                _, terms, ok = _n14_segment(apply, psi, max_terms, -math.inf)
+                _, terms, ok = _n14_segment(gen, psi, max_terms, -math.inf)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -810,6 +855,9 @@ def test_schedule_validation():
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SegmentSchedule(**{name: value})
     assert SegmentSchedule(segments=np.int64(3), max_terms=np.int32(50)).resolve(7.3) == 3
+    with pytest.raises(ValueError, match="n_qubits must be an integer"):
+        AnnealParams(4.0, 2.0)  # would fail inside propagate with a TypeError
+    assert AnnealParams(np.int64(4), 2.0).n_qubits == 4
     assert SegmentSchedule().resolve(7.3) == 8
     assert SegmentSchedule(segments=3).resolve(7.3) == 3
     assert SegmentSchedule().resolve(1e-8) == 1
