@@ -4,9 +4,10 @@ Subcommands: ``single`` (one unitary run), ``ensemble`` (random-instance
 sweep with histogram), ``lindblad`` (one dissipative run), ``lz`` and
 ``lz-sweep`` (two-level benchmark), ``scaling`` (wall-time sweep over N).
 
-Exit codes: 0 success; 1 invalid flags, including every value or size the
-library rejects and an output path that is empty or not a file in an
-existing directory (checked before the run); 2 completed but non-converged,
+Exit codes: 0 success; 1 invalid flags: every rejected value (the
+library's, --points and --qubits-list alike) and an output path that is
+empty or not a file in an existing directory (checked before the run) exit
+through the one error path of :func:`main`; 2 completed but non-converged,
 which covers runs that overflow or blow up (no run failure raises).  This
 module writes every output: JSON run records and CSV files.  Outputs are
 deterministic for identical flags; wall-clock measurements are isolated in
@@ -158,6 +159,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("single", help="one unitary annealing run")
+    p.set_defaults(run=_cmd_single)
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -165,6 +167,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write a JSON run record here")
 
     p = sub.add_parser("ensemble", help="random-instance ensemble with histogram")
+    p.set_defaults(run=_cmd_ensemble)
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--runs", type=int, required=True)
@@ -181,6 +184,7 @@ def build_parser() -> _Parser:
                    help="json: full run record; csv: histogram")
 
     p = sub.add_parser("lindblad", help="one dissipative run")
+    p.set_defaults(run=_cmd_lindblad)
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--time", type=float, required=True)
     p.add_argument("--lscale", type=float, default=0.1)
@@ -190,6 +194,7 @@ def build_parser() -> _Parser:
     p.add_argument("--csv", help="write final diagonal populations here")
 
     p = sub.add_parser("lz", help="two-level avoided-crossing benchmark")
+    p.set_defaults(run=_cmd_lz)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--time", type=float, default=20.0)
     _add_schedule_flags(p)
@@ -197,6 +202,7 @@ def build_parser() -> _Parser:
                    help="demonstrate the single-segment blow-up (1 segment, 100 terms)")
 
     p = sub.add_parser("lz-sweep", help="benchmark success probability vs T")
+    p.set_defaults(run=_cmd_lz_sweep)
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--tmin", type=float, default=20.0)
     p.add_argument("--tmax", type=float, default=50.0)
@@ -205,6 +211,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="CSV output path")
 
     p = sub.add_parser("scaling", help="wall-time sweep over register sizes")
+    p.set_defaults(run=_cmd_scaling)
     p.add_argument("--qubits-list", required=True,
                    help="comma-separated register sizes, e.g. 8,10,12,14")
     p.add_argument("--time", type=float, required=True)
@@ -244,11 +251,11 @@ def _run_one(args, kind, run, config, drift_field):
     return code, res
 
 
-def _cmd_single(parser, args) -> int:
+def _cmd_single(args) -> int:
     return _run_one(args, "single", propagate, {}, "norm_drift")[0]
 
 
-def _cmd_ensemble(parser, args) -> int:
+def _cmd_ensemble(args) -> int:
     schedule = _schedule_from(args)
     config = EnsembleConfig(
         n_qubits=args.qubits,
@@ -276,7 +283,7 @@ def _cmd_ensemble(parser, args) -> int:
     return EXIT_OK
 
 
-def _cmd_lindblad(parser, args) -> int:
+def _cmd_lindblad(args) -> int:
     run = partial(propagate_density, l_scale=args.lscale)
     code, res = _run_one(args, "lindblad", run, {"l_scale": args.lscale}, "trace_drift")
     if args.csv is not None:
@@ -286,7 +293,7 @@ def _cmd_lindblad(parser, args) -> int:
     return code
 
 
-def _cmd_lz(parser, args) -> int:
+def _cmd_lz(args) -> int:
     if args.pathology:
         schedule = SegmentSchedule(segments=1, tol=args.tol, max_terms=min(args.max_terms, 100))
     else:
@@ -297,9 +304,9 @@ def _cmd_lz(parser, args) -> int:
     return _report(res, res.norm_drift)
 
 
-def _cmd_lz_sweep(parser, args) -> int:
+def _cmd_lz_sweep(args) -> int:
     if args.points < 2:
-        parser.error("--points must be >= 2")
+        raise ValueError("--points must be >= 2")
     t_values = np.linspace(args.tmin, args.tmax, args.points)
     schedule = _schedule_from(args)
     rows = []
@@ -311,13 +318,13 @@ def _cmd_lz_sweep(parser, args) -> int:
     return EXIT_OK
 
 
-def _cmd_scaling(parser, args) -> int:
+def _cmd_scaling(args) -> int:
     try:
         n_list = [int(tok) for tok in args.qubits_list.split(",") if tok.strip()]
     except ValueError:
-        parser.error(f"cannot parse --qubits-list {args.qubits_list!r}")
+        raise ValueError(f"cannot parse --qubits-list {args.qubits_list!r}") from None
     if not n_list:
-        parser.error("--qubits-list needs at least one size")
+        raise ValueError("--qubits-list needs at least one size")
     schedule = _schedule_from(args)
     result = scaling_sweep(n_list, args.time, args.runs, schedule)
     for n, sec in zip(result.n_values, result.mean_seconds):
@@ -332,23 +339,11 @@ def _cmd_scaling(parser, args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "single": _cmd_single,
-        "ensemble": _cmd_ensemble,
-        "lindblad": _cmd_lindblad,
-        "lz": _cmd_lz,
-        "lz-sweep": _cmd_lz_sweep,
-        "scaling": _cmd_scaling,
-    }
     for path in (vars(args).get("out"), vars(args).get("csv")):  # checked before the run
         if path is not None and (not path or os.path.isdir(path)
                                  or not os.path.isdir(os.path.dirname(path) or ".")):
             parser.error(f"cannot write {path!r}: not a file in an existing directory")
     try:
-        return handlers[args.command](parser, args)
+        return args.run(args)
     except (ValueError, CapacityError, OSError) as exc:  # rejected input, unwritable output
         parser.error(str(exc))
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -28,7 +28,6 @@ to the last bin).
 from __future__ import annotations
 
 import math
-import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -62,10 +61,8 @@ class EnsembleConfig:
     l_scale: float = 0.0
 
     def __post_init__(self):
-        if check_integer("runs", self.runs) < 1:
-            raise ValueError("runs must be >= 1")
-        if check_integer("bins", self.bins) < 2:
-            raise ValueError("bins must be >= 2")
+        check_integer("runs", self.runs, 1)
+        check_integer("bins", self.bins, 2)
         check_integer("master_seed", self.master_seed)
         if not isinstance(self.schedule, SegmentSchedule):
             raise ValueError(f"schedule must be a SegmentSchedule, got {self.schedule!r}")
@@ -160,19 +157,19 @@ def resolve_workers(workers: int | None = None) -> int:
     """``workers``, else $ANNEALSIM_WORKERS, else the number of CPUs this
     process may run on (its affinity mask, where the platform has one).  A
     count that is not an integer >= 1 is a ValueError naming its source."""
-    source, value = "workers", workers
-    if workers is None:
-        source, value = WORKERS_ENV_VAR, os.environ.get(WORKERS_ENV_VAR)
-        if not value:
-            if hasattr(os, "sched_getaffinity"):
-                return len(os.sched_getaffinity(0))
-            return os.cpu_count() or 1
-    try:  # a string from the environment, else an integer: 1.5 is no count
-        count = int(value) if workers is None else operator.index(workers)
-    except (TypeError, ValueError):
+    if workers is not None:
+        return check_integer("workers", workers, 1)
+    value = os.environ.get(WORKERS_ENV_VAR)
+    if not value:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    try:  # a string: int() parses it, and "1.5" is no count
+        count = int(value)
+    except ValueError:
         count = 0
     if count < 1:
-        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
+        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {value!r}")
     return count
 
 
@@ -262,8 +259,7 @@ def scaling_sweep(
     N values; the slope is the exponential growth rate per qubit.  Repeated
     sizes are a ValueError: they would fit a slope over equal N.
     """
-    if check_integer("runs_per_n", runs_per_n) < 1:
-        raise ValueError("runs_per_n must be >= 1")
+    check_integer("runs_per_n", runs_per_n, 1)
     n_values = list(n_list)
     if len(set(n_values)) < len(n_values):
         raise ValueError(f"register sizes must be distinct, got {n_values}")

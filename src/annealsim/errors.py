@@ -8,10 +8,14 @@ class CapacityError(RuntimeError):
     """Requested system size exceeds the documented memory limits."""
 
 
-def check_integer(name: str, value) -> int:
+def check_integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an int if it is an integer (``operator.index``: no float,
-    however whole), else a ValueError naming ``name``."""
+    however whole) of at least ``minimum``, else a ValueError naming ``name``."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
+        if minimum is None or count >= minimum:
+            return count
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    bound = "" if minimum is None else f" >= {minimum}"
+    raise ValueError(f"{name} must be an integer{bound}, got {value!r}")

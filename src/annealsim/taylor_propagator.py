@@ -108,12 +108,11 @@ class SegmentSchedule:
     max_terms: int = DEFAULT_MAX_TERMS
 
     def __post_init__(self):
-        if self.segments is not None and check_integer("segments", self.segments) < 1:
-            raise ValueError("segments must be >= 1")
+        if self.segments is not None:
+            check_integer("segments", self.segments, 1)
         if not 0 < self.tol < 1:
             raise ValueError("tol must lie in (0, 1)")
-        if check_integer("max_terms", self.max_terms) < 2:
-            raise ValueError("max_terms must be >= 2")
+        check_integer("max_terms", self.max_terms, 2)
 
     def resolve(self, t_anneal: float) -> int:
         if self.segments is not None:
@@ -276,11 +275,11 @@ def taylor_segment(
     ``(state, terms, converged)``: for a vector an int and a bool, for a
     block length-B arrays, every column with the stop test, term count and
     flag of its own one-column run.  ``terms`` is the index of the last
-    computed coefficient, and ``converged`` is False when ``max_terms`` was
-    exhausted with the last contribution still above ``tol``.  A problem
-    whose coefficient turns non-finite (the segment is too long) comes back
-    NaN with 0 terms and not converged, and any others run on; nothing is
-    raised.
+    computed coefficient, and ``converged`` is False when ``max_terms`` (from
+    a :class:`SegmentSchedule`, which holds it >= 2) was exhausted with the
+    last contribution still above ``tol``.  A problem whose coefficient
+    turns non-finite (the segment is too long) comes back NaN with 0 terms
+    and not converged, and any others run on; nothing is raised.
 
     A block needs ``gen.narrow``.  At every term in which some columns stop
     or overflow, the kernel gathers the live ones to the front of its own
@@ -290,8 +289,6 @@ def taylor_segment(
     ascending indices into ``psi_in``'s, so a stopped column costs nothing
     more.  Each column's state is that of its one-column run bit for bit.
     """
-    if max_terms < 2:
-        raise ValueError("max_terms must be >= 2")
     if psi_in.ndim == 2 and gen.narrow is None:
         raise ValueError("a block of problems needs narrow")
     apply, factor = gen.apply, gen.factor
@@ -463,18 +460,18 @@ def propagate_block(
     term in which columns stop, the kernel narrows the generator to the rest
     (one on the diagonal's live columns), so a block pays for each column's
     own terms only.  A lone instance runs as a vector: as a (dim, 1) block
-    it cost 1.33x at N = 8.
+    it cost 1.33x at N = 8.  No instances give no results.
     """
+    if not instances:
+        return []
     if any(hf.n_qubits != params.n_qubits for hf in instances):
         raise ValueError("params and Ising instance disagree on qubit count")
     width = len(instances)
     # the diagonal has the state's dtype: no cast per term
-    psi0 = uniform_initial_state(params.n_qubits)
-    if width == 1:
-        diag_f = instances[0].half_diag.astype(np.complex128)
-    else:
-        diag_f = np.stack([hf.half_diag for hf in instances], axis=1).astype(np.complex128)
-        psi0 = np.repeat(psi0[:, None], width, axis=1)
+    diag_f = np.stack([hf.half_diag for hf in instances], axis=1).astype(np.complex128)
+    psi0 = np.repeat(uniform_initial_state(params.n_qubits)[:, None], width, axis=1)
+    if width == 1:  # column views: a (dim, 1) block's column is a contiguous vector
+        diag_f, psi0 = diag_f[:, 0], psi0[:, 0]
     tf = transverse_field_half(params.n_qubits)
     psi, terms, drift, converged = run_segments(
         _ising_apply(tf, diag_f, params.t_anneal), psi0, params.t_anneal, schedule

@@ -1,9 +1,10 @@
 """Reference routes that the tests check the Taylor propagators against.
 
-The fixed-step RK4 integrators here share nothing with the recurrence code
-except the Hamiltonian constructors, so agreement between the two routes is
-evidence of correctness rather than a tautology (``test_oracle`` checks that
-they call no kernel function).  Each sizes its own step count from the
+The fixed-step RK4 integrators here build the driver and the start state
+from their definitions (:func:`driver_matrix`) and share nothing with the
+recurrence code except the instances' energies, so agreement between the
+two routes is evidence of correctness rather than a tautology
+(``test_oracle`` checks that they call no kernel function).  Each sizes its own step count from the
 norm bound T*||A|| of its generator, and also runs at half that count: the
 difference of the two is a step-doubling estimate of its own error.  The
 dense superoperator route (:class:`SuperopContext`, :func:`lindblad_segment`)
@@ -25,9 +26,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from annealsim.landau_zener import LZParams, lz_ground_state, lz_hamiltonian
-from annealsim.spin_system import (
-    CSR, IsingDiagonal, _check_qubits, full_flip_matrix, lift_to_full, uniform_initial_state
-)
+from annealsim.spin_system import CSR, IsingDiagonal, _check_qubits
 from annealsim.taylor_propagator import Generator, _Problems, taylor_segment
 
 MAX_DENSE_QUBITS = 10
@@ -102,6 +101,16 @@ def scipy_csr(mat: CSR) -> csr_matrix:
     return csr_matrix((mat.data, mat.indices, mat.indptr), shape=(n, n))
 
 
+def driver_matrix(n_qubits: int) -> np.ndarray:
+    """The full-space driver H_i = -sum_q sigma_x^q as a dense complex matrix,
+    from its definition: -1 at ``(i, i ^ 2**q)`` for every qubit q."""
+    idx = np.arange(1 << n_qubits)
+    hi = np.zeros((idx.size, idx.size), dtype=np.complex128)
+    for q in range(n_qubits):
+        hi[idx, idx ^ (1 << q)] = -1.0
+    return hi
+
+
 def rk4_steps(scale: float) -> int:
     """Default step count for a generator whose T*||A(s)|| is at most ``scale``:
     :data:`STEPS_PER_UNIT` per unit, rounded up to an even count."""
@@ -143,13 +152,14 @@ def rk4_schrodinger_batch(
     """
     _check_qubits(n_qubits, MAX_DENSE_QUBITS)
     dim = 1 << n_qubits
-    hi = scipy_csr(full_flip_matrix(n_qubits)).toarray().astype(np.complex128)
+    hi = driver_matrix(n_qubits)
     diags = np.atleast_2d(np.asarray(full_diags, dtype=np.float64))
     if steps is None:  # ||H(s)|| <= N + max|E|
         steps = rk4_steps(t_anneal * (n_qubits + np.abs(diags).max()))
     if diags.shape[1] != dim:
         raise ValueError("diagonal length does not match 2**N")
-    psi0 = np.tile(lift_to_full(uniform_initial_state(n_qubits)), (diags.shape[0], 1))
+    # the uniform superposition, 2**(-N/2) in every entry
+    psi0 = np.full((diags.shape[0], dim), 2.0 ** (-n_qubits / 2.0), dtype=np.complex128)
     c = -1j * t_anneal
 
     def rhs(s, psi):
@@ -277,7 +287,7 @@ def energy_lowering_matrix(hf_full_diag: np.ndarray, scale: float = 1.0) -> np.n
 def dense_spectrum(n_qubits: int, hf: IsingDiagonal, s: float) -> SpectralSlice:
     """Eigenvalues of (1-s) H_i + s H_f in the full space, ascending."""
     _check_qubits(n_qubits, MAX_DENSE_QUBITS)
-    h = (1.0 - s) * scipy_csr(full_flip_matrix(n_qubits)).toarray()
+    h = (1.0 - s) * driver_matrix(n_qubits).real
     h[np.diag_indices_from(h)] += s * hf.full_diag()
     eigenvalues = np.linalg.eigvalsh(h)
     return SpectralSlice(s, eigenvalues, float(eigenvalues[1] - eigenvalues[0]))

@@ -290,9 +290,18 @@ def test_scaling_single_n(tmp_path, capsys):
     assert out.read_text().startswith("N,mean_seconds\n")
 
 
+def test_scaling_three_sizes_print_the_fitted_slope(capsys):
+    assert run_cli(["scaling", "--qubits-list", "2,3,4", "--time", "1", "--runs", "1"]) == 0
+    stdout = capsys.readouterr().out
+    assert [line.split(":")[0] for line in stdout.splitlines()] == [
+        "N=2", "N=3", "N=4", "fitted log-time slope over largest three N"]
+
+
 def test_scaling_bad_list_exits_1(capsys):
     assert run_cli(["scaling", "--qubits-list", "8,ten", "--time", "2"]) == 1
     capsys.readouterr()
+    assert run_cli(["scaling", "--qubits-list", ",", "--time", "2"]) == 1
+    assert "error: --qubits-list needs at least one size" in capsys.readouterr().err
     assert run_cli(["scaling", "--qubits-list", "1,4", "--time", "2"]) == 1
     capsys.readouterr()
     # repeated sizes would fit a slope over equal N

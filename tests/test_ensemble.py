@@ -271,9 +271,9 @@ def test_lone_instance_reaches_kernel_as_vector(monkeypatch):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="runs must be an integer >= 1"):
         EnsembleConfig(4, 2.0, runs=0, master_seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bins must be an integer >= 2"):
         EnsembleConfig(4, 2.0, runs=1, master_seed=0, bins=1)
     with pytest.raises(ValueError):
         EnsembleConfig(4, 2.0, runs=1, master_seed=0, mode="thermal")
@@ -285,8 +285,9 @@ def test_config_validation():
         fields = {"n_qubits": 4, "t_anneal": 2.0, "runs": 3, "master_seed": 1, name: value}
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             EnsembleConfig(**fields)
-    with pytest.raises(ValueError, match="runs_per_n must be an integer"):
-        scaling_sweep([4], 1.0, runs_per_n=2.5)
+    for runs_per_n in (2.5, 0):
+        with pytest.raises(ValueError, match="runs_per_n must be an integer"):
+            scaling_sweep([4], 1.0, runs_per_n=runs_per_n)
 
 
 @pytest.mark.parametrize("t_anneal", [-1.0, 0.0, math.nan, math.inf])

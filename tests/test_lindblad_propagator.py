@@ -322,6 +322,11 @@ def test_propagate_density_capacity():
         propagate_density(AnnealParams(12, 2.0), random_ising_half(12, 0), 0.1)
 
 
+def test_propagate_density_rejects_a_qubit_count_mismatch():
+    with pytest.raises(ValueError, match="disagree on qubit count"):
+        propagate_density(AnnealParams(4, 2.0), random_ising_half(3, 1), 0.1)
+
+
 def test_superoperator_norm_estimates():
     # ||G_const|| <= 2||A||_HS + 2T||L||_HS^2 and ||G_ramp|| <= 2||B||_HS,
     # with the operator norms estimated by power iteration on G^dag G.

@@ -28,9 +28,17 @@ from oracle import (
     rk4_landau_zener,
     rk4_lindblad,
     rk4_schrodinger,
+    driver_matrix,
     rk4_schrodinger_batch,
     scipy_csr,
 )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_driver_from_its_definition_is_the_flip_matrix(n):
+    # the references build H_i themselves; the library's builder must agree
+    assert np.array_equal(driver_matrix(n), scipy_csr(full_flip_matrix(n)).toarray())
+
 
 def test_rk4_stationary_state():
     # H_f = -N*I: the uniform state only picks up the phase e^{iTN}

@@ -309,6 +309,16 @@ def test_block_pays_only_for_its_columns_own_terms(monkeypatch):
     assert sum(widths) == sum(sum(r.terms_per_segment) for r in block)
 
 
+def test_block_of_no_instances_and_mismatched_instances():
+    # no instances give no results, before anything is built; an instance of
+    # another register size is rejected, alone or beside a matching one
+    params = AnnealParams(4, 2.0)
+    assert propagate_block(params, []) == []
+    for instances in ([random_ising_half(3, 1)], [random_ising_half(4, 1), random_ising_half(5, 2)]):
+        with pytest.raises(ValueError, match="disagree on qubit count"):
+            propagate_block(params, instances)
+
+
 def test_block_without_narrow_is_rejected():
     psi = np.ones((4, 2), dtype=complex)
     gen = dataclasses.replace(_scalar_pair(np.ones(2), np.zeros(2), -1j), narrow=None)
@@ -844,11 +854,11 @@ def test_oracle_equivalence_spot_checks():
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="segments must be an integer >= 1"):
         SegmentSchedule(segments=0)
     with pytest.raises(ValueError):
         SegmentSchedule(tol=2.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_terms must be an integer >= 2"):
         SegmentSchedule(max_terms=1)
     # an integer field takes no float, however whole: at construction, not in range()
     for name, value in (("segments", 2.5), ("segments", 4.0), ("max_terms", 50.5)):
