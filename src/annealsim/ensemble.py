@@ -63,7 +63,7 @@ class EnsembleConfig:
     def __post_init__(self):
         check_integer("runs", self.runs, 1)
         check_integer("bins", self.bins, 2)
-        check_integer("master_seed", self.master_seed)
+        check_integer("master_seed", self.master_seed, 0)
         if not isinstance(self.schedule, SegmentSchedule):
             raise ValueError(f"schedule must be a SegmentSchedule, got {self.schedule!r}")
         if self.mode not in ("unitary", "lindblad"):
@@ -260,6 +260,7 @@ def scaling_sweep(
     sizes are a ValueError: they would fit a slope over equal N.
     """
     check_integer("runs_per_n", runs_per_n, 1)
+    check_integer("master_seed", master_seed, 0)
     n_values = list(n_list)
     if len(set(n_values)) < len(n_values):
         raise ValueError(f"register sizes must be distinct, got {n_values}")

@@ -35,6 +35,9 @@ from .errors import CapacityError, check_integer
 # Dimension caps: half-space vectors beyond 2**19 entries (N > 20) leave no
 # headroom for the propagator's work vectors on a desk-scale machine; the
 # driver matrix no longer grows with N, so the work vectors alone set the cap.
+# An anneal at N = 18 peaks at about 8.6 of them: the kernel's input and
+# three fresh term buffers, its sum, the pair's two tile_work scratches, the
+# diagonal, the driver and a tile (107 MB RSS for one N = 20 anneal).
 MAX_QUBITS = 20
 # The driver matrix covers the low min(N-1, LOW_FLIP_BITS) bits: 2**12 rows
 # of 12 entries, about 0.6 MB, whatever N (see apply_initial).
@@ -373,7 +376,7 @@ def random_ising_block(n_qubits: int, seeds: list[int]) -> list[IsingDiagonal]:
     seeds it is drawn with.
     """
     _check_qubits(check_integer("n_qubits", n_qubits))
-    seeds = [check_integer("seed", seed) for seed in seeds]
+    seeds = [check_integer("seed", seed, 0) for seed in seeds]
     n_pairs = n_qubits * (n_qubits - 1) // 2
     signs = np.empty((len(seeds), n_pairs), dtype=np.int64)
     for row, seed in zip(signs, seeds):

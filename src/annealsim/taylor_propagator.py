@@ -12,9 +12,9 @@ The schedule is linear in s, so an evolution is one :class:`Generator`,
 built once per run: the fixed pair, its factor f, its conserved weight and
 a bound on its norm.  Only s0 moves from segment to segment, and the
 kernel applies the shift itself.  A term allocates nothing: the kernel
-rotates four state buffers through the recurrence.  A pair may hand its
-products over in row tiles, and the kernel then finishes each tile while
-it is still in cache (see :func:`taylor_segment`).
+rotates four state buffers through the recurrence, its input among them.
+A pair may hand its products over in row tiles, and the kernel then
+finishes each tile while it is still in cache (see :func:`taylor_segment`).
 :func:`taylor_segment` is the only loop that runs this recurrence and
 :func:`run_segments` the only loop over segments.  A 2-D state is a block
 of independent problems, one per column, each with its own stop test
@@ -261,13 +261,14 @@ def taylor_segment(
     to ``A v = A_0 v + s0 (B v)``, and keeps ``B psi_{n-1}`` as the (n-2)
     product of the next term.  Its buffers are allocated once per call:
     four state buffers rotate through the terms (the last term, the kept
-    (n-2) product and the two outputs), plus the sum, one tile of scratch
-    for the shift and the scaled term and, once some columns of a block
-    stop before the rest, the returned block; the pair owns any scratch of
-    its own.  The loop starts at n = 1 from psi_0 and a zero (n-2)
-    product, so psi_1 is the recurrence's first term.  The stop test is
-    taken from n = 2 as described at :class:`_Problems`, on norms summed
-    over the tiles.
+    (n-2) product and the two outputs), of which ``psi_in``, holding psi_0,
+    is the first and three are fresh, plus the sum, one tile of scratch for
+    the shift and the scaled term and, once some columns of a block stop
+    before the rest, the returned block; the pair owns any scratch of its
+    own.  The loop starts at n = 1 from psi_0 and a zero (n-2) product, so
+    psi_1 is the recurrence's first term.  The stop test is taken from
+    n = 2 as described at :class:`_Problems`, on norms summed over the
+    tiles.
 
     A 1-D state is one problem (flatten a density matrix first), and a
     C-contiguous 2-D state of shape (dim, B) is B independent problems, one
@@ -288,14 +289,18 @@ def taylor_segment(
     of ``gen.narrow(cols)``, where ``cols`` are the live columns as
     ascending indices into ``psi_in``'s, so a stopped column costs nothing
     more.  Each column's state is that of its one-column run bit for bit.
+
+    ``psi_in`` is consumed: its entries are overwritten by the terms, and
+    a caller that needs them passes a copy.  An input that is read-only or
+    not C-contiguous is copied first and left as it was.
     """
     if psi_in.ndim == 2 and gen.narrow is None:
         raise ValueError("a block of problems needs narrow")
     apply, factor = gen.apply, gen.factor
-    term, ramp_prev, new, ramp = np.empty((4,) + psi_in.shape, psi_in.dtype)
-    np.copyto(term, psi_in)
+    term = np.require(psi_in, requirements="CW")  # psi_0 in place: the input is consumed
+    ramp_prev, new, ramp = np.empty((3,) + term.shape, term.dtype)
     ramp_prev.fill(0)
-    acc = psi_in.copy()
+    acc = term.copy()
     problems = _Problems(acc)
     trigger = tol * problems.NEAR
     scratch = None  # one tile, reused while it is still in cache
@@ -356,6 +361,10 @@ def run_segments(
     column (see :func:`taylor_segment`).  A problem that overflows stays NaN,
     counting 0 terms in every later segment.  A segment in which every
     problem has overflowed ends the run, and its terms are not listed.
+
+    ``state`` is consumed as :func:`taylor_segment` consumes its input, and
+    each segment's input is dropped when it returns: a start state that no
+    caller keeps alive costs no memory beyond the first segment.
     """
     schedule = schedule or SegmentSchedule()
     n_seg = schedule.resolve(t_anneal)
@@ -469,12 +478,15 @@ def propagate_block(
     width = len(instances)
     # the diagonal has the state's dtype: no cast per term
     diag_f = np.stack([hf.half_diag for hf in instances], axis=1).astype(np.complex128)
-    psi0 = np.repeat(uniform_initial_state(params.n_qubits)[:, None], width, axis=1)
-    if width == 1:  # column views: a (dim, 1) block's column is a contiguous vector
-        diag_f, psi0 = diag_f[:, 0], psi0[:, 0]
+    if width == 1:  # a column view: a (dim, 1) block's column is a contiguous vector
+        diag_f = diag_f[:, 0]
     tf = transverse_field_half(params.n_qubits)
+    # the start state (uniform, in every column) has no name here: the first
+    # segment consumes it, and nothing keeps it alive for the rest of the run
     psi, terms, drift, converged = run_segments(
-        _ising_apply(tf, diag_f, params.t_anneal), psi0, params.t_anneal, schedule
+        _ising_apply(tf, diag_f, params.t_anneal),
+        np.repeat(uniform_initial_state(params.n_qubits), width).reshape(diag_f.shape),
+        params.t_anneal, schedule,
     )
     terms = np.array(terms, dtype=np.int64).reshape(-1, width)
     results = []

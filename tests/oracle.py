@@ -254,7 +254,8 @@ def lindblad_segment(
     tol: float,
     max_terms: int,
 ) -> tuple[np.ndarray, int, bool]:
-    """One Taylor segment of the master equation (Hilbert-Schmidt norm stop)."""
+    """One Taylor segment of the master equation (Hilbert-Schmidt norm stop),
+    run on a copy of ``rho_in`` (the kernel consumes its input)."""
     shape = rho_in.shape
 
     def apply(flat, a_out, b_out):  # the kernel takes rho flattened: one problem, not columns
@@ -263,7 +264,7 @@ def lindblad_segment(
         np.copyto(b_out.reshape(shape), apply_liouvillian_ramp(rho, ctx))
 
     gen = Generator(apply, 1.0, lambda flat: np.trace(flat.reshape(shape)), math.inf)
-    rho, terms, ok = taylor_segment(gen, rho_in.ravel(), step, tol, max_terms)
+    rho, terms, ok = taylor_segment(gen, rho_in.flatten(), step, tol, max_terms)
     return rho.reshape(shape), terms, ok
 
 
@@ -310,10 +311,10 @@ class BoundSequence:
 def segment_coefficient_norms(gen: Generator, psi_in: np.ndarray, n_terms: int) -> np.ndarray:
     """Norms ||psi_n|| of the first ``n_terms`` coefficients of the generator ``gen``.
 
-    Runs :func:`taylor_segment` (unit step) with no early stop, recording
-    the norm of every coefficient ``gen.apply`` is given, the input to
-    the power stopping rule.  Raises :class:`OverflowError` if a coefficient
-    overflows.
+    Runs :func:`taylor_segment` (unit step) on a copy of ``psi_in`` with
+    no early stop, recording the norm of every coefficient ``gen.apply`` is
+    given, the input to the power stopping rule.  Raises
+    :class:`OverflowError` if a coefficient overflows.
     """
     norms = []
 
@@ -322,7 +323,7 @@ def segment_coefficient_norms(gen: Generator, psi_in: np.ndarray, n_terms: int) 
         return gen.apply(v, a_out, b_out)
 
     recorded = replace(gen, apply=recording)
-    _, terms, _ = taylor_segment(recorded, psi_in, 1.0, -math.inf, max(n_terms + 1, 2))
+    _, terms, _ = taylor_segment(recorded, psi_in.copy(), 1.0, -math.inf, max(n_terms + 1, 2))
     if not np.all(terms):  # psi_n overflowed after the n norms recorded
         raise OverflowError(f"coefficient {len(norms)} overflowed")
     return np.array(norms[: n_terms + 1])

@@ -372,6 +372,19 @@ def test_rejected_input_exits_1(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_negative_seed_exits_1_naming_the_field(tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    for argv, name in (
+        (["single", "--qubits", "4", "--time", "2", "--seed", "-1"], "seed"),
+        (["lindblad", "--qubits", "3", "--time", "2", "--seed", "-1"], "seed"),
+        (["ensemble", "--qubits", "3", "--time", "2", "--runs", "2", "--seed", "-1",
+          "--out", out], "master_seed"),
+    ):
+        assert run_cli(argv) == 1, argv
+        assert f"error: {name} must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_empty_output_path_exits_1_before_the_run(tmp_path, capsys, monkeypatch):
     # an empty --out or --csv names no file: main rejects it before any run,
     # and nothing is written

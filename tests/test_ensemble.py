@@ -288,6 +288,11 @@ def test_config_validation():
     for runs_per_n in (2.5, 0):
         with pytest.raises(ValueError, match="runs_per_n must be an integer"):
             scaling_sweep([4], 1.0, runs_per_n=runs_per_n)
+    # a negative master seed is named, not left to numpy's SeedSequence
+    with pytest.raises(ValueError, match="master_seed must be an integer >= 0, got -1"):
+        EnsembleConfig(4, 2.0, runs=3, master_seed=-1)
+    with pytest.raises(ValueError, match="master_seed must be an integer >= 0, got -1"):
+        scaling_sweep([4], 1.0, runs_per_n=1, master_seed=-1)
 
 
 @pytest.mark.parametrize("t_anneal", [-1.0, 0.0, math.nan, math.inf])

@@ -483,6 +483,9 @@ def test_random_ising_takes_integers_only():
             random_ising_half(*args)
     with pytest.raises(ValueError, match="seed must be an integer"):
         random_ising_block(6, [1, 2.5])
+    # a negative seed is rejected where it enters, not by numpy's SeedSequence
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+        random_ising_half(6, -1)
     big = random_ising_half(6, np.uint64(2**63 + 5))
     assert big.seed == 2**63 + 5 and type(big.seed) is int
     assert big.half_diag.tobytes() == random_ising_half(6, 2**63 + 5).half_diag.tobytes()
