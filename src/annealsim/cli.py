@@ -5,15 +5,16 @@ sweep with histogram), ``lindblad`` (one dissipative run), ``lz`` and
 ``lz-sweep`` (two-level benchmark), ``scaling`` (wall-time sweep over N).
 
 Exit codes: 0 success; 1 invalid flags: every rejected value (the
-library's, --points and --qubits-list alike) and an output path that is
-empty or not a file in an existing directory (checked before the run) exit
-through the one error path of :func:`main`; 2 completed but non-converged,
-which covers runs that overflow or blow up (no run failure raises).  This
-module writes every output: JSON run records and CSV files.  Outputs are
-deterministic for identical flags; wall-clock measurements are isolated in
-the ``timing`` block of JSON records.  Worker count for ensembles comes from
---workers or the ANNEALSIM_WORKERS environment variable (default: the CPUs
-this process may run on); n workers are this process plus n - 1 forked ones.
+library's, --points and --qubits-list alike, each size of which is
+checked before the first anneal) and an output path that is empty or not a
+file in an existing directory (checked before the run) exit through the one
+error path of :func:`main`; 2 completed but non-converged, which covers runs
+that overflow or blow up (no run failure raises).  This module writes every
+output: JSON run records and CSV files.  Outputs are deterministic for
+identical flags; wall-clock measurements are isolated in the ``timing``
+block of JSON records.  The worker count of an ensemble comes from
+--workers alone (default: the CPUs this process may run on, which
+``taskset`` limits); n workers are this process plus n - 1 forked ones.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ from .lindblad_propagator import MAX_DENSITY_QUBITS, propagate_density
 from .spin_system import MAX_QUBITS, _check_qubits, random_ising_block, random_ising_half
 from .taylor_propagator import AnnealParams, SegmentSchedule, propagate, propagate_block
 
-WORKERS_ENV_VAR = "ANNEALSIM_WORKERS"
 # Half-space entries of one unitary block: 64 columns at N = 8, 4 at N = 12,
 # one (a plain per-instance run) from N = 14 on.  Twice as wide measured no
 # faster at N = 8, 10 or 12.
@@ -154,23 +153,14 @@ def block_width(n_qubits: int, runs: int, workers: int) -> int:
 
 
 def resolve_workers(workers: int | None = None) -> int:
-    """``workers``, else $ANNEALSIM_WORKERS, else the number of CPUs this
-    process may run on (its affinity mask, where the platform has one).  A
-    count that is not an integer >= 1 is a ValueError naming its source."""
+    """``workers``, checked (an integer >= 1), else the number of CPUs this
+    process may run on: its affinity mask, or ``os.cpu_count()`` where the
+    platform has none."""
     if workers is not None:
         return check_integer("workers", workers, 1)
-    value = os.environ.get(WORKERS_ENV_VAR)
-    if not value:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    try:  # a string: int() parses it, and "1.5" is no count
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer >= 1, got {value!r}")
-    return count
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> EnsembleResult:
@@ -233,8 +223,10 @@ def sweep_T(
 
     Failed points (non-convergence, blow-up or overflow) are recorded as
     NaN, never dropped silently.  The times, ``mode`` and ``l_scale`` are
-    checked as :class:`EnsembleConfig` checks them, before any point runs.
+    checked as :class:`EnsembleConfig` checks them, and ``hf_seed`` as a
+    seed, before any point runs.
     """
+    check_integer("hf_seed", hf_seed, 0)
     t_values = np.asarray(list(t_list), dtype=np.float64)  # t_list may be an iterator
     schedule = schedule or SegmentSchedule()
     configs = [EnsembleConfig(n_qubits, float(t), 1, hf_seed, schedule, mode=mode, l_scale=l_scale)
@@ -257,11 +249,14 @@ def scaling_sweep(
 
     With three or more sizes, fits log(mean time) against the largest three
     N values; the slope is the exponential growth rate per qubit.  Repeated
-    sizes are a ValueError: they would fit a slope over equal N.
+    sizes are a ValueError: they would fit a slope over equal N.  Every size
+    is checked before the first anneal.
     """
     check_integer("runs_per_n", runs_per_n, 1)
     check_integer("master_seed", master_seed, 0)
     n_values = list(n_list)
+    for n in n_values:
+        _check_qubits(check_integer("n_qubits", n))
     if len(set(n_values)) < len(n_values):
         raise ValueError(f"register sizes must be distinct, got {n_values}")
     means = []

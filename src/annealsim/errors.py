@@ -10,10 +10,11 @@ class CapacityError(RuntimeError):
 
 def check_integer(name: str, value, minimum: int | None = None) -> int:
     """``value`` as an int if it is an integer (``operator.index``: no float,
-    however whole) of at least ``minimum``, else a ValueError naming ``name``."""
+    however whole, and no bool) of at least ``minimum``, else a ValueError
+    naming ``name``."""
     try:
         count = operator.index(value)
-        if minimum is None or count >= minimum:
+        if not isinstance(value, bool) and (minimum is None or count >= minimum):
             return count
     except TypeError:
         pass

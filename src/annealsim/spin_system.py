@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import os
 from dataclasses import dataclass, field
 from types import ModuleType
@@ -197,21 +196,14 @@ def csr_product(mat: CSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def tile_rows(shape: tuple[int, ...]) -> int | None:
-    """Rows per tile of a state of ``shape``, or None when it is one tile.
-
-    A state of more than :data:`TILE_ENTRIES` entries is split along its
-    first axis into the fewest equal power-of-two row tiles of at most that
-    many entries (tiles of one row when a row alone holds more).
-    """
-    entries = math.prod(shape)
-    if entries <= TILE_ENTRIES:
-        return None
-    return max(1, shape[0] >> ((entries - 1) // TILE_ENTRIES).bit_length())
+def tile_rows(length: int) -> int | None:
+    """Rows per tile of a vector of ``length`` entries: :data:`TILE_ENTRIES` once it
+    has more (both are powers of two), else None, one tile.  Only a vector is tiled."""
+    return TILE_ENTRIES if length > TILE_ENTRIES else None
 
 
-def tile_work(tf: TransverseField, shape: tuple[int, ...]) -> np.ndarray | None:
-    """The ``work`` of :func:`apply_initial` for states of ``shape``.
+def tile_work(tf: TransverseField) -> np.ndarray | None:
+    """The ``work`` of :func:`apply_initial` for one vector.
 
     It holds the low-bit product's input and output: two (2**m, k + 1)
     complex arrays, where k is the number of entries over 2**m, so each has
@@ -223,7 +215,7 @@ def tile_work(tf: TransverseField, shape: tuple[int, ...]) -> np.ndarray | None:
     if tf.complex_data is not None:
         return None
     low = tf.couplings.indptr.size - 1
-    return np.zeros((2, low, math.prod(shape) // low + 1), dtype=np.complex128)
+    return np.zeros((2, low, (1 << (tf.n_qubits - 1)) // low + 1), dtype=np.complex128)
 
 
 def apply_initial(
@@ -235,20 +227,21 @@ def apply_initial(
 ) -> np.ndarray | Iterator[slice]:
     """Apply the full transverse-field Hamiltonian within the half space, into ``out``.
 
-    ``psi`` is a half vector or a C-contiguous (2**(N-1), B) block of them;
-    each column is transformed on its own.  ``out`` (complex128, psi's
-    shape, C-contiguous; checked) receives the result; without it one is
-    allocated.  For N <= 13 ``couplings`` is the whole driver, and the call
-    is one compiled product into ``out``: scipy's ``csr_matvec`` on
-    ``complex_data`` for one column (a vector or a (dim, 1) block), which
-    is scipy's complex ``c @ psi``, and :func:`csr_product` for a wider
-    block; ``work`` is not used.  Beyond, three steps:
+    ``psi`` is a half vector or, up to N = 13 only, a C-contiguous
+    (2**(N-1), B) block of them; each column is transformed on its own.
+    ``out`` (complex128, psi's shape, C-contiguous; checked) receives the
+    result; without it one is allocated.  For N <= 13 ``couplings`` is the
+    whole driver, and the call is one compiled product into ``out``:
+    scipy's ``csr_matvec`` on ``complex_data`` for one column (a vector or a
+    (dim, 1) block), which is scipy's complex ``c @ psi``, and
+    :func:`csr_product` for a wider block; ``work`` is not used.  Beyond,
+    three steps on the vector:
 
     * the flips of the low m bits: ``couplings`` applied by
-      :func:`csr_product` to the low-bit axis of the (2**(N-1-m), 2**m, B)
+      :func:`csr_product` to the low-bit axis of the (2**(N-1-m), 2**m)
       view, moved to the front by a transposed copy; the copy and the
-      product go to ``work``, ``tile_work(tf, psi.shape)`` (allocated when
-      not given), and the product's transpose is the flip part of ``out``;
+      product go to ``work``, ``tile_work(tf)`` (allocated when not given),
+      and the product's transpose is the flip part of ``out``;
     * the flip of each bit k with m <= k < N-1: the row with bit k flipped
       subtracted, the first time from the transposed product (which so
       reaches ``out`` without a copy of its own), then in place: within a
@@ -259,13 +252,13 @@ def apply_initial(
       reversal of the half vector, subtracted.
 
     Without ``rows`` the call returns ``out`` complete, as one tile.  With
-    it (and ``out``), the call does the product (beyond N = 13 the low-bit
-    one only) and leaves the rest to the returned iterator: each row slice
-    it yields, ``rows`` rows long from the top (see :func:`tile_rows`), is
-    final in ``out`` and free to the caller, while ``psi``, ``work`` and the
-    rest of ``out`` must stay untouched until the iterator is exhausted.
-    Each entry goes through the same operations in the same order either
-    way, so the bits agree.  Given ``out`` and ``work``, a call allocates no vector, and
+    it (and ``out``, beyond N = 13), the call does the low-bit product and
+    leaves the rest to the returned iterator: each row slice it yields,
+    ``rows`` rows long from the top (see :func:`tile_rows`), is final in
+    ``out`` and free to the caller, while ``psi``, ``work`` and the rest of
+    ``out`` must stay untouched until the iterator is exhausted.  Each entry
+    goes through the same operations in the same order either way, so the
+    bits agree.  Given ``out`` and ``work``, a call allocates no vector, and
     every subtraction is in place.  A real ``psi`` is read as complex.
     """
     dim = 1 << (tf.n_qubits - 1)
@@ -276,6 +269,8 @@ def apply_initial(
         out = np.empty_like(psi)
     mat = tf.couplings
     if tf.complex_data is not None:  # N <= 13: one compiled call, and no reshapes
+        if rows is not None:
+            raise ValueError(f"a state of {tf.n_qubits} qubits is one tile: it takes no rows")
         if psi.size != dim:
             csr_product(mat, psi, out)
         elif out.shape == psi.shape and out.dtype == np.complex128 and out.flags.c_contiguous:
@@ -283,15 +278,15 @@ def apply_initial(
             _sparsetools.csr_matvec(dim, dim, mat.indptr, mat.indices, tf.complex_data, psi, out)
         else:
             raise ValueError("out must be a C-contiguous complex128 array of the state's shape")
-        return out if rows is None else (slice(r0, r0 + rows) for r0 in range(0, dim, rows))
+        return out
+    if psi.ndim != 1:
+        raise ValueError(f"a block is at most {LOW_FLIP_BITS + 1} qubits, got {tf.n_qubits}")
     # one product for all runs: one per run, or on the top bits, ran 1.3-2x slower at N >= 15
     low = mat.indptr.size - 1
-    cols = psi.size // low
-    x, y = tile_work(tf, psi.shape) if work is None else work
-    np.copyto(x[:, :cols].reshape(low, dim // low, -1),
-              psi.reshape(dim // low, low, -1).transpose(1, 0, 2))
+    x, y = tile_work(tf) if work is None else work
+    np.copyto(x[:, :-1], psi.reshape(dim // low, low).T)
     csr_product(mat, x, y)
-    flipped = y[:, :cols].reshape(low, dim // low, -1)
+    flipped = y[:, :-1]
     if rows is not None:
         return _finish_rows(tf, psi, out, flipped, rows)
     for _ in _finish_rows(tf, psi, out, flipped, dim):
@@ -302,15 +297,15 @@ def apply_initial(
 def _finish_rows(tf, psi, out, flipped, rows) -> Iterator[slice]:
     """The steps of :func:`apply_initial` after the low-bit product, ``rows`` rows at a time.
 
-    ``flipped`` is that product as a (2**m, 2**(N-1-m), B) array.
+    ``flipped`` is that product as a (2**m, 2**(N-1-m)) array.
     """
-    dim, low = psi.shape[0], flipped.shape[0]
+    dim, low = psi.size, flipped.shape[0]
     for r0 in range(0, dim, rows):
         tile = slice(r0, r0 + rows)
         o = out[tile]
         hi, lo = divmod(r0, low)
-        src = flipped[lo:lo + rows, hi:hi + max(rows // low, 1)].transpose(1, 0, 2)
-        dst = o.reshape(src.shape)  # (high part, low part, B) of the rows
+        src = flipped[lo:lo + rows, hi:hi + max(rows // low, 1)].T
+        dst = o.reshape(src.shape)  # (high part, low part) of the rows
         for k in range(low.bit_length() - 1, tf.n_qubits - 1):
             _subtract_flip(src, psi, dst, r0, k)
             src = dst
@@ -321,7 +316,7 @@ def _finish_rows(tf, psi, out, flipped, rows) -> Iterator[slice]:
 def _subtract_flip(src, psi, out, r0, k) -> None:
     """``out = src - psi`` at the row with bit k flipped, over the rows of ``out`` from r0.
 
-    ``src`` and ``out`` are (high part, low part, B) views of a power-of-two
+    ``src`` and ``out`` are (high part, low part) views of a power-of-two
     tile of rows, with bit k in the high part.
     """
     rows = out.shape[0] * out.shape[1]

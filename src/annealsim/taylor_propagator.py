@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import check_integer
 from .spin_system import (
+    LOW_FLIP_BITS,
     IsingDiagonal,
     TransverseField,
     apply_initial,
@@ -252,14 +253,14 @@ def taylor_segment(
     ``gen.apply(v, a_out, b_out)`` writes ``A_0 v`` into ``a_out`` and ``B v``
     into ``b_out``, two C-contiguous buffers of the state's shape and dtype
     that are distinct from ``v``; it must not keep them.  It either returns
-    None with both products complete, or returns an iterator of row slices
-    that are complete in both when yielded; the kernel then runs its own
-    updates of the term on each tile as it comes, while the tile is still
-    in cache, and resumes the iterator for the next (``v`` is not written
-    meanwhile; every other buffer may be, outside the rows handed over so
-    far).  Tiles are of equal size.  The kernel shifts the first product
-    to ``A v = A_0 v + s0 (B v)``, and keeps ``B psi_{n-1}`` as the (n-2)
-    product of the next term.  Its buffers are allocated once per call:
+    None with both products complete, or, for a vector, an iterator of row
+    slices that are complete in both when yielded; the kernel then runs its
+    own updates of the term on each tile as it comes, while the tile is
+    still in cache, and resumes the iterator for the next (``v`` is not
+    written meanwhile; every other buffer may be, outside the rows handed
+    over so far).  Tiles are of equal size.  The kernel shifts the first
+    product to ``A v = A_0 v + s0 (B v)``, and keeps ``B psi_{n-1}`` as the
+    (n-2) product of the next term.  Its buffers are allocated once per call:
     four state buffers rotate through the terms (the last term, the kept
     (n-2) product and the two outputs), of which ``psi_in``, holding psi_0,
     is the first and three are fresh, plus the sum, one tile of scratch for
@@ -282,13 +283,14 @@ def taylor_segment(
     turns non-finite (the segment is too long) comes back NaN with 0 terms
     and not converged, and any others run on; nothing is raised.
 
-    A block needs ``gen.narrow``.  At every term in which some columns stop
-    or overflow, the kernel gathers the live ones to the front of its own
-    buffers (the sum and the two kept products each into a buffer that is
-    free at that point, so nothing is allocated) and runs on with the pair
-    of ``gen.narrow(cols)``, where ``cols`` are the live columns as
-    ascending indices into ``psi_in``'s, so a stopped column costs nothing
-    more.  Each column's state is that of its one-column run bit for bit.
+    A block is one tile, and needs ``gen.narrow``.  At every term in which
+    some columns stop or overflow, the kernel gathers the live ones to the
+    front of its own buffers (the sum and the two kept products each into a
+    buffer that is free at that point, so nothing is allocated) and runs on
+    with the pair of ``gen.narrow(cols)``, where ``cols`` are the live
+    columns as ascending indices into ``psi_in``'s, so a stopped column
+    costs nothing more.  Each column's state is that of its one-column run
+    bit for bit.
 
     ``psi_in`` is consumed: its entries are overwritten by the terms, and
     a caller that needs them passes a copy.  An input that is read-only or
@@ -327,8 +329,7 @@ def taylor_segment(
                 break
             if keep.size < _columns(acc).shape[1]:
                 shape = (acc.shape[0], keep.size)
-                # a whole-state scratch keeps its memory; a tile is made anew
-                scratch = _front(scratch, shape) if scratch.shape == acc.shape else None
+                scratch = _front(scratch, shape)  # a block is one tile
                 # each kept block moves into a buffer that is free by then:
                 # psi_n and B psi_{n-1} into the two the rotation would hand
                 # the next term as outputs, the sum into psi_n's; the next
@@ -404,21 +405,20 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray, t_anneal: float) -> Ge
     low-bit matrix of 0.6 MB plus in-place updates) and one diagonal
     product into ``b_out``.  Nothing is allocated or upcast:
     ``propagate`` passes the diagonal as complex128, like the states.  A
-    (dim, B) diagonal block and state run B instances, column by column,
-    and narrow to the diagonal's columns.  The bound ||H_i|| + max|E| =
-    N + N(N-1)/2 holds for every instance of the +/-1 complete graph.
+    (dim, B) diagonal block and state (at most 13 qubits) run B instances,
+    column by column, and narrow to the diagonal's columns.  The bound
+    ||H_i|| + max|E| = N + N(N-1)/2 holds for every instance of the +/-1
+    complete graph.
 
     Beyond N = 13 the low-bit product runs in the pair's own
-    :func:`tile_work`, made once for the width of ``diag_f`` (None for
-    N <= 13), so a pair narrowed to a block's live columns makes its own.
-    A state of at most :data:`~annealsim.spin_system.TILE_ENTRIES`
-    entries is one tile: the pair returns None.  A larger one is tiled (see
-    :func:`tile_rows`): the call returns an iterator whose first step does
-    the low-bit product, and whose steps each finish both products on one
-    row tile.
+    :func:`tile_work`.  A block is one tile, and so is a vector of at most
+    :data:`~annealsim.spin_system.TILE_ENTRIES` entries: the pair returns
+    None.  A larger vector is tiled (see :func:`tile_rows`): the call
+    returns an iterator whose first step does the low-bit product, and
+    whose steps each finish both products on one row tile.
     """
-    work = tile_work(tf, diag_f.shape)
-    rows = tile_rows(diag_f.shape)
+    work = tile_work(tf)
+    rows = tile_rows(diag_f.size) if diag_f.ndim == 1 else None
 
     def apply(v, a_out, b_out):
         apply_initial(tf, v, a_out, work)
@@ -462,19 +462,23 @@ def propagate_block(
 ) -> list[PropagationResult]:
     """:func:`propagate` for several instances at once, as the columns of one state.
 
-    The instances share the driver, and their half diagonals form one
-    complex (2**(N-1), B) block, so one driver product per term serves all
-    of them.  Each column stops, overflows and is counted on its own, and
-    its result equals that of its instance run alone bit for bit.  At every
-    term in which columns stop, the kernel narrows the generator to the rest
-    (one on the diagonal's live columns), so a block pays for each column's
-    own terms only.  A lone instance runs as a vector: as a (dim, 1) block
-    it cost 1.33x at N = 8.  No instances give no results.
+    Up to N = 13 (``LOW_FLIP_BITS + 1``, where the driver is one CSR) the
+    instances share the driver, and their half diagonals form one complex
+    (2**(N-1), B) block, so one driver product per term serves all of them.
+    Each column stops, overflows and is counted on its own, and its result
+    equals that of its instance run alone bit for bit.  At every term in
+    which columns stop, the kernel narrows the generator to the rest (one on
+    the diagonal's live columns), so a block pays for each column's own
+    terms only.  A lone instance, and beyond 13 qubits each instance in
+    turn, runs as a vector: as a (dim, 1) block it cost 1.33x at N = 8.
+    No instances give no results.
     """
     if not instances:
         return []
     if any(hf.n_qubits != params.n_qubits for hf in instances):
         raise ValueError("params and Ising instance disagree on qubit count")
+    if len(instances) > 1 and params.n_qubits > LOW_FLIP_BITS + 1:
+        return [propagate_block(params, [hf], schedule)[0] for hf in instances]
     width = len(instances)
     # the diagonal has the state's dtype: no cast per term
     diag_f = np.stack([hf.half_diag for hf in instances], axis=1).astype(np.complex128)

@@ -309,7 +309,7 @@ def test_scaling_bad_list_exits_1(capsys):
     assert "distinct" in capsys.readouterr().err
 
 
-def test_rejected_input_exits_1(tmp_path, capsys, monkeypatch):
+def test_rejected_input_exits_1(tmp_path, capsys):
     # every value the library rejects is a flag error: exit 1, no traceback
     out = str(tmp_path / "x.json")
     ensemble = ["ensemble", "--qubits", "3", "--time", "2", "--runs", "2", "--seed", "1",
@@ -363,12 +363,6 @@ def test_rejected_input_exits_1(tmp_path, capsys, monkeypatch):
         assert code == 1, argv
         assert "error:" in err, argv
         assert "Traceback" not in err, argv
-    for value in ("0", "-1", "two"):  # a bad worker count from the environment
-        monkeypatch.setenv("ANNEALSIM_WORKERS", value)
-        code = run_cli(ensemble)
-        err = capsys.readouterr().err
-        assert code == 1, value
-        assert "error: ANNEALSIM_WORKERS" in err, value
     assert not (tmp_path / "x.json").exists()
 
 

@@ -21,6 +21,7 @@ from annealsim.ensemble import (
     sweep_T,
 )
 from annealsim.cli import run_record
+from annealsim.errors import CapacityError
 from annealsim.spin_system import (
     apply_initial,
     ground_space,
@@ -227,25 +228,33 @@ def test_scaling_sweep_times_the_anneals_alone(monkeypatch):
     assert max(res.mean_seconds) < 0.05
 
 
+def test_scaling_sweep_checks_every_size_before_the_first_anneal(monkeypatch):
+    # a bad size late in the list stops the sweep before N=4 is annealed
+    anneals = []
+    monkeypatch.setattr(ens, "propagate", lambda params, hf, schedule: anneals.append(hf))
+    for sizes, error, match in (([4, 1], ValueError, "at least 2 qubits"),
+                                ([4, 25], CapacityError, "25 qubits exceeds"),
+                                ([4, 4.5], ValueError, "n_qubits must be an integer")):
+        with pytest.raises(error, match=match):
+            scaling_sweep(sizes, 1.0, 1)
+    assert anneals == []
+
+
 def test_resolve_workers_env_var(monkeypatch):
+    # the argument is the one source of the count: no environment variable
+    # is read, so a default comes from the affinity mask alone
     monkeypatch.setenv("ANNEALSIM_WORKERS", "3")
-    assert resolve_workers() == 3
-    assert resolve_workers(5) == 5  # explicit argument wins
-    for bad in ("0", "-2", "two", "1.5"):
-        monkeypatch.setenv("ANNEALSIM_WORKERS", bad)
-        with pytest.raises(ValueError, match="ANNEALSIM_WORKERS"):
-            resolve_workers()
-    for bad in (0, -3, 1.5):  # int(1.5) would run one worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert resolve_workers() == 2
+    assert resolve_workers(5) == 5
+    for bad in (0, -3, 1.5, True):  # int(1.5) would run one worker, and True is no count
         with pytest.raises(ValueError, match="workers must be"):
             resolve_workers(bad)
-    monkeypatch.delenv("ANNEALSIM_WORKERS")
-    assert resolve_workers() >= 1
 
 
 def test_default_workers_follow_affinity_mask(monkeypatch):
     # a process pinned to one CPU (taskset -c 0) gets one worker, whatever
     # the host's CPU count
-    monkeypatch.delenv("ANNEALSIM_WORKERS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert resolve_workers() == 1
@@ -281,7 +290,8 @@ def test_config_validation():
         EnsembleConfig(4, 2.0, runs=3, master_seed=1, schedule=None)
     # an integer field takes no float, however whole: a master seed of 1.5
     # would run as seed 1 and be recorded as 1.5
-    for name, value in (("runs", 2.5), ("bins", 4.5), ("n_qubits", 4.0), ("master_seed", 1.5)):
+    for name, value in (("runs", 2.5), ("runs", True), ("bins", 4.5), ("n_qubits", 4.0),
+                        ("master_seed", 1.5)):
         fields = {"n_qubits": 4, "t_anneal": 2.0, "runs": 3, "master_seed": 1, name: value}
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             EnsembleConfig(**fields)
@@ -352,3 +362,6 @@ def test_l_scale_needs_lindblad_mode():
         sweep_T(3, 1, [2.0], mode="lindbald")
     with pytest.raises(ValueError, match="lindblad mode only"):
         sweep_T(3, 1, [2.0], mode="unitary", l_scale=0.5)
+    # and its instance seed under its own name
+    with pytest.raises(ValueError, match="hf_seed must be an integer >= 0, got -1"):
+        sweep_T(4, -1, [1.0])

@@ -235,7 +235,7 @@ def test_only_the_kernel_reads_the_drift_bound():
 
 def test_each_ising_pair_owns_its_low_bit_work():
     # the low-bit work of the driver product is made by the pair that uses
-    # it, at its own width: no other function of the kernel reads tile_work,
+    # it: no other function of the kernel reads tile_work,
     # and spin_system keeps no helper to lay a wider work out again
     code = compile(inspect.getsource(taylor_propagator), taylor_propagator.__file__, "exec")
     readers = {c.co_name for c in code.co_consts

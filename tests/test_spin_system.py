@@ -110,7 +110,6 @@ def test_apply_initial_high_bits_match_full_space(n):
     cases = [(scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim)), scale)
              for scale in (1.0, 1e-12, 1e12)]
     cases.append((rng.normal(size=dim), 1.0))
-    cases.append((rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3)), 1.0))
     for half, scale in cases:
         ref = hi_full @ lift_to_full(half)
         got = lift_to_full(apply_initial(tf, half))
@@ -152,7 +151,7 @@ def test_apply_initial_allocates_no_matrix_copy(n):
     # given them, it allocates no vector at all
     tf = transverse_field_half(n)
     psi = np.random.default_rng(0).normal(size=1 << (n - 1)) * (1 + 1j)
-    out, work = np.empty_like(psi), tile_work(tf, psi.shape)
+    out, work = np.empty_like(psi), tile_work(tf)
     peaks = []
     tracemalloc.start()
     try:
@@ -196,9 +195,10 @@ def test_apply_initial_into_out_is_complex_csr_route_bitwise(n):
     tf = transverse_field_half(n)
     rng = np.random.default_rng(n)
     dim = 1 << (n - 1)
-    for shape in ((dim,), (dim, 1), (dim, 3)):
+    shapes = [(dim,)] if n > 13 else [(dim,), (dim, 1), (dim, 3)]  # a block is at most 13 qubits
+    for shape in shapes:
         base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        out, work = np.empty_like(base), tile_work(tf, shape)
+        out, work = np.empty_like(base), tile_work(tf)
         for scale in (1e-150, 1e-12, 1.0, 1e12, 1e150):
             psi = scale * base
             got = apply_initial(tf, psi, out, work)
@@ -208,28 +208,46 @@ def test_apply_initial_into_out_is_complex_csr_route_bitwise(n):
             assert ref.tobytes() == out.tobytes()
 
 
-@pytest.mark.parametrize("n", [6, 13, 14])
+@pytest.mark.parametrize("n", [14])
 def test_apply_initial_rows_cover_state_with_whole_product_bits(n, monkeypatch):
-    # with rows, the call returns an iterator of row slices at every N,
-    # whose tiles together are the state, each final when yielded, with the
-    # bits of the untiled product
-    monkeypatch.setattr(ss, "TILE_ENTRIES", 16 if n < 14 else 2048)
+    # with rows, the call returns an iterator of row slices, whose tiles
+    # together are the vector, each final when yielded, with the bits of
+    # the untiled product
+    monkeypatch.setattr(ss, "TILE_ENTRIES", 2048)
     tf = transverse_field_half(n)
     dim = 1 << (n - 1)
     rng = np.random.default_rng(n)
-    for shape in ((dim,), (dim, 1), (dim, 3)):
-        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        whole = apply_initial(tf, psi)
-        out, rows = np.full_like(psi, np.nan), tile_rows(shape)
-        tiles = apply_initial(tf, psi, out, tile_work(tf, shape), rows)
-        assert not isinstance(tiles, np.ndarray)
-        r0 = 0
-        for t in tiles:
-            assert t == slice(r0, r0 + rows)
-            assert out[t].tobytes() == whole[t].tobytes()
-            r0 += rows
-        assert r0 == dim
-        assert out.tobytes() == whole.tobytes()
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    whole = apply_initial(tf, psi)
+    out, rows = np.full_like(psi, np.nan), tile_rows(dim)
+    tiles = apply_initial(tf, psi, out, tile_work(tf), rows)
+    assert not isinstance(tiles, np.ndarray)
+    r0 = 0
+    for t in tiles:
+        assert t == slice(r0, r0 + rows)
+        assert out[t].tobytes() == whole[t].tobytes()
+        r0 += rows
+    assert r0 == dim
+    assert out.tobytes() == whole.tobytes()
+
+
+def test_only_a_vector_is_tiled_and_a_block_is_at_most_13_qubits(monkeypatch):
+    # a vector of more than TILE_ENTRIES entries is tiled in rows of that
+    # many; up to N = 13 a state is one tile and takes no rows, and beyond
+    # it a block is refused before anything is written
+    monkeypatch.setattr(ss, "TILE_ENTRIES", 2048)
+    assert tile_rows(2048) is None and tile_rows(4096) == 2048
+    tf = transverse_field_half(13)
+    psi = np.ones(1 << 12, dtype=np.complex128)
+    with pytest.raises(ValueError, match="one tile"):
+        apply_initial(tf, psi, np.empty_like(psi), None, 2048)
+    tf = transverse_field_half(14)
+    for width in (1, 3):
+        psi = np.ones((1 << 13, width), dtype=np.complex128)
+        out = np.full_like(psi, 7.0)
+        with pytest.raises(ValueError, match="a block is at most 13 qubits, got 14"):
+            apply_initial(tf, psi, out)
+        assert (out == 7.0).all()
 
 
 class _CountingSparsetools:

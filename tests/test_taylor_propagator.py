@@ -9,6 +9,7 @@ import pytest
 import annealsim.landau_zener as lz
 import annealsim.spin_system as ss
 import annealsim.taylor_propagator as tp
+from annealsim.ensemble import EnsembleConfig, run_ensemble
 from annealsim.landau_zener import LZParams, lz_hamiltonian, lz_propagate
 from annealsim.lindblad_propagator import propagate_density
 from annealsim.spin_system import (
@@ -190,44 +191,39 @@ def test_specialized_segment_matches_generic(n, s0, pair):
 
 
 @pytest.mark.parametrize("scale", [4.0, 1e200])
-def test_block_column_failure_leaves_neighbour_bitwise(scale, monkeypatch):
+def test_block_column_failure_leaves_neighbour_bitwise(scale):
     # one bad problem in a block must not touch its neighbour: column 1's
-    # generator is scaled until it runs out of terms (4) or overflows (1e200),
-    # whole and with 16-entry tiles, in which the block pair hands its rows
-    # over in 4 tiles
-    for tile_entries in (None, 16):
-        if tile_entries:
-            monkeypatch.setattr(ss, "TILE_ENTRIES", tile_entries)
-        n, t_anneal, step, s0, max_terms = 6, 3.0, 0.25, 0.5, 60
-        tf = transverse_field_half(n)
-        diag = random_ising_half(n, 4).half_diag.astype(complex)
-        psi = uniform_initial_state(n)
+    # generator is scaled until it runs out of terms (4) or overflows (1e200)
+    n, t_anneal, step, s0, max_terms = 6, 3.0, 0.25, 0.5, 60
+    tf = transverse_field_half(n)
+    diag = random_ising_half(n, 4).half_diag.astype(complex)
+    psi = uniform_initial_state(n)
 
-        def one_column(d):
-            return taylor_segment(
-                _ising_apply(tf, d, t_anneal), psi.copy(), step, 1e-12, max_terms, s0
-            )
+    def one_column(d):
+        return taylor_segment(
+            _ising_apply(tf, d, t_anneal), psi.copy(), step, 1e-12, max_terms, s0
+        )
 
-        block_diag = np.stack([diag, scale * diag], axis=1)
-        block_psi = np.repeat(psi[:, None], 2, axis=1)
+    block_diag = np.stack([diag, scale * diag], axis=1)
+    block_psi = np.repeat(psi[:, None], 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, terms, ok = taylor_segment(
+            _ising_apply(tf, block_diag, t_anneal), block_psi, step, 1e-12, max_terms, s0
+        )
+    ref, t_ref, ok_ref = one_column(diag)
+    assert ok_ref and ok[0] and t_ref < max_terms
+    assert terms[0] == t_ref
+    assert np.array_equal(got[:, 0], ref)
+    assert not ok[1]
+    if scale > 1e100:
+        assert np.isnan(got[:, 1]).all() and terms[1] == 0
         with np.errstate(over="ignore", invalid="ignore"):
-            got, terms, ok = taylor_segment(
-                _ising_apply(tf, block_diag, t_anneal), block_psi, step, 1e-12, max_terms, s0
-            )
-        ref, t_ref, ok_ref = one_column(diag)
-        assert ok_ref and ok[0] and t_ref < max_terms
-        assert terms[0] == t_ref
-        assert np.array_equal(got[:, 0], ref)
-        assert not ok[1]
-        if scale > 1e100:
-            assert np.isnan(got[:, 1]).all() and terms[1] == 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                ref1, t_ref1, ok_ref1 = one_column(scale * diag)
-            assert np.isnan(ref1).all() and t_ref1 == 0 and not ok_ref1
-        else:
             ref1, t_ref1, ok_ref1 = one_column(scale * diag)
-            assert not ok_ref1 and terms[1] == t_ref1 == max_terms
-            assert np.array_equal(got[:, 1], ref1)
+        assert np.isnan(ref1).all() and t_ref1 == 0 and not ok_ref1
+    else:
+        ref1, t_ref1, ok_ref1 = one_column(scale * diag)
+        assert not ok_ref1 and terms[1] == t_ref1 == max_terms
+        assert np.array_equal(got[:, 1], ref1)
 
 
 def test_all_columns_overflowing_end_the_run(monkeypatch):
@@ -509,31 +505,39 @@ def test_one_converged_rule(case):
         assert math.isnan(res.success_p) and math.isnan(drift)
 
 
-def test_block_matches_per_instance_beyond_low_bits():
-    # at N=14 the driver product moves a low-bit axis and swaps high-bit
-    # half-blocks; every column must still equal its instance run alone
+def test_block_matches_per_instance_beyond_low_bits(monkeypatch):
+    # beyond 13 qubits a block runs its instances one after another, each as
+    # a vector: the driver product sees only vectors, and every result is
+    # its instance run alone
     params, schedule = AnnealParams(14, 2.0), SegmentSchedule(segments=8)
-    instances = [random_ising_half(14, seed) for seed in (3, 4)]
+    instances = [random_ising_half(14, seed) for seed in (3, 4, 5)]
+    alone = [propagate(params, hf, schedule) for hf in instances]
+    shapes = []
+
+    def counted(tf, psi, out, work):
+        shapes.append(psi.shape)
+        return apply_initial(tf, psi, out, work)
+
+    monkeypatch.setattr(tp, "apply_initial", counted)
     block = propagate_block(params, instances, schedule)
-    for got, hf in zip(block, instances):
-        alone = propagate(params, hf, schedule)
-        assert np.array_equal(got.psi_final, alone.psi_final)
-        assert got.success_p == alone.success_p and got.norm_drift == alone.norm_drift
-        assert got.terms_per_segment == alone.terms_per_segment
-        assert got.converged is alone.converged is True
+    assert set(shapes) == {(1 << 13,)}
+    assert len(shapes) == sum(sum(r.terms_per_segment) for r in block)
+    for got, ref in zip(block, alone):
+        assert got.psi_final.tobytes() == ref.psi_final.tobytes()
+        assert got.success_p == ref.success_p and got.norm_drift == ref.norm_drift
+        assert got.terms_per_segment == ref.terms_per_segment
+        assert got.converged is ref.converged is True
 
 
-@pytest.mark.parametrize("n, seeds", [(14, (3, 4)), (8, (1, 2, 5, 6))])
+@pytest.mark.parametrize("n, seeds", [(13, (3, 4)), (8, (1, 2, 5, 6))])
 def test_each_pair_holds_the_work_of_its_width(n, seeds, monkeypatch):
     # every pair, the full-width one and each narrowed to a block's live
-    # columns, hands the driver product the low-bit work of its own width
+    # columns, runs the driver product as one compiled call, without
+    # low-bit work: a block is at most 13 qubits
     widths = []
 
     def counted(tf, psi, out, work, *rows):
-        if n > 13:
-            assert work.shape == ss.tile_work(tf, psi.shape).shape
-        else:
-            assert work is None
+        assert work is None and not rows
         widths.append(psi.shape[1])
         return apply_initial(tf, psi, out, work, *rows)
 
@@ -545,6 +549,29 @@ def test_each_pair_holds_the_work_of_its_width(n, seeds, monkeypatch):
     assert min(widths) < len(seeds)  # the block narrowed
     for got, ref in zip(block, alone):
         assert got.psi_final.tobytes() == ref.tobytes()
+
+
+def test_runs_take_two_shapes_only(monkeypatch):
+    # an ensemble, a wide block, a block beyond 13 qubits and an N=17
+    # anneal: the driver product sees blocks of at most 13 qubits, one tile
+    # each, and rows only for vectors of more than TILE_ENTRIES entries
+    calls = []
+
+    def counted(tf, psi, out, work, rows=None):
+        calls.append((tf.n_qubits, psi.ndim, psi.size, rows))
+        return apply_initial(tf, psi, out, work, rows)
+
+    monkeypatch.setattr(tp, "apply_initial", counted)
+    run_ensemble(EnsembleConfig(8, 2.0, 65, 1), workers=1)  # a 64-column block and a vector
+    propagate_block(AnnealParams(6, 2.0), [random_ising_half(6, k) for k in range(100)])
+    schedule = SegmentSchedule(segments=2)
+    propagate_block(AnnealParams(14, 1.0), [random_ising_half(14, k) for k in range(3)], schedule)
+    propagate(AnnealParams(17, 1.0), random_ising_half(17, 1), schedule)
+    seen = {(n, ndim, rows is not None) for n, ndim, _, rows in calls}
+    assert seen == {(8, 2, False), (8, 1, False), (6, 2, False), (14, 1, False), (17, 1, True)}
+    assert all(ndim == 1 for n, ndim, _, _ in calls if n > 13)
+    assert all(ndim == 1 and size > ss.TILE_ENTRIES and rows == ss.TILE_ENTRIES
+               for _, ndim, size, rows in calls if rows is not None)
 
 
 def test_one_driver_product_per_term(monkeypatch):
@@ -576,18 +603,16 @@ def test_one_driver_product_per_term(monkeypatch):
         (14, 1, 4096, 4096),  # a tile per run; the first high bit pairs tiles
         (15, 1, 8192, 8192),  # the first high bit inside a tile
         (15, 1, 2048, 2048),
-        (14, 2, 8192, 4096),  # a block
-        (14, 2, 4096, 2048),
+        (15, 2, 8192, 8192),  # two instances: two vectors, each tiled
     ],
 )
 def test_tiled_runs_are_bitwise_one_tile_runs(n, width, tile_entries, rows, monkeypatch):
     params, schedule = AnnealParams(n, 2.0), SegmentSchedule(segments=4)
     instances = [random_ising_half(n, seed) for seed in (3, 4)[:width]]
-    shape = (1 << (n - 1), width) if width > 1 else (1 << (n - 1),)
-    assert ss.tile_rows(shape) is None
+    assert ss.tile_rows(1 << (n - 1)) is None
     one_tile = propagate_block(params, instances, schedule)
     monkeypatch.setattr(ss, "TILE_ENTRIES", tile_entries)
-    assert ss.tile_rows(shape) == rows
+    assert ss.tile_rows(1 << (n - 1)) == rows
     tiled = propagate_block(params, instances, schedule)
     for got, ref in zip(tiled, one_tile):
         assert got.psi_final.tobytes() == ref.psi_final.tobytes()
@@ -603,7 +628,7 @@ def test_two_tile_segment_is_bitwise_one_tile_segment(monkeypatch):
     tf = transverse_field_half(n)
     diag = random_ising_half(n, 5).half_diag.astype(complex)
     psi = uniform_initial_state(n)
-    assert ss.tile_rows(psi.shape) == psi.size // 2
+    assert ss.tile_rows(psi.size) == psi.size // 2
     sums, norm = [], tp._Problems.norm
     monkeypatch.setattr(tp._Problems, "norm", lambda self, sq: sums.append(sq) or norm(self, sq))
     got, terms, ok = taylor_segment(
@@ -907,7 +932,8 @@ def test_schedule_validation():
     with pytest.raises(ValueError, match="max_terms must be an integer >= 2"):
         SegmentSchedule(max_terms=1)
     # an integer field takes no float, however whole: at construction, not in range()
-    for name, value in (("segments", 2.5), ("segments", 4.0), ("max_terms", 50.5)):
+    for name, value in (("segments", 2.5), ("segments", 4.0), ("segments", True),
+                        ("max_terms", 50.5)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             SegmentSchedule(**{name: value})
     assert SegmentSchedule(segments=np.int64(3), max_terms=np.int32(50)).resolve(7.3) == 3
