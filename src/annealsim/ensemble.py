@@ -38,14 +38,9 @@ from functools import partial
 import numpy as np
 
 from .errors import check_integer
-from .lindblad_propagator import MAX_DENSITY_QUBITS, propagate_density
-from .spin_system import MAX_QUBITS, _check_qubits, random_ising_block, random_ising_half
+from .lindblad_propagator import check_density_input, propagate_density
+from .spin_system import _check_qubits, block_columns, random_ising_block, random_ising_half
 from .taylor_propagator import AnnealParams, SegmentSchedule, propagate, propagate_block
-
-# Half-space entries of one unitary block: 64 columns at N = 8, 4 at N = 12,
-# one (a plain per-instance run) from N = 14 on.  Twice as wide measured no
-# faster at N = 8, 10 or 12.
-BLOCK_ENTRIES = 8192
 
 
 @dataclass(frozen=True)
@@ -67,13 +62,12 @@ class EnsembleConfig:
             raise ValueError(f"schedule must be a SegmentSchedule, got {self.schedule!r}")
         if self.mode not in ("unitary", "lindblad"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        limit = MAX_QUBITS if self.mode == "unitary" else MAX_DENSITY_QUBITS
-        _check_qubits(check_integer("n_qubits", self.n_qubits), limit)
-        AnnealParams(self.n_qubits, self.t_anneal)  # the one check of the anneal time
-        if not 0 <= self.l_scale < math.inf:  # NaN too
-            raise ValueError(f"l_scale must be finite and >= 0, got {self.l_scale}")
-        if self.mode == "unitary" and self.l_scale != 0:
+        _check_qubits(check_integer("n_qubits", self.n_qubits))
+        if self.mode == "lindblad":
+            check_density_input(self.n_qubits, self.l_scale)
+        elif self.l_scale != 0:
             raise ValueError("l_scale applies to lindblad mode only; unitary needs 0")
+        AnnealParams(self.n_qubits, self.t_anneal)  # the one check of the anneal time
 
 
 @dataclass(frozen=True)
@@ -118,8 +112,9 @@ class ScalingResult:
 
 
 def instance_seed(master_seed: int, k: int) -> int:
-    """Sub-seed for instance k: pure mixing of (master_seed, k)."""
-    seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(k),))
+    """Sub-seed for instance k: pure mixing of (master_seed, k), two integers >= 0."""
+    master_seed, k = check_integer("master_seed", master_seed, 0), check_integer("k", k, 0)
+    seq = np.random.SeedSequence(master_seed, spawn_key=(k,))
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -146,10 +141,10 @@ def _run_block(config: EnsembleConfig, first: int, seeds: list[int]) -> list[Ins
 
 
 def block_width(n_qubits: int, runs: int, workers: int) -> int:
-    """Instances per unitary task: ``BLOCK_ENTRIES // 2**(N-1)`` columns, but
-    no more than an even share of the runs per worker, so that every worker
-    gets a block."""
-    return max(1, min(BLOCK_ENTRIES >> (n_qubits - 1), -(-runs // workers)))
+    """Instances per unitary task: the :func:`~annealsim.spin_system.block_columns`
+    of a block, but no more than an even share of the runs per worker, so
+    that every worker gets a block."""
+    return min(block_columns(n_qubits), -(-runs // workers))
 
 
 def resolve_workers(workers: int | None = None) -> int:

@@ -50,6 +50,16 @@ class DensityPropagationResult:
     converged: bool
 
 
+def check_density_input(n_qubits: int, l_scale: float) -> None:
+    """The one check of a density run's input: ``n_qubits`` (an int) from 2 to
+    :data:`MAX_DENSITY_QUBITS`, and ``l_scale`` >= 0 with a dissipator norm
+    l_scale^2 (2^N - 1) (see :func:`_density_pair`) that is a finite float."""
+    _check_qubits(n_qubits, MAX_DENSITY_QUBITS)
+    scale = float(l_scale)  # a float product overflows to inf, where ** would raise
+    if not (scale >= 0 and scale * scale * ((1 << n_qubits) - 1) < math.inf):  # NaN too
+        raise ValueError(f"l_scale must be >= 0 with l_scale**2 * (2**N - 1) finite, got {l_scale}")
+
+
 def build_energy_lowering_op(
     hf_full_diag: np.ndarray, scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -136,11 +146,9 @@ def propagate_density(
     construction, and P = Tr(Pi rho(1)) is read off its diagonal.
     """
     n = params.n_qubits
-    _check_qubits(n, MAX_DENSITY_QUBITS)
+    check_density_input(n, l_scale)
     if n != hf.n_qubits:
         raise ValueError("params and Ising instance disagree on qubit count")
-    if not 0 <= l_scale < math.inf:  # NaN too
-        raise ValueError(f"l_scale must be finite and >= 0, got {l_scale}")
     full_diag = hf.full_diag()
     psi0 = lift_to_full(uniform_initial_state(n)).real
     dim = psi0.size

@@ -41,11 +41,15 @@ MAX_QUBITS = 20
 # The driver matrix covers the low min(N-1, LOW_FLIP_BITS) bits: 2**12 rows
 # of 12 entries, about 0.6 MB, whatever N (see apply_initial).
 LOW_FLIP_BITS = 12
-# A larger state is finished in row tiles of at most this many entries, 512 KB
-# of complex128 (see tile_rows), so that a tile stays in a core's L2 (2 MB on
-# the x86 host measured) from the driver product's last pass to the Taylor
-# kernel's, where a whole 2 MB half vector at N = 18 streams from L3 on every
-# pass.  There, 2**14 and 2**16 were slower.
+# Up to LOW_FLIP_BITS + 1 qubits the driver is one whole CSR, and a state is
+# whole: a vector, or a block of at most this many entries (block_columns: 64
+# columns at N = 8, 2 at N = 13).  Twice as wide was no faster at N = 8-12.
+BLOCK_ENTRIES = 1 << (LOW_FLIP_BITS + 1)
+# Beyond, a state is a vector, handed over in row tiles of this many entries
+# (one tile up to N = 16), 512 KB of complex128, so that a tile stays in a
+# core's L2 (2 MB on the x86 host measured) from the driver product's last
+# pass to the Taylor kernel's, where a whole 2 MB half vector at N = 18
+# streams from L3 on every pass.  There, 2**14 and 2**16 were slower.
 TILE_ENTRIES = 2**15
 
 
@@ -196,21 +200,21 @@ def csr_product(mat: CSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def tile_rows(length: int) -> int | None:
-    """Rows per tile of a vector of ``length`` entries: :data:`TILE_ENTRIES` once it
-    has more (both are powers of two), else None, one tile.  Only a vector is tiled."""
-    return TILE_ENTRIES if length > TILE_ENTRIES else None
+def block_columns(n_qubits: int) -> int:
+    """Instances per state at ``n_qubits``: the half vectors that fit in
+    :data:`BLOCK_ENTRIES`, and so one, a vector, beyond 13 qubits."""
+    return max(1, BLOCK_ENTRIES >> (n_qubits - 1))
 
 
 def tile_work(tf: TransverseField) -> np.ndarray | None:
-    """The ``work`` of :func:`apply_initial` for one vector.
+    """The ``work`` of :func:`apply_initial` for one vector beyond 13 qubits.
 
     It holds the low-bit product's input and output: two (2**m, k + 1)
     complex arrays, where k is the number of entries over 2**m, so each has
-    one spare column.  Without it a row is a multiple of 512 bytes beyond
-    N = 13, and the tiles' transposed reads of the output, a few columns at
-    a time down all rows, land in an eighth of the cache sets: at N = 18
-    they ran 2.8x slower.  None for N <= 13, which needs no work.
+    one spare column.  Without it a row is a multiple of 512 bytes, and the
+    tiles' transposed reads of the output, a few columns at a time down all
+    rows, land in an eighth of the cache sets: at N = 18 they ran 2.8x
+    slower.  None for N <= 13, which needs no work.
     """
     if tf.complex_data is not None:
         return None
@@ -223,7 +227,7 @@ def apply_initial(
     psi: np.ndarray,
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
-    rows: int | None = None,
+    tiled: bool = False,
 ) -> np.ndarray | Iterator[slice]:
     """Apply the full transverse-field Hamiltonian within the half space, into ``out``.
 
@@ -251,15 +255,15 @@ def apply_initial(
     * the flip of the top qubit: through the palindromic identification, the
       reversal of the half vector, subtracted.
 
-    Without ``rows`` the call returns ``out`` complete, as one tile.  With
+    Without ``tiled`` the call returns ``out`` complete, as one tile.  With
     it (and ``out``, beyond N = 13), the call does the low-bit product and
     leaves the rest to the returned iterator: each row slice it yields,
-    ``rows`` rows long from the top (see :func:`tile_rows`), is final in
-    ``out`` and free to the caller, while ``psi``, ``work`` and the rest of
-    ``out`` must stay untouched until the iterator is exhausted.  Each entry
-    goes through the same operations in the same order either way, so the
-    bits agree.  Given ``out`` and ``work``, a call allocates no vector, and
-    every subtraction is in place.  A real ``psi`` is read as complex.
+    :data:`TILE_ENTRIES` rows long from the top (all up to N = 16), is final
+    in ``out`` and free to the caller, while ``psi``, ``work`` and the rest
+    of ``out`` must stay untouched until the iterator is exhausted.  Each
+    entry goes through the same operations in the same order either way, so
+    the bits agree.  Given ``out`` and ``work``, a call allocates no vector,
+    and every subtraction is in place.  A real ``psi`` is read as complex.
     """
     dim = 1 << (tf.n_qubits - 1)
     if psi.shape[0] != dim:
@@ -269,8 +273,8 @@ def apply_initial(
         out = np.empty_like(psi)
     mat = tf.couplings
     if tf.complex_data is not None:  # N <= 13: one compiled call, and no reshapes
-        if rows is not None:
-            raise ValueError(f"a state of {tf.n_qubits} qubits is one tile: it takes no rows")
+        if tiled:
+            raise ValueError(f"a state of {tf.n_qubits} qubits is one tile: it is not tiled")
         if psi.size != dim:
             csr_product(mat, psi, out)
         elif out.shape == psi.shape and out.dtype == np.complex128 and out.flags.c_contiguous:
@@ -286,19 +290,17 @@ def apply_initial(
     x, y = tile_work(tf) if work is None else work
     np.copyto(x[:, :-1], psi.reshape(dim // low, low).T)
     csr_product(mat, x, y)
-    flipped = y[:, :-1]
-    if rows is not None:
-        return _finish_rows(tf, psi, out, flipped, rows)
-    for _ in _finish_rows(tf, psi, out, flipped, dim):
+    tiles = _finish_rows(tf, psi, out, y[:, :-1], min(TILE_ENTRIES, dim) if tiled else dim)
+    if tiled:
+        return tiles
+    for _ in tiles:
         pass
     return out
 
 
 def _finish_rows(tf, psi, out, flipped, rows) -> Iterator[slice]:
-    """The steps of :func:`apply_initial` after the low-bit product, ``rows`` rows at a time.
-
-    ``flipped`` is that product as a (2**m, 2**(N-1-m)) array.
-    """
+    """The steps of :func:`apply_initial` after the low-bit product, ``rows`` rows at a time;
+    ``flipped`` is that product as a (2**m, 2**(N-1-m)) array."""
     dim, low = psi.size, flipped.shape[0]
     for r0 in range(0, dim, rows):
         tile = slice(r0, r0 + rows)

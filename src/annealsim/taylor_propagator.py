@@ -42,12 +42,11 @@ import numpy as np
 
 from .errors import check_integer
 from .spin_system import (
-    LOW_FLIP_BITS,
     IsingDiagonal,
     TransverseField,
     apply_initial,
+    block_columns,
     ground_space,
-    tile_rows,
     tile_work,
     transverse_field_half,
     uniform_initial_state,
@@ -401,39 +400,33 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray, t_anneal: float) -> Ge
 
     ``apply(v, a_out, b_out)`` writes one driver product into ``a_out``
     (:func:`apply_initial`, through this module's global so that it can be
-    traced, once per term: up to N = 13 one compiled call, beyond a float64
-    low-bit matrix of 0.6 MB plus in-place updates) and one diagonal
-    product into ``b_out``.  Nothing is allocated or upcast:
-    ``propagate`` passes the diagonal as complex128, like the states.  A
-    (dim, B) diagonal block and state (at most 13 qubits) run B instances,
-    column by column, and narrow to the diagonal's columns.  The bound
-    ||H_i|| + max|E| = N + N(N-1)/2 holds for every instance of the +/-1
-    complete graph.
-
-    Beyond N = 13 the low-bit product runs in the pair's own
-    :func:`tile_work`.  A block is one tile, and so is a vector of at most
-    :data:`~annealsim.spin_system.TILE_ENTRIES` entries: the pair returns
-    None.  A larger vector is tiled (see :func:`tile_rows`): the call
-    returns an iterator whose first step does the low-bit product, and
-    whose steps each finish both products on one row tile.
+    traced, once per term) and one diagonal product into ``b_out``.
+    Nothing is allocated or upcast: ``propagate`` passes the diagonal as
+    complex128, like the states.  A (dim, B) diagonal block and state run
+    B instances, column by column, and narrow to the diagonal's columns.
+    The bound ||H_i|| + max|E| = N + N(N-1)/2 holds for every instance of
+    the +/-1 complete graph.  Up to N = 13 the driver product is one
+    compiled call.  Beyond, the pair holds low-bit work, its own
+    :func:`tile_work`, and always tiles (see :func:`apply_initial`): the
+    call returns an iterator whose first step does the low-bit product,
+    and whose steps each finish both products on one row tile.
     """
     work = tile_work(tf)
-    rows = tile_rows(diag_f.size) if diag_f.ndim == 1 else None
 
     def apply(v, a_out, b_out):
-        apply_initial(tf, v, a_out, work)
+        apply_initial(tf, v, a_out, work)  # no work: one compiled call
         np.multiply(diag_f, v, out=b_out)
         b_out -= a_out  # (H_f - H_i) v
 
     def tiled(v, a_out, b_out):
-        for t in apply_initial(tf, v, a_out, work, rows):
+        for t in apply_initial(tf, v, a_out, work, True):
             b = np.multiply(diag_f[t], v[t], out=b_out[t])
             b -= a_out[t]  # (H_f - H_i) v on the tile
             yield t
 
     n = tf.n_qubits
     return Generator(
-        apply if rows is None else tiled, -1j * t_anneal,
+        apply if work is None else tiled, -1j * t_anneal,
         # the lifted squared norm over the column view: a vector drifts as a block column
         lambda v: 2.0 * _Problems.squares(_columns(v)), n + n * (n - 1) / 2,
         (lambda cols: _ising_apply(tf, diag_f[:, cols], t_anneal)) if diag_f.ndim == 2 else None,
@@ -462,23 +455,24 @@ def propagate_block(
 ) -> list[PropagationResult]:
     """:func:`propagate` for several instances at once, as the columns of one state.
 
-    Up to N = 13 (``LOW_FLIP_BITS + 1``, where the driver is one CSR) the
-    instances share the driver, and their half diagonals form one complex
-    (2**(N-1), B) block, so one driver product per term serves all of them.
-    Each column stops, overflows and is counted on its own, and its result
-    equals that of its instance run alone bit for bit.  At every term in
-    which columns stop, the kernel narrows the generator to the rest (one on
-    the diagonal's live columns), so a block pays for each column's own
-    terms only.  A lone instance, and beyond 13 qubits each instance in
-    turn, runs as a vector: as a (dim, 1) block it cost 1.33x at N = 8.
-    No instances give no results.
+    The instances run one block after another, of
+    :func:`~annealsim.spin_system.block_columns` each (one beyond 13
+    qubits).  A block's half diagonals form one complex (2**(N-1), B) state,
+    so one driver product per term serves all of them.  Each column stops,
+    overflows and is counted on its own, and equals its instance run alone
+    bit for bit; at every term in which columns stop, the kernel narrows the
+    generator to the rest, so a block pays for each column's own terms only.
+    A block of one instance runs as a vector: as a (dim, 1) block it cost
+    1.33x at N = 8.  No instances give no results.
     """
     if not instances:
         return []
     if any(hf.n_qubits != params.n_qubits for hf in instances):
         raise ValueError("params and Ising instance disagree on qubit count")
-    if len(instances) > 1 and params.n_qubits > LOW_FLIP_BITS + 1:
-        return [propagate_block(params, [hf], schedule)[0] for hf in instances]
+    cap = block_columns(params.n_qubits)
+    if len(instances) > cap:
+        return [res for k in range(0, len(instances), cap)
+                for res in propagate_block(params, instances[k:k + cap], schedule)]
     width = len(instances)
     # the diagonal has the state's dtype: no cast per term
     diag_f = np.stack([hf.half_diag for hf in instances], axis=1).astype(np.complex128)

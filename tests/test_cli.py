@@ -334,6 +334,10 @@ def test_rejected_input_exits_1(tmp_path, capsys):
         ["lindblad", "--qubits", "3", "--time", "2", "--seed", "1", "--lscale", "-1"],
         ["lindblad", "--qubits", "3", "--time", "2", "--seed", "1", "--lscale", "nan"],
         ["lindblad", "--qubits", "3", "--time", "2", "--seed", "1", "--lscale", "inf"],
+        # a finite l_scale whose dissipator norm l_scale**2 * (2**N - 1) overflows
+        ["lindblad", "--qubits", "3", "--time", "2", "--seed", "1", "--lscale", "1e200"],
+        ["ensemble", "--qubits", "3", "--time", "2", "--runs", "2", "--seed", "1",
+         "--mode", "lindblad", "--lscale", "1e200", "--workers", "2", "--out", out],
         ["ensemble", "--qubits", "3", "--time", "2", "--runs", "2", "--seed", "1",
          "--mode", "lindblad", "--lscale", "nan", "--out", out],
         ["single", "--qubits", "4", "--time", "inf", "--seed", "1"],

@@ -36,6 +36,9 @@ def test_instance_seed_is_pure_and_distinct():
     seeds = {instance_seed(42, k) for k in range(1000)}
     assert len(seeds) == 1000
     assert instance_seed(42, 1) != instance_seed(43, 1)
+    # the sub-seeds that replay recorded runs, pinned
+    assert instance_seed(1, 0) == 8431846347943309920
+    assert instance_seed(2**70 + 3, 10**6) == 10672885270392770472
 
 
 def test_single_run_no_evolution_limit():
@@ -303,6 +306,13 @@ def test_config_validation():
         EnsembleConfig(4, 2.0, runs=3, master_seed=-1)
     with pytest.raises(ValueError, match="master_seed must be an integer >= 0, got -1"):
         scaling_sweep([4], 1.0, runs_per_n=1, master_seed=-1)
+    # instance_seed, exported, checks both its arguments by name
+    for args, name in (((1.5, 0), "master_seed"), ((True, 0), "master_seed"),
+                       ((-1, 0), "master_seed"), ((1, 2.7), "k"), ((1, -1), "k"),
+                       ((1, False), "k")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 0"):
+            instance_seed(*args)
+    assert instance_seed(np.int64(1), 2) == instance_seed(1, 2)
 
 
 @pytest.mark.parametrize("t_anneal", [-1.0, 0.0, math.nan, math.inf])
@@ -356,6 +366,9 @@ def test_l_scale_needs_lindblad_mode():
         EnsembleConfig(3, 2.0, runs=2, master_seed=1, l_scale=0.5)
     with pytest.raises(ValueError):
         EnsembleConfig(3, 2.0, runs=2, master_seed=1, mode="lindblad", l_scale=-0.1)
+    # as propagate_density checks it: a dissipator norm that overflows is named
+    with pytest.raises(ValueError, match="l_scale must be >= 0 with"):
+        EnsembleConfig(3, 2.0, runs=2, master_seed=1, mode="lindblad", l_scale=1e200)
     assert EnsembleConfig(3, 2.0, runs=2, master_seed=1, mode="lindblad", l_scale=0.1).l_scale == 0.1
     # sweep_T checks its mode and l_scale the same way
     with pytest.raises(ValueError, match="unknown mode"):

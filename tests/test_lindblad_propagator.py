@@ -393,3 +393,13 @@ def test_propagate_density_rejects_negative_l_scale():
     with pytest.raises(ValueError):
         propagate_density(AnnealParams(3, 2.0), random_ising_half(3, 1), -0.1)
 
+
+def test_propagate_density_rejects_an_overflowing_dissipator_norm():
+    # l_scale**2 * (2**N - 1) must be a finite float: 1e200 overflows in the
+    # square, 1e154 in the product; 1e20 runs, to a non-converged result
+    params, inst = AnnealParams(3, 2.0), random_ising_half(3, 1)
+    for l_scale in (1e200, 1e154, np.float64(1e200)):
+        with pytest.raises(ValueError, match="l_scale must be >= 0 with"):
+            propagate_density(params, inst, l_scale)
+    assert not propagate_density(params, inst, 1e20).converged
+

@@ -233,6 +233,17 @@ def test_only_the_kernel_reads_the_drift_bound():
     assert "MAX_DRIFT" in _code_names(taylor_propagator.run_segments.__code__)
 
 
+def test_only_spin_system_states_the_shape_rule():
+    # a state's shape is asked of spin_system (block_columns, and the tiled
+    # flag of apply_initial): no other module names the constants of the
+    # rule or passes a tile size, in any function or at import
+    rule = {"LOW_FLIP_BITS", "TILE_ENTRIES", "BLOCK_ENTRIES", "tile_rows"}
+    for module in (taylor_propagator, ensemble, lindblad_propagator, landau_zener, cli):
+        code = compile(inspect.getsource(module), module.__file__, "exec")
+        assert not _code_names(code) & rule, module.__name__
+    assert not hasattr(spin_system, "tile_rows")
+
+
 def test_each_ising_pair_owns_its_low_bit_work():
     # the low-bit work of the driver product is made by the pair that uses
     # it: no other function of the kernel reads tile_work,

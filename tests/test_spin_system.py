@@ -19,7 +19,6 @@ from annealsim.spin_system import (
     lift_to_full,
     random_ising_block,
     random_ising_half,
-    tile_rows,
     tile_work,
     transverse_field_half,
     uniform_initial_state,
@@ -210,17 +209,17 @@ def test_apply_initial_into_out_is_complex_csr_route_bitwise(n):
 
 @pytest.mark.parametrize("n", [14])
 def test_apply_initial_rows_cover_state_with_whole_product_bits(n, monkeypatch):
-    # with rows, the call returns an iterator of row slices, whose tiles
-    # together are the vector, each final when yielded, with the bits of
-    # the untiled product
+    # tiled, the call returns an iterator of row slices of TILE_ENTRIES
+    # rows, whose tiles together are the vector, each final when yielded,
+    # with the bits of the untiled product
     monkeypatch.setattr(ss, "TILE_ENTRIES", 2048)
     tf = transverse_field_half(n)
     dim = 1 << (n - 1)
     rng = np.random.default_rng(n)
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     whole = apply_initial(tf, psi)
-    out, rows = np.full_like(psi, np.nan), tile_rows(dim)
-    tiles = apply_initial(tf, psi, out, tile_work(tf), rows)
+    out, rows = np.full_like(psi, np.nan), 2048
+    tiles = apply_initial(tf, psi, out, tile_work(tf), True)
     assert not isinstance(tiles, np.ndarray)
     r0 = 0
     for t in tiles:
@@ -232,15 +231,22 @@ def test_apply_initial_rows_cover_state_with_whole_product_bits(n, monkeypatch):
 
 
 def test_only_a_vector_is_tiled_and_a_block_is_at_most_13_qubits(monkeypatch):
-    # a vector of more than TILE_ENTRIES entries is tiled in rows of that
-    # many; up to N = 13 a state is one tile and takes no rows, and beyond
-    # it a block is refused before anything is written
-    monkeypatch.setattr(ss, "TILE_ENTRIES", 2048)
-    assert tile_rows(2048) is None and tile_rows(4096) == 2048
+    # beyond 13 qubits a vector is tiled in rows of TILE_ENTRIES, one tile
+    # when it has no more entries; up to N = 13 a state is whole and is not
+    # tiled, and beyond it a block is refused before anything is written
+    monkeypatch.setattr(ss, "TILE_ENTRIES", 8192)
+    for n, tiles in ((14, 1), (15, 2)):
+        tf = transverse_field_half(n)
+        psi = np.ones(1 << (n - 1), dtype=np.complex128)
+        rows = apply_initial(tf, psi, np.empty_like(psi), tile_work(tf), True)
+        assert [t.stop - t.start for t in rows] == [8192] * tiles
     tf = transverse_field_half(13)
     psi = np.ones(1 << 12, dtype=np.complex128)
     with pytest.raises(ValueError, match="one tile"):
-        apply_initial(tf, psi, np.empty_like(psi), None, 2048)
+        apply_initial(tf, psi, np.empty_like(psi), None, True)
+    # a state is a block of block_columns instances up to 13 qubits, a vector beyond
+    assert [ss.block_columns(n) for n in (2, 8, 12, 13, 14, 20)] == [4096, 64, 4, 2, 1, 1]
+    assert ss.BLOCK_ENTRIES == 1 << (LOW_FLIP_BITS + 1)
     tf = transverse_field_half(14)
     for width in (1, 3):
         psi = np.ones((1 << 13, width), dtype=np.complex128)

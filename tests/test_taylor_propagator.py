@@ -507,16 +507,17 @@ def test_one_converged_rule(case):
 
 def test_block_matches_per_instance_beyond_low_bits(monkeypatch):
     # beyond 13 qubits a block runs its instances one after another, each as
-    # a vector: the driver product sees only vectors, and every result is
-    # its instance run alone
+    # a vector: the driver product sees only vectors, each tiled, and every
+    # result is its instance run alone
     params, schedule = AnnealParams(14, 2.0), SegmentSchedule(segments=8)
     instances = [random_ising_half(14, seed) for seed in (3, 4, 5)]
     alone = [propagate(params, hf, schedule) for hf in instances]
     shapes = []
 
-    def counted(tf, psi, out, work):
+    def counted(tf, psi, out, work, tiled):
+        assert tiled is True
         shapes.append(psi.shape)
-        return apply_initial(tf, psi, out, work)
+        return apply_initial(tf, psi, out, work, tiled)
 
     monkeypatch.setattr(tp, "apply_initial", counted)
     block = propagate_block(params, instances, schedule)
@@ -536,10 +537,10 @@ def test_each_pair_holds_the_work_of_its_width(n, seeds, monkeypatch):
     # low-bit work: a block is at most 13 qubits
     widths = []
 
-    def counted(tf, psi, out, work, *rows):
-        assert work is None and not rows
+    def counted(tf, psi, out, work, *tiled):
+        assert work is None and not tiled
         widths.append(psi.shape[1])
-        return apply_initial(tf, psi, out, work, *rows)
+        return apply_initial(tf, psi, out, work, *tiled)
 
     params, schedule = AnnealParams(n, 2.0), SegmentSchedule(segments=8)
     instances = [random_ising_half(n, seed) for seed in seeds]
@@ -552,26 +553,67 @@ def test_each_pair_holds_the_work_of_its_width(n, seeds, monkeypatch):
 
 
 def test_runs_take_two_shapes_only(monkeypatch):
-    # an ensemble, a wide block, a block beyond 13 qubits and an N=17
-    # anneal: the driver product sees blocks of at most 13 qubits, one tile
-    # each, and rows only for vectors of more than TILE_ENTRIES entries
-    calls = []
+    # an ensemble, a wide block, a block beyond 13 qubits and anneals at
+    # N = 15 and 17: the driver product sees whole states of at most 13
+    # qubits, vectors or blocks, and beyond that tiled vectors only, in
+    # tiles of TILE_ENTRIES rows (one tile up to N = 16)
+    calls, tile_sizes = [], set()
 
-    def counted(tf, psi, out, work, rows=None):
-        calls.append((tf.n_qubits, psi.ndim, psi.size, rows))
-        return apply_initial(tf, psi, out, work, rows)
+    def passed_on(tiles):
+        for t in tiles:
+            tile_sizes.add(t.stop - t.start)
+            yield t
+
+    def counted(tf, psi, out, work, tiled=False):
+        calls.append((tf.n_qubits, psi.ndim, tiled))
+        if not tiled:
+            return apply_initial(tf, psi, out, work)
+        return passed_on(apply_initial(tf, psi, out, work, tiled))
 
     monkeypatch.setattr(tp, "apply_initial", counted)
     run_ensemble(EnsembleConfig(8, 2.0, 65, 1), workers=1)  # a 64-column block and a vector
     propagate_block(AnnealParams(6, 2.0), [random_ising_half(6, k) for k in range(100)])
     schedule = SegmentSchedule(segments=2)
+    propagate(AnnealParams(13, 1.0), random_ising_half(13, 1), schedule)
     propagate_block(AnnealParams(14, 1.0), [random_ising_half(14, k) for k in range(3)], schedule)
+    propagate(AnnealParams(15, 1.0), random_ising_half(15, 1), schedule)
     propagate(AnnealParams(17, 1.0), random_ising_half(17, 1), schedule)
-    seen = {(n, ndim, rows is not None) for n, ndim, _, rows in calls}
-    assert seen == {(8, 2, False), (8, 1, False), (6, 2, False), (14, 1, False), (17, 1, True)}
-    assert all(ndim == 1 for n, ndim, _, _ in calls if n > 13)
-    assert all(ndim == 1 and size > ss.TILE_ENTRIES and rows == ss.TILE_ENTRIES
-               for _, ndim, size, rows in calls if rows is not None)
+    assert set(calls) == {(8, 2, False), (8, 1, False), (6, 2, False), (13, 1, False),
+                          (14, 1, True), (15, 1, True), (17, 1, True)}
+    # whole vectors at N = 14 and 15, and 2**15-row tiles at N = 17
+    assert tile_sizes == {1 << 13, 1 << 14, ss.TILE_ENTRIES}
+
+
+def test_a_long_list_runs_in_blocks_of_block_columns(monkeypatch):
+    # 40 instances at N = 10 run as blocks of block_columns(10) = 16, 16
+    # and 8 columns, each column its lone run bit for bit
+    params, schedule = AnnealParams(10, 2.0), SegmentSchedule(segments=4)
+    instances = [random_ising_half(10, seed) for seed in range(40)]
+    alone = [propagate(params, hf, schedule) for hf in instances]
+    widths = []
+
+    def counted(tf, psi, out, work):
+        widths.append(psi.shape[1])
+        return apply_initial(tf, psi, out, work)
+
+    chunks = []
+
+    def chunked(params, instances, schedule):
+        chunks.append(len(instances))
+        return propagate_block(params, instances, schedule)
+
+    monkeypatch.setattr(tp, "apply_initial", counted)
+    monkeypatch.setattr(tp, "propagate_block", chunked)  # the global each block runs through
+    block = propagate_block(params, instances, schedule)
+    assert chunks == [16, 16, 8]
+    # no product is wider than a block, and each column is in one product per term of its own
+    assert ss.block_columns(10) == max(widths) == 16
+    assert sum(widths) == sum(sum(r.terms_per_segment) for r in alone)
+    for got, ref in zip(block, alone):
+        assert got.psi_final.tobytes() == ref.psi_final.tobytes()
+        assert got.success_p == ref.success_p and got.norm_drift == ref.norm_drift
+        assert got.terms_per_segment == ref.terms_per_segment
+        assert got.converged is ref.converged is True
 
 
 def test_one_driver_product_per_term(monkeypatch):
@@ -593,7 +635,7 @@ def test_one_driver_product_per_term(monkeypatch):
     monkeypatch.setattr(ss, "TILE_ENTRIES", 2048)
     res = propagate(AnnealParams(14, 2.0), random_ising_half(14, 2), SegmentSchedule(segments=2))
     assert res.converged
-    assert len(calls) == sum(res.terms_per_segment) and set(calls) == {(2048,)}
+    assert len(calls) == sum(res.terms_per_segment) and set(calls) == {(True,)}
 
 
 @pytest.mark.parametrize(
@@ -607,13 +649,23 @@ def test_one_driver_product_per_term(monkeypatch):
     ],
 )
 def test_tiled_runs_are_bitwise_one_tile_runs(n, width, tile_entries, rows, monkeypatch):
+    # unpatched, a vector of at most TILE_ENTRIES entries is one tile
     params, schedule = AnnealParams(n, 2.0), SegmentSchedule(segments=4)
     instances = [random_ising_half(n, seed) for seed in (3, 4)[:width]]
-    assert ss.tile_rows(1 << (n - 1)) is None
+    sizes = []
+
+    def counted(tf, psi, out, work, tiled):
+        sizes.append(set())
+        for t in apply_initial(tf, psi, out, work, tiled):
+            sizes[-1].add(t.stop - t.start)
+            yield t
+
+    monkeypatch.setattr(tp, "apply_initial", counted)
     one_tile = propagate_block(params, instances, schedule)
     monkeypatch.setattr(ss, "TILE_ENTRIES", tile_entries)
-    assert ss.tile_rows(1 << (n - 1)) == rows
     tiled = propagate_block(params, instances, schedule)
+    runs = sum(sum(r.terms_per_segment) for r in one_tile)
+    assert sizes == [{1 << (n - 1)}] * runs + [{rows}] * runs
     for got, ref in zip(tiled, one_tile):
         assert got.psi_final.tobytes() == ref.psi_final.tobytes()
         assert got.terms_per_segment == ref.terms_per_segment
@@ -628,7 +680,7 @@ def test_two_tile_segment_is_bitwise_one_tile_segment(monkeypatch):
     tf = transverse_field_half(n)
     diag = random_ising_half(n, 5).half_diag.astype(complex)
     psi = uniform_initial_state(n)
-    assert ss.tile_rows(psi.size) == psi.size // 2
+    assert ss.TILE_ENTRIES == psi.size // 2
     sums, norm = [], tp._Problems.norm
     monkeypatch.setattr(tp._Problems, "norm", lambda self, sq: sums.append(sq) or norm(self, sq))
     got, terms, ok = taylor_segment(
@@ -668,7 +720,7 @@ def test_terms_write_into_four_rotating_buffers():
     def spy(v, a_out, b_out):
         seen.update((a_out.ctypes.data, b_out.ctypes.data))
         calls.append(1)
-        inner.apply(v, a_out, b_out)
+        return inner.apply(v, a_out, b_out)  # the tiles of the N = 14 pair
 
     gen = dataclasses.replace(inner, apply=spy)
     psi_in = psi.copy()
