@@ -9,7 +9,11 @@ counted and reported with their seeds for replay.
 A task takes a contiguous range of instance indices and builds their
 instances in one pass (:func:`annealsim.spin_system.random_ising_block`).
 With n workers the calling process is worker 0: it runs every n-th task
-itself while a pool of n - 1 forked processes runs the rest.
+itself while a pool of n - 1 forked processes runs the rest.  The pool's
+modules (``concurrent.futures``, ``multiprocessing`` and what they import)
+load with the first pool a process starts, not with this module: a run
+without a pool never pays for them.  The pool class is read as the module
+attribute ``ProcessPoolExecutor``, which may be replaced.
 
 Unitary instances are annealed in blocks: a task runs its instances as the
 columns of one half-space state
@@ -29,8 +33,8 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -111,6 +115,14 @@ class ScalingResult:
     fit_slope: float | None
 
 
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use (see the module docstring)."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def instance_seed(master_seed: int, k: int) -> int:
     """Sub-seed for instance k: pure mixing of (master_seed, k), two integers >= 0."""
     master_seed, k = check_integer("master_seed", master_seed, 0), check_integer("k", k, 0)
@@ -179,7 +191,9 @@ def run_ensemble(config: EnsembleConfig, workers: int | None = None) -> Ensemble
     task = partial(_run_block, config)
     own = range(0, len(chunks), n_workers)  # this process runs tasks 0, n, 2n, ...
     pooled = [i for i in range(len(chunks)) if i % n_workers]  # and a pool of n - 1 the rest
-    pool = ProcessPoolExecutor(min(n_workers - 1, len(pooled))) if pooled else None
+    pool = None
+    if pooled:  # the class through the module, which imports it on first use
+        pool = sys.modules[__name__].ProcessPoolExecutor(min(n_workers - 1, len(pooled)))
     with pool or nullcontext():
         # map submits the pool's share at once, so the pool runs it meanwhile
         results = () if pool is None else pool.map(

@@ -23,11 +23,11 @@ import importlib.machinery
 import importlib.util
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import ModuleType
 from typing import Iterator, NamedTuple
 
 import numpy as np
-import scipy
 
 from .errors import CapacityError, check_integer
 
@@ -152,9 +152,10 @@ def _load_sparsetools(directory: str) -> ModuleType:
     Importing them as ``scipy.sparse._sparsetools`` runs the ``scipy.sparse``
     package first, whose array-API layer imports much of numpy besides
     (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``): half of this
-    package's import time, in every process, for one routine.  Where
-    ``directory`` holds no such file (an editable scipy, say), the package
-    is imported after all.
+    package's import time, in every process, for one routine.  The
+    directory comes from :func:`_scipy_directory`, which does not run the
+    ``scipy`` package either.  Where ``directory`` holds no such file (an
+    editable scipy, say), the package is imported after all.
     """
     spec = importlib.machinery.PathFinder.find_spec("_sparsetools", [directory])
     if spec is None:
@@ -165,7 +166,16 @@ def _load_sparsetools(directory: str) -> ModuleType:
     return module
 
 
-_sparsetools = _load_sparsetools(os.path.join(os.path.dirname(scipy.__file__), "sparse"))
+def _scipy_directory() -> str:
+    """The directory of the installed ``scipy`` package, found without importing it
+    (``import scipy`` alone loads a dozen modules that no routine here uses)."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ModuleNotFoundError("annealsim needs scipy", name="scipy")
+    return spec.submodule_search_locations[0]
+
+
+_sparsetools = _load_sparsetools(os.path.join(_scipy_directory(), "sparse"))
 
 
 def csr_product(mat: CSR, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -338,6 +348,27 @@ def _spins(count: int, n_bits: int) -> np.ndarray:
     return 1 - 2 * ((np.arange(count, dtype=np.int64)[:, None] >> np.arange(n_bits)) & 1)
 
 
+def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _spin_tables(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spins of :func:`ising_half_diag` at ``n_qubits``: of the low m = N // 2
+    qubits, and of the rest with the top spin up; built once per N, read-only."""
+    m = n_qubits // 2
+    return _read_only(_spins(1 << m, m), _spins(1 << (n_qubits - 1 - m), n_qubits - m))
+
+
+@lru_cache(maxsize=None)
+def _pair_indices(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n_qubits, 1)``, the pairs k < l in lexicographic order;
+    built once per N, read-only."""
+    return _read_only(*np.triu_indices(n_qubits, k=1))
+
+
 def ising_half_diag(n_qubits: int, couplings: np.ndarray) -> np.ndarray:
     """Evaluate ``-sum_{k<l} J_kl z_k z_l`` over the first 2**(N-1) states.
 
@@ -346,14 +377,15 @@ def ising_half_diag(n_qubits: int, couplings: np.ndarray) -> np.ndarray:
     (B, 2**(N-1)) stack.  The half index ``i = hi * 2**m + lo`` splits the
     spins into the low m and the rest (top spin up), so ``E[hi, lo] =
     E_high[hi] + E_low[lo] +`` the couplings between the parts, one small
-    matrix product per instance, all B in one batched call.  Only the result
-    is as large as the output; the arithmetic is exact in int64.
+    matrix product per instance, all B in one batched call.  The two spin
+    tables depend on N alone, and are built on the first call at each N
+    (:func:`_spin_tables`).  Only the result is as large as the output; the
+    arithmetic is exact in int64.
     """
     m = n_qubits // 2
     j = np.triu(couplings, k=1).astype(np.int64)  # triu acts on the last two axes
     stack = j.reshape((-1, n_qubits, n_qubits))
-    z_low = _spins(1 << m, m)
-    z_high = _spins(1 << (n_qubits - 1 - m), n_qubits - m)
+    z_low, z_high = _spin_tables(n_qubits)
     energy = (z_high @ stack[:, :m, m:].transpose(0, 2, 1)) @ z_low.T
     energy += np.einsum("ik,bkl,il->bi", z_high, stack[:, m:, m:], z_high)[:, :, None]
     energy += np.einsum("ik,bkl,il->bi", z_low, stack[:, :m, :m], z_low)[:, None, :]
@@ -367,10 +399,10 @@ def random_ising_block(n_qubits: int, seeds: list[int]) -> list[IsingDiagonal]:
     Couplings come from a counter-based Philox generator keyed by the seed,
     so identical (N, seed) pairs yield identical instances on any platform.
     Each seed's N(N-1)/2 signs are drawn from its own stream in
-    lexicographic pair order (0,1), (0,2), ..., (N-2, N-1); the half
-    diagonals of all seeds are then evaluated in one
-    :func:`ising_half_diag` call, so an instance is the same whichever
-    seeds it is drawn with.
+    lexicographic pair order (0,1), (0,2), ..., (N-2, N-1), the pair table
+    of :func:`_pair_indices`, built once per N; the half diagonals of all
+    seeds are then evaluated in one :func:`ising_half_diag` call, so an
+    instance is the same whichever seeds it is drawn with.
     """
     _check_qubits(check_integer("n_qubits", n_qubits))
     seeds = [check_integer("seed", seed, 0) for seed in seeds]
@@ -380,8 +412,8 @@ def random_ising_block(n_qubits: int, seeds: list[int]) -> list[IsingDiagonal]:
         gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         row[:] = gen.integers(0, 2, size=n_pairs)
     couplings = np.zeros((len(seeds), n_qubits, n_qubits), dtype=np.int64)
-    upper = np.triu_indices(n_qubits, k=1)
-    couplings[:, upper[0], upper[1]] = 2 * signs - 1
+    rows, cols = _pair_indices(n_qubits)
+    couplings[:, rows, cols] = 2 * signs - 1
     halves = ising_half_diag(n_qubits, couplings)
     return [IsingDiagonal(n_qubits, h, s, c) for h, s, c in zip(halves, seeds, couplings)]
 

@@ -237,8 +237,10 @@ class _Problems:
 
 
 # a problem's squares overflow before its entries do, and it then retires
-# as overflowed: the pair sum of its squares need not warn
-@np.errstate(over="ignore")
+# as overflowed: the pair sum of its squares need not warn, nor may a term
+# whose entries overflow and meet (inf - inf in the pair or the updates),
+# which gives NaN and retires the same way
+@np.errstate(over="ignore", invalid="ignore")
 def taylor_segment(
     gen: Generator,
     psi_in: np.ndarray,

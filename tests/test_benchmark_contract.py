@@ -36,6 +36,17 @@ for workers, blocks in ((2, 2), (3, 3)):
 """
 
 
+POOL_CLASS_CHECK = """
+import sys
+import annealsim.ensemble as ens
+assert "concurrent.futures" not in sys.modules
+pool_class = getattr(ens, "ProcessPoolExecutor")
+import concurrent.futures
+assert pool_class is concurrent.futures.ProcessPoolExecutor, pool_class
+assert not hasattr(ens, "ThreadPoolExecutor")
+"""
+
+
 def _run_in_perfbench(code: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(PERFBENCH)])}
     return subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH, env=env,
@@ -54,6 +65,13 @@ def test_benchmark_pool_hook_sees_each_task():
     # positional iterables; it must record one argument tuple per task sent
     # to the pool: every task but the calling process's share, at least one
     proc = _run_in_perfbench(POOL_CHECK)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_pool_class_reads_as_a_module_attribute():
+    # the traced benchmark reads ensemble.ProcessPoolExecutor with getattr
+    # and swaps it; the class loads on that first read, as on a first pool
+    proc = _run_in_perfbench(POOL_CLASS_CHECK)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

@@ -438,6 +438,10 @@ def test_overflowing_runs_exit_2(tmp_path, capsys):
     cases = [
         (["single", "--qubits", "6", "--time", "60", "--seed", "1", "--segments", "1"], True),
         (["lindblad", "--qubits", "3", "--time", "80", "--seed", "1", "--segments", "1"], True),
+        # a dissipator norm that passes the input check but whose terms
+        # overflow: at 1e153 they meet as inf - inf in the pair
+        (["lindblad", "--qubits", "3", "--time", "2", "--seed", "1", "--lscale", "1e153"], True),
+        (["lindblad", "--qubits", "3", "--time", "2", "--seed", "1", "--lscale", "1e20"], True),
         (["lz", "--time", "400", "--segments", "1"], False),
     ]
     for argv, writes_record in cases:

@@ -403,3 +403,14 @@ def test_propagate_density_rejects_an_overflowing_dissipator_norm():
             propagate_density(params, inst, l_scale)
     assert not propagate_density(params, inst, 1e20).converged
 
+
+@pytest.mark.parametrize("l_scale", [1e153, 1e20])
+def test_propagate_density_overflowing_dissipator_reports_nan(l_scale):
+    # a dissipator norm that passes the input check, but whose first terms
+    # overflow (at 1e153 to inf - inf inside the pair): a NaN run, flagged,
+    # with no warning raised under the tests' error::RuntimeWarning filter
+    res = propagate_density(AnnealParams(3, 2.0), random_ising_half(3, 1), l_scale)
+    assert not res.converged
+    assert res.terms_per_segment == []
+    assert math.isnan(res.success_p)
+    assert math.isnan(res.trace_drift)

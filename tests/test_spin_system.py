@@ -368,27 +368,57 @@ def test_sparsetools_loader_falls_back_to_scipy_package(tmp_path, monkeypatch):
     assert csr_product(mat, x, np.empty_like(x)).tobytes() == from_file.tobytes()
 
 
-SPARSE_PACKAGE_CHECK = """
+START_UP_CHECK = """
 import sys
+
+
+def loaded(*packages):
+    return sorted(name for name in sys.modules if name.split(".")[0] in packages)
+
+
 from annealsim import (AnnealParams, EnsembleConfig, LZParams, lz_propagate, propagate,
                        propagate_density, random_ising_half, run_ensemble)
 assert propagate(AnnealParams(8, 2.0), random_ising_half(8, 1)).converged
 assert propagate_density(AnnealParams(3, 2.0), random_ising_half(3, 1), 0.1).converged
 assert lz_propagate(LZParams(1.0, 20.0)).converged
+unused = loaded("scipy", "concurrent", "multiprocessing")
+assert not unused, unused
 result = run_ensemble(EnsembleConfig(8, 2.0, 6, 1), workers=2)
 assert result.workers == 2 and result.failure_count == 0
-loaded = sorted(name for name in sys.modules if name.startswith("scipy.sparse"))
-assert not loaded, loaded
+assert "concurrent.futures" in sys.modules and "multiprocessing" in sys.modules
+assert not loaded("scipy"), loaded("scipy")
 """
 
 
-def test_simulator_never_imports_scipy_sparse_package():
-    # csr_product needs one compiled routine; importing the scipy.sparse
-    # package for it would double the start-up of every process
+def test_simulator_loads_no_scipy_and_the_pool_on_first_use():
+    # csr_product needs one compiled routine, found without running the
+    # scipy package; the process pool's modules load with the first pool.
+    # Either at start-up would more than double the import of this package
     src = Path(ss.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", SPARSE_PACKAGE_CHECK], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", START_UP_CHECK], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("n", [2, 8, 18])
+def test_per_n_tables_are_read_only_and_change_no_instance(n):
+    # the spin and pair tables are built on the first draw at each N and
+    # shared after: a draw before they exist and one after agree bit for
+    # bit, and a table refuses writes
+    seeds = [0, 1, 2**63 + 5]
+    ss._spin_tables.cache_clear()
+    ss._pair_indices.cache_clear()
+    first = ss.random_ising_block(n, seeds)
+    tables = ss._spin_tables(n) + ss._pair_indices(n)
+    again = ss.random_ising_block(n, seeds) + [ss.random_ising_half(n, s) for s in seeds]
+    for a, b in zip(first * 2, again):
+        assert a.half_diag.tobytes() == b.half_diag.tobytes()
+        assert a.couplings.tobytes() == b.couplings.tobytes()
+    rows, cols = np.triu_indices(n, k=1)
+    assert np.array_equal(tables[2], rows) and np.array_equal(tables[3], cols)
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
 
 
 def test_ising_half_diag_allocates_no_spin_matrix():
