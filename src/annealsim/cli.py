@@ -66,19 +66,18 @@ def record(
     kind: str,
     config: dict,
     schedule: SegmentSchedule,
-    t_anneal: float,
     timing: dict,
     **sections,
 ) -> dict:
-    """JSON-ready run record: ``config`` gains the resolved schedule, the
-    ``sections`` become top-level entries, and all wall-clock data lives in
-    the separate ``timing`` block."""
+    """JSON-ready run record: ``config`` gains the schedule, resolved at its
+    anneal time ``config["time"]``, the ``sections`` become top-level
+    entries, and all wall-clock data lives in the separate ``timing`` block."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "config": {
             **config,
-            "segments": schedule.resolve(t_anneal),
+            "segments": schedule.resolve(config["time"]),
             "tol": schedule.tol,
             "max_terms": schedule.max_terms,
         },
@@ -102,7 +101,6 @@ def run_record(config: EnsembleConfig, result: EnsembleResult, wall_seconds: flo
             "l_scale": config.l_scale,
         },
         config.schedule,
-        config.t_anneal,
         {"wall_seconds": wall_seconds, "workers": result.workers, "blocks": result.blocks},
         histogram={
             "bin_edges": [i / bins for i in range(bins + 1)],
@@ -247,8 +245,7 @@ def _run_one(args, kind, run, config, drift_field):
         config = {"qubits": args.qubits, "time": args.time, "seed": args.seed, **config}
         result = {"p": _json_float(res.success_p), "drift": _json_float(drift),
                   "terms_per_segment": res.terms_per_segment, "converged": res.converged}
-        write_json(args.out, record(kind, config, schedule, args.time, {"wall_seconds": wall},
-                                    result=result))
+        write_json(args.out, record(kind, config, schedule, {"wall_seconds": wall}, result=result))
     return code, res
 
 

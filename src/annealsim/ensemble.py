@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import check_integer
 from .lindblad_propagator import check_density_input, propagate_density
-from .spin_system import _check_qubits, block_columns, random_ising_block, random_ising_half
+from .spin_system import block_columns, check_qubits, random_ising_block, random_ising_half
 from .taylor_propagator import AnnealParams, SegmentSchedule, propagate, propagate_block
 
 
@@ -66,7 +66,7 @@ class EnsembleConfig:
             raise ValueError(f"schedule must be a SegmentSchedule, got {self.schedule!r}")
         if self.mode not in ("unitary", "lindblad"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        _check_qubits(check_integer("n_qubits", self.n_qubits))
+        check_qubits(self.n_qubits)
         if self.mode == "lindblad":
             check_density_input(self.n_qubits, self.l_scale)
         elif self.l_scale != 0:
@@ -265,7 +265,7 @@ def scaling_sweep(
     check_integer("master_seed", master_seed, 0)
     n_values = list(n_list)
     for n in n_values:
-        _check_qubits(check_integer("n_qubits", n))
+        check_qubits(n)
     if len(set(n_values)) < len(n_values):
         raise ValueError(f"register sizes must be distinct, got {n_values}")
     means = []

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_system import (
-    IsingDiagonal, _check_qubits, csr_product, full_flip_matrix, ground_space, lift_to_full,
-    uniform_initial_state,
+    IsingDiagonal, check_qubits, csr_product, full_flip_matrix, ground_space, ising_norm_bound,
+    lift_to_full, uniform_initial_state,
 )
 from .taylor_propagator import AnnealParams, Generator, SegmentSchedule, run_segments, settle
 
@@ -50,14 +50,22 @@ class DensityPropagationResult:
     converged: bool
 
 
+def density_bound(n_qubits: int, l_scale: float) -> float:
+    """The density generator's ``bound`` (derived at :func:`_density_pair`):
+    twice the Ising bound plus twice the dissipator's l_scale^2 (2^N - 1).
+    The products are of floats, which overflow to inf where ``**`` raises."""
+    scale = float(l_scale)
+    return 2.0 * ising_norm_bound(n_qubits) + 2.0 * (scale * scale * ((1 << n_qubits) - 1))
+
+
 def check_density_input(n_qubits: int, l_scale: float) -> None:
-    """The one check of a density run's input: ``n_qubits`` (an int) from 2 to
-    :data:`MAX_DENSITY_QUBITS`, and ``l_scale`` >= 0 with a dissipator norm
-    l_scale^2 (2^N - 1) (see :func:`_density_pair`) that is a finite float."""
-    _check_qubits(n_qubits, MAX_DENSITY_QUBITS)
-    scale = float(l_scale)  # a float product overflows to inf, where ** would raise
-    if not (scale >= 0 and scale * scale * ((1 << n_qubits) - 1) < math.inf):  # NaN too
-        raise ValueError(f"l_scale must be >= 0 with l_scale**2 * (2**N - 1) finite, got {l_scale}")
+    """The one check of a density run's input: ``n_qubits`` (see
+    :func:`~annealsim.spin_system.check_qubits`) up to
+    :data:`MAX_DENSITY_QUBITS`, and ``l_scale`` >= 0 with a finite
+    :func:`density_bound`."""
+    n = check_qubits(n_qubits, MAX_DENSITY_QUBITS)
+    if not (float(l_scale) >= 0 and density_bound(n, l_scale) < math.inf):  # NaN too
+        raise ValueError(f"l_scale must be >= 0 with a finite density bound, got {l_scale}")
 
 
 def build_energy_lowering_op(
@@ -88,9 +96,16 @@ def _density_pair(
 
     The factor is T.  The pair acts on M flattened to one vector, which the
     kernel treats as one problem weighed by its trace (a 2-D state would be
-    read as independent columns); its bound adds ||L^T L|| = l_scale^2
-    (2^N - 1) to the Ising pair's.  As H_i is symmetric, [H_i, M]^T =
-    (H_i M)^T - H_i M^T, two :func:`csr_product` calls, and [H_f, M]^T
+    read as independent columns).  Its bound is :func:`density_bound`, by
+    the triangle inequality in the Frobenius norm of M: a transpose keeps
+    the norm, ||[H(s), M]|| <= 2 ||H(s)|| ||M|| with ||H(s)|| at most the
+    Ising bound, ||L M L^T|| <= ||L||^2 ||M|| and ||{L^T L, M}/2|| <=
+    ||L^T L|| ||M||, where ||L||^2 = ||L^T L|| = l_scale^2 (2^N - 1), the
+    square of the ladder's largest weight (no two share a row or column).
+    The dissipator alone reaches sqrt(2) times l_scale^2 (2^N - 1) on one
+    diagonal entry of M, so that value does not bound it.  As H_i is
+    symmetric, [H_i, M]^T = (H_i M)^T - H_i M^T, two :func:`csr_product`
+    calls, and [H_f, M]^T
     scales M^T by the energy gaps.  The ladder has one entry per row, w_i
     at column src_i, so L M L^T = (w w^T) * M[src][:, src] is a gather, and
     L^T L is diagonal.  A term writes into ``a_out``, ``b_out`` and
@@ -127,8 +142,8 @@ def _density_pair(
             np.subtract(prod, work, out=prod)
             drv += prod  # + D[M]
 
-    bound = n_qubits + n_qubits * (n_qubits - 1) / 2 + l_scale**2 * (dim - 1)
-    return Generator(apply, t_anneal, lambda v: np.trace(v.reshape(dim, dim)), bound)
+    return Generator(apply, t_anneal, lambda v: np.trace(v.reshape(dim, dim)),
+                     density_bound(n_qubits, l_scale))
 
 
 def propagate_density(

@@ -53,11 +53,22 @@ BLOCK_ENTRIES = 1 << (LOW_FLIP_BITS + 1)
 TILE_ENTRIES = 2**15
 
 
-def _check_qubits(n_qubits: int, limit: int = MAX_QUBITS) -> None:
-    if n_qubits < 2:
-        raise ValueError(f"need at least 2 qubits, got {n_qubits}")
-    if n_qubits > limit:
-        raise CapacityError(f"{n_qubits} qubits exceeds the supported limit of {limit}")
+def check_qubits(n_qubits, limit: int = MAX_QUBITS) -> int:
+    """``n_qubits`` as an int if it passes ``check_integer`` and is at least 2
+    (else a ValueError) and at most ``limit`` (else a CapacityError)."""
+    n = check_integer("n_qubits", n_qubits)
+    if n < 2:
+        raise ValueError(f"need at least 2 qubits, got {n}")
+    if n > limit:
+        raise CapacityError(f"{n} qubits exceeds the supported limit of {limit}")
+    return n
+
+
+def ising_norm_bound(n_qubits: int) -> float:
+    """N + N(N-1)/2, a bound on ||H(s)|| = ||(1-s) H_i + s H_f|| over [0, 1]
+    for every +/-1 complete-graph instance on ``n_qubits``: ||H_i|| <= N, one
+    per qubit, and max|E| <= N(N-1)/2, one per coupling."""
+    return n_qubits + n_qubits * (n_qubits - 1) / 2
 
 
 class CSR(NamedTuple):
@@ -136,7 +147,7 @@ def transverse_field_half(n_qubits: int) -> TransverseField:
     replaces: the bit flips, then the reversed entry (at N = 2 a repeat of
     column 1, which both scipy routines add in turn, as before).
     """
-    _check_qubits(n_qubits)
+    check_qubits(n_qubits)
     m = n_qubits - 1
     if m > LOW_FLIP_BITS:
         return TransverseField(n_qubits, full_flip_matrix(LOW_FLIP_BITS))
@@ -404,7 +415,7 @@ def random_ising_block(n_qubits: int, seeds: list[int]) -> list[IsingDiagonal]:
     seeds are then evaluated in one :func:`ising_half_diag` call, so an
     instance is the same whichever seeds it is drawn with.
     """
-    _check_qubits(check_integer("n_qubits", n_qubits))
+    check_qubits(n_qubits)
     seeds = [check_integer("seed", seed, 0) for seed in seeds]
     n_pairs = n_qubits * (n_qubits - 1) // 2
     signs = np.empty((len(seeds), n_pairs), dtype=np.int64)
@@ -437,7 +448,7 @@ def uniform_initial_state(n_qubits: int) -> np.ndarray:
     Its lift to the full space is the normalized uniform superposition, so
     the half-space squared norm is exactly 1/2.
     """
-    _check_qubits(n_qubits)
+    check_qubits(n_qubits)
     dim = 1 << (n_qubits - 1)
     return np.full(dim, 2.0 ** (-n_qubits / 2.0), dtype=np.complex128)
 

@@ -47,6 +47,7 @@ from .spin_system import (
     apply_initial,
     block_columns,
     ground_space,
+    ising_norm_bound,
     tile_work,
     transverse_field_half,
     uniform_initial_state,
@@ -65,9 +66,11 @@ class Generator:
     ``apply(v, a_out, b_out)`` writes A_0 v into ``a_out`` and B v into
     ``b_out``, unshifted, and returns None or an iterator of the row slices
     as they are finished (see :func:`taylor_segment`); ``weight(state)`` is
-    what the evolution conserves at 1, a float or one per column of a block;
-    ``bound`` bounds ||H(s)|| over [0, 1], whatever T.  A block needs
-    ``narrow(cols)``, the generator on the block columns ``cols``.
+    what the evolution conserves at 1, a float or one per column of a block.
+    ``bound`` is a norm bound with one meaning for every evolution: for every
+    s in [0, 1], ||f (A_0 + s B)||_2 <= T * bound, where T is the anneal
+    time that :func:`run_segments` is given.  A block needs ``narrow(cols)``,
+    the generator on the block columns ``cols``.
     """
 
     apply: Callable[[np.ndarray, np.ndarray, np.ndarray], Iterable[slice] | None]
@@ -406,9 +409,9 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray, t_anneal: float) -> Ge
     Nothing is allocated or upcast: ``propagate`` passes the diagonal as
     complex128, like the states.  A (dim, B) diagonal block and state run
     B instances, column by column, and narrow to the diagonal's columns.
-    The bound ||H_i|| + max|E| = N + N(N-1)/2 holds for every instance of
-    the +/-1 complete graph.  Up to N = 13 the driver product is one
-    compiled call.  Beyond, the pair holds low-bit work, its own
+    As f = -iT, its bound is one on ||H(s)||,
+    :func:`~annealsim.spin_system.ising_norm_bound`.  Up to N = 13 the
+    driver product is one compiled call.  Beyond, the pair holds low-bit work, its own
     :func:`tile_work`, and always tiles (see :func:`apply_initial`): the
     call returns an iterator whose first step does the low-bit product,
     and whose steps each finish both products on one row tile.
@@ -426,11 +429,10 @@ def _ising_apply(tf: TransverseField, diag_f: np.ndarray, t_anneal: float) -> Ge
             b -= a_out[t]  # (H_f - H_i) v on the tile
             yield t
 
-    n = tf.n_qubits
     return Generator(
         apply if work is None else tiled, -1j * t_anneal,
         # the lifted squared norm over the column view: a vector drifts as a block column
-        lambda v: 2.0 * _Problems.squares(_columns(v)), n + n * (n - 1) / 2,
+        lambda v: 2.0 * _Problems.squares(_columns(v)), ising_norm_bound(tf.n_qubits),
         (lambda cols: _ising_apply(tf, diag_f[:, cols], t_anneal)) if diag_f.ndim == 2 else None,
     )
 

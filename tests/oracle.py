@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from annealsim.landau_zener import LZParams, lz_ground_state, lz_hamiltonian
-from annealsim.spin_system import CSR, IsingDiagonal, _check_qubits
+from annealsim.spin_system import CSR, IsingDiagonal, check_qubits
 from annealsim.taylor_propagator import Generator, _Problems, taylor_segment
 
 MAX_DENSE_QUBITS = 10
@@ -150,7 +150,7 @@ def rk4_schrodinger_batch(
     4 evaluations per step into small dense matmuls, which is what makes the
     oracle-equivalence sweeps affordable.
     """
-    _check_qubits(n_qubits, MAX_DENSE_QUBITS)
+    check_qubits(n_qubits, MAX_DENSE_QUBITS)
     dim = 1 << n_qubits
     hi = driver_matrix(n_qubits)
     diags = np.atleast_2d(np.asarray(full_diags, dtype=np.float64))
@@ -287,7 +287,7 @@ def energy_lowering_matrix(hf_full_diag: np.ndarray, scale: float = 1.0) -> np.n
 
 def dense_spectrum(n_qubits: int, hf: IsingDiagonal, s: float) -> SpectralSlice:
     """Eigenvalues of (1-s) H_i + s H_f in the full space, ascending."""
-    _check_qubits(n_qubits, MAX_DENSE_QUBITS)
+    check_qubits(n_qubits, MAX_DENSE_QUBITS)
     h = (1.0 - s) * driver_matrix(n_qubits).real
     h[np.diag_indices_from(h)] += s * hf.full_diag()
     eigenvalues = np.linalg.eigvalsh(h)

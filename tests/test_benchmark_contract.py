@@ -47,6 +47,28 @@ assert not hasattr(ens, "ThreadPoolExecutor")
 """
 
 
+WORKLOAD_CHECK = """
+import math
+import workloads as wl
+cases = [wl.Workload("vector-n4", 4, 2.0, runs=1),
+         wl.Workload("pooled-n4", 4, 2.0, runs=3),
+         wl.Workload("lindblad-n3", 3, 2.0, runs=1, mode="lindblad", l_scale=0.1)]
+for w in cases:
+    inputs = wl.setup(w, 1)
+    outcomes = wl.run_round(w, inputs)
+    assert outcomes is not None and len(outcomes) == w.runs, (w.name, outcomes)
+    for inst in inputs.instances:
+        outcome, rho = wl.anneal(w, inst)
+        outcomes.append(outcome)
+        if w.mode == "lindblad":
+            assert rho.shape == (8, 8), (w.name, rho.shape)
+        else:
+            assert rho is None, w.name
+    for o in outcomes:
+        assert math.isfinite(o.p) and math.isfinite(o.drift) and o.terms >= 2, (w.name, o)
+"""
+
+
 def _run_in_perfbench(code: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(PERFBENCH)])}
     return subprocess.run([sys.executable, "-c", code], cwd=PERFBENCH, env=env,
@@ -72,6 +94,15 @@ def test_pool_class_reads_as_a_module_attribute():
     # the traced benchmark reads ensemble.ProcessPoolExecutor with getattr
     # and swaps it; the class loads on that first read, as on a first pool
     proc = _run_in_perfbench(POOL_CLASS_CHECK)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_benchmark_workloads_read_every_outcome():
+    # perfbench's anneal and run_round read P, the norm or trace drift,
+    # the terms and rho of each propagator's result, and run_ensemble's
+    # records: a small vector, pooled round and Lindblad run each give
+    # every outcome, with a finite P and drift, at least 2 terms, and rho
+    proc = _run_in_perfbench(WORKLOAD_CHECK)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 

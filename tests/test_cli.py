@@ -457,21 +457,21 @@ def test_overflowing_runs_exit_2(tmp_path, capsys):
 
 
 def test_single_norm_drift_exits_2(capsys):
-    # the default 10 segments let this run's norm drift 8.8e-4 (P 0.738399
+    # 10 segments, ceil(T), let this run's norm drift 8.8e-4 (P 0.738399
     # against 0.737541 from 40 segments); 40 keep it to 1e-12
     argv = ["single", "--qubits", "12", "--time", "10", "--seed", "2"]
-    assert run_cli(argv) == 2
+    assert run_cli(argv + ["--segments", "10"]) == 2
     assert "converged = False" in capsys.readouterr().out
     assert run_cli(argv + ["--segments", "40"]) == 0
     assert "converged = True" in capsys.readouterr().out
 
 
 def test_lindblad_trace_drift_exits_2(capsys):
-    # the default 4 segments lose this run's trace (drift about 3); 16 keep
+    # 4 segments, ceil(T), lose this run's trace (drift about 3); 16 keep
     # it to 1e-15, and 32 segments give the same P
     argv = ["lindblad", "--qubits", "8", "--time", "4", "--lscale", "0.3",
             "--seed", "3386250816931739734"]
-    assert run_cli(argv) == 2
+    assert run_cli(argv + ["--segments", "4"]) == 2
     assert "converged = False" in capsys.readouterr().out
     assert run_cli(argv + ["--segments", "16"]) == 0
     stdout = capsys.readouterr().out

@@ -195,8 +195,9 @@ def test_fast_segment_matches_generic(n, l_scale):
 
 @pytest.mark.parametrize("l_scale", [0.0, 0.1, 0.3])
 def test_density_bound_adds_the_dissipator_norm(l_scale):
-    # the density generator's bound is the Ising one plus ||L^T L||, the top
-    # eigenvalue of the dense ladder's L^T L
+    # the density generator's bound is twice the Ising one, for the
+    # commutator, plus twice ||L^T L||, the top eigenvalue of the dense
+    # ladder's L^T L, for the dissipator's two parts
     n = 5
     hf = random_ising_half(n, 4)
     gen = _density_pair(n, hf.full_diag(), l_scale, 4.0)
@@ -204,7 +205,7 @@ def test_density_bound_adds_the_dissipator_norm(l_scale):
     lind = energy_lowering_matrix(hf.full_diag(), l_scale)
     top = np.linalg.eigvalsh(lind.conj().T @ lind).max()
     assert gen.factor == 4.0
-    assert gen.bound - ising.bound == pytest.approx(top, rel=1e-12, abs=1e-12)
+    assert gen.bound - 2 * ising.bound == pytest.approx(2 * top, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("l_scale", [0.0, 0.1])
@@ -395,7 +396,7 @@ def test_propagate_density_rejects_negative_l_scale():
 
 
 def test_propagate_density_rejects_an_overflowing_dissipator_norm():
-    # l_scale**2 * (2**N - 1) must be a finite float: 1e200 overflows in the
+    # the density bound must be a finite float: 1e200 overflows in the
     # square, 1e154 in the product; 1e20 runs, to a non-converged result
     params, inst = AnnealParams(3, 2.0), random_ising_half(3, 1)
     for l_scale in (1e200, 1e154, np.float64(1e200)):

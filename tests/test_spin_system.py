@@ -9,6 +9,7 @@ import pytest
 
 import annealsim.spin_system as ss
 from annealsim.errors import CapacityError
+from annealsim.lindblad_propagator import check_density_input
 from annealsim.spin_system import (
     LOW_FLIP_BITS,
     apply_initial,
@@ -535,6 +536,12 @@ def test_random_ising_takes_integers_only():
     for args, name in (((6, 1.5), "seed"), ((6, 2.0), "seed"), ((4.0, 1), "n_qubits")):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             random_ising_half(*args)
+    # every qubit count goes through the one check: a whole float or a bool
+    # is rejected by name, not by a TypeError from 1 << 7.0
+    for call in (lambda: uniform_initial_state(8.0), lambda: transverse_field_half(8.0),
+                 lambda: check_density_input(4.0, 0.1), lambda: transverse_field_half(True)):
+        with pytest.raises(ValueError, match="n_qubits must be an integer"):
+            call()
     with pytest.raises(ValueError, match="seed must be an integer"):
         random_ising_block(6, [1, 2.5])
     # a negative seed is rejected where it enters, not by numpy's SeedSequence

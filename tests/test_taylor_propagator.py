@@ -9,9 +9,9 @@ import pytest
 import annealsim.landau_zener as lz
 import annealsim.spin_system as ss
 import annealsim.taylor_propagator as tp
-from annealsim.ensemble import EnsembleConfig, run_ensemble
+from annealsim.ensemble import EnsembleConfig, instance_seed, run_ensemble
 from annealsim.landau_zener import LZParams, lz_hamiltonian, lz_propagate
-from annealsim.lindblad_propagator import propagate_density
+from annealsim.lindblad_propagator import _density_pair, propagate_density
 from annealsim.spin_system import (
     IsingDiagonal,
     apply_initial,
@@ -120,10 +120,24 @@ def test_segment_shift_equals_folded_pair(shape, pair):
     assert got.shape == shape and np.max(np.abs(got - ref)) < 1e-13
 
 
+def _largest_operator_norm(gen, state_size, dtype):
+    """The largest ||f (A_0 + s B)||_2 over 41 points of [0, 1], with A_0 and
+    B built densely from ``gen.apply`` on the basis vectors."""
+    a0, b = np.zeros((2, state_size, state_size), dtype)
+    a_out, b_out = np.empty((2, state_size), dtype)
+    for j in range(state_size):
+        e = np.zeros(state_size, dtype)
+        e[j] = 1
+        assert gen.apply(e, a_out, b_out) is None
+        a0[:, j], b[:, j] = a_out, b_out
+    return max(np.linalg.norm(gen.factor * (a0 + s * b), 2) for s in np.linspace(0.0, 1.0, 41))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_ising_bound_covers_every_instance(n):
     # ||H(s)|| <= N + N(N-1)/2 at s = 0, 1/2 and 1, dense, for any instance
-    # of the family: the bound reads N alone, not the instance or T
+    # of the family: the bound reads N alone, not the instance or T; and
+    # its one meaning, ||f (A_0 + s B)|| <= T * bound, holds on the pair
     tf = transverse_field_half(n)
     for seed in range(6):
         hf = random_ising_half(n, seed)
@@ -131,6 +145,7 @@ def test_ising_bound_covers_every_instance(n):
         assert gen.bound == n + n * (n - 1) / 2 and gen.factor == -10j
         for s in (0.0, 0.5, 1.0):
             assert np.abs(dense_spectrum(n, hf, s).eigenvalues).max() <= gen.bound
+        assert _largest_operator_norm(gen, 1 << (n - 1), complex) <= 10.0 * gen.bound
 
 
 @pytest.mark.parametrize("delta", [0.1, 1.0, 3.0])
@@ -145,6 +160,20 @@ def test_two_level_bound_covers_the_spectrum(delta, monkeypatch):
     assert lz_propagate(LZParams(delta, 5.0)).converged
     for s in np.linspace(0.0, 1.0, 11):
         assert np.abs(np.linalg.eigvalsh(lz_hamiltonian(delta, s))).max() <= gens[0].bound
+    # -iT is folded into the pair's matrices: its factor is 1
+    assert _largest_operator_norm(gens[0], 2, complex) <= 5.0 * gens[0].bound
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("l_scale", [0.0, 0.3, 1.0])
+def test_density_bound_covers_the_operator(n, l_scale):
+    # the density pair's bound has the one meaning too: its operator, a
+    # commutator of norm up to 2||H(s)|| plus the dissipator, reaches
+    # 4.00 T at N=2, 3.27 T at N=2 with l_scale 0.3 and 26.5 T at N=4 with
+    # l_scale 1.0, beyond the Ising bound plus l_scale**2 (2**N - 1)
+    gen = _density_pair(n, random_ising_half(n, instance_seed(1, 0)).full_diag(), l_scale, 4.0)
+    assert gen.factor == 4.0
+    assert _largest_operator_norm(gen, 1 << (2 * n), np.float64) <= 4.0 * gen.bound
 
 
 def test_propagate_builds_its_generator_once(monkeypatch):
@@ -448,17 +477,17 @@ def test_kernel_narrows_only_the_generator_it_was_given():
 
 
 def test_block_flags_only_the_drifting_column():
-    # ceil(T) = 10 segments hold instance 1 at N=12 to a boundary drift of
+    # 10 segments, ceil(T), hold instance 1 at N=12 to a boundary drift of
     # 2e-8 but let instance 2 drift 8.8e-4 (|dP| 8.6e-4 against 40
     # segments): the block flags only the second, and each column is still
     # its one-instance run, drift included
-    params = AnnealParams(12, 10.0)
+    params, schedule = AnnealParams(12, 10.0), SegmentSchedule(segments=10)
     instances = [random_ising_half(12, 1), random_ising_half(12, 2)]
-    block = propagate_block(params, instances)
+    block = propagate_block(params, instances, schedule)
     assert [r.converged for r in block] == [True, False]
     assert block[0].norm_drift < 1e-7 and block[1].norm_drift > 1e-4
     for got, hf in zip(block, instances):
-        alone = propagate(params, hf)
+        alone = propagate(params, hf, schedule)
         assert got.psi_final.tobytes() == alone.psi_final.tobytes()
         assert got.success_p == alone.success_p and got.norm_drift == alone.norm_drift
         assert got.converged is alone.converged
@@ -472,10 +501,12 @@ def _lz_one_segment(t_anneal):
 RULE_CASES = {
     # every segment stops, but the weight drifts past MAX_DRIFT
     "unitary-drift": (
-        lambda: propagate(AnnealParams(12, 10.0), random_ising_half(12, 2)), "norm_drift"),
-    "lindblad-drift": (  # the default 4 segments lose this run's trace: drift about 3
-        lambda: propagate_density(
-            AnnealParams(8, 4.0), random_ising_half(8, 3386250816931739734), 0.3),
+        lambda: propagate(AnnealParams(12, 10.0), random_ising_half(12, 2),
+                          SegmentSchedule(segments=10)),
+        "norm_drift"),
+    "lindblad-drift": (  # 4 segments, ceil(T), lose this run's trace: drift about 3
+        lambda: propagate_density(AnnealParams(8, 4.0), random_ising_half(8, 3386250816931739734),
+                                  0.3, SegmentSchedule(segments=4)),
         "trace_drift"),
     "lz-drift": (lambda: _lz_one_segment(20.0), "norm_drift"),  # |psi(1)|**2 is 5e-2 off
     # the one segment overflows
