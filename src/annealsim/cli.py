@@ -3,6 +3,8 @@
 Subcommands: ``single`` (one unitary run), ``ensemble`` (random-instance
 sweep with histogram), ``lindblad`` (one dissipative run), ``lz`` and
 ``lz-sweep`` (two-level benchmark), ``scaling`` (wall-time sweep over N).
+Every subcommand takes --segments, --tol and --max-terms, from which
+:func:`main` builds the command's one :class:`SegmentSchedule`.
 
 Exit codes: 0 success; 1 invalid flags: every rejected value (the
 library's, --points and --qubits-list alike, each size of which is
@@ -30,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .ensemble import EnsembleConfig, EnsembleResult, run_ensemble, scaling_sweep
-from .errors import CapacityError
+from .errors import CapacityError, check_integer
 from .lindblad_propagator import propagate_density
 from .landau_zener import LZParams, lz_propagate
 from .spin_system import random_ising_half
@@ -137,12 +139,6 @@ def write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
-def _schedule_from(args) -> SegmentSchedule:
-    return SegmentSchedule(
-        segments=args.segments, tol=args.tol, max_terms=args.max_terms
-    )
-
-
 def _add_schedule_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--segments", type=int, default=None,
                    help="segment count (default: ceil(T))")
@@ -197,8 +193,6 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--time", type=float, default=20.0)
     _add_schedule_flags(p)
-    p.add_argument("--pathology", action="store_true",
-                   help="demonstrate the single-segment blow-up (1 segment, 100 terms)")
 
     p = sub.add_parser("lz-sweep", help="benchmark success probability vs T")
     p.set_defaults(run=_cmd_lz_sweep)
@@ -230,11 +224,10 @@ def _report(res, drift: float) -> int:
     return EXIT_OK if res.converged else EXIT_NOT_CONVERGED
 
 
-def _run_one(args, kind, run, config, drift_field):
+def _run_one(args, schedule, kind, run, config, drift_field):
     """Anneal the instance named by the flags with ``run(params, inst,
-    schedule=...)``, report the result and write its JSON record, with the
-    result's ``drift_field`` as its drift.  Returns the exit code and the result."""
-    schedule = _schedule_from(args)
+    schedule=schedule)``, report the result and write its JSON record, with
+    the result's ``drift_field`` as its drift.  Returns the exit code and the result."""
     inst = random_ising_half(args.qubits, args.seed)
     t0 = time.perf_counter()
     res = run(AnnealParams(args.qubits, args.time), inst, schedule=schedule)
@@ -249,12 +242,11 @@ def _run_one(args, kind, run, config, drift_field):
     return code, res
 
 
-def _cmd_single(args) -> int:
-    return _run_one(args, "single", propagate, {}, "norm_drift")[0]
+def _cmd_single(args, schedule) -> int:
+    return _run_one(args, schedule, "single", propagate, {}, "norm_drift")[0]
 
 
-def _cmd_ensemble(args) -> int:
-    schedule = _schedule_from(args)
+def _cmd_ensemble(args, schedule) -> int:
     config = EnsembleConfig(
         n_qubits=args.qubits,
         t_anneal=args.time,
@@ -281,9 +273,9 @@ def _cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
-def _cmd_lindblad(args) -> int:
+def _cmd_lindblad(args, schedule) -> int:
     run = partial(propagate_density, l_scale=args.lscale)
-    code, res = _run_one(args, "lindblad", run, {"l_scale": args.lscale}, "trace_drift")
+    code, res = _run_one(args, schedule, "lindblad", run, {"l_scale": args.lscale}, "trace_drift")
     if args.csv is not None:
         populations = np.diag(res.rho_final).real
         write_csv(args.csv, ["state", "population"],
@@ -291,22 +283,15 @@ def _cmd_lindblad(args) -> int:
     return code
 
 
-def _cmd_lz(args) -> int:
-    if args.pathology:
-        schedule = SegmentSchedule(segments=1, tol=args.tol, max_terms=min(args.max_terms, 100))
-    else:
-        schedule = _schedule_from(args)
+def _cmd_lz(args, schedule) -> int:
     res = lz_propagate(LZParams(args.delta, args.time), schedule)
     print(f"psi(1) = [{complex(res.psi_final[0])!r}, {complex(res.psi_final[1])!r}]")
     print(f"|psi(1)| = {float(np.linalg.norm(res.psi_final))!r}")
     return _report(res, res.norm_drift)
 
 
-def _cmd_lz_sweep(args) -> int:
-    if args.points < 2:
-        raise ValueError("--points must be >= 2")
-    t_values = np.linspace(args.tmin, args.tmax, args.points)
-    schedule = _schedule_from(args)
+def _cmd_lz_sweep(args, schedule) -> int:
+    t_values = np.linspace(args.tmin, args.tmax, check_integer("points", args.points, 2))
     rows = []
     for t in t_values:
         res = lz_propagate(LZParams(args.delta, float(t)), schedule)
@@ -316,14 +301,13 @@ def _cmd_lz_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_scaling(args) -> int:
+def _cmd_scaling(args, schedule) -> int:
     try:
         n_list = [int(tok) for tok in args.qubits_list.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"cannot parse --qubits-list {args.qubits_list!r}") from None
     if not n_list:
         raise ValueError("--qubits-list needs at least one size")
-    schedule = _schedule_from(args)
     result = scaling_sweep(n_list, args.time, args.runs, schedule)
     for n, sec in zip(result.n_values, result.mean_seconds):
         print(f"N={n}: {sec:.6f} s/instance")
@@ -342,6 +326,7 @@ def main(argv=None) -> int:
                                  or not os.path.isdir(os.path.dirname(path) or ".")):
             parser.error(f"cannot write {path!r}: not a file in an existing directory")
     try:
-        return args.run(args)
+        schedule = SegmentSchedule(segments=args.segments, tol=args.tol, max_terms=args.max_terms)
+        return args.run(args, schedule)
     except (ValueError, CapacityError, OSError) as exc:  # rejected input, unwritable output
         parser.error(str(exc))

@@ -57,8 +57,14 @@ def lz_propagate(params: LZParams, schedule: SegmentSchedule | None = None) -> P
     blow up and leave a wildly large or visibly denormalised state; that
     pathology is reported as-is, never masked, and the run is judged as
     every evolution is (see :func:`~annealsim.taylor_propagator.run_segments`).
+    A pair whose T * bound, T * 2 hypot(1, delta), is not finite raises a
+    ValueError: below that, every entry of the folded matrices is finite.
     """
     t = params.t_anneal
+    bound = 2.0 * math.hypot(1.0, params.delta)  # ||H(0)|| + ||H(1)||
+    if not t * bound < math.inf:
+        raise ValueError(f"T * 2 hypot(1, delta) must be finite, "
+                         f"got T = {t}, delta = {params.delta}")
     h0 = lz_hamiltonian(params.delta, 0.0)
     const = -1j * t * h0
     ramp = -1j * t * (lz_hamiltonian(params.delta, 1.0) - h0)
@@ -67,8 +73,8 @@ def lz_propagate(params: LZParams, schedule: SegmentSchedule | None = None) -> P
         np.matmul(const, v, out=a_out)
         np.matmul(ramp, v, out=b_out)
 
-    # the factor -iT is folded into the matrices; the bound is ||H(0)|| + ||H(1)||
-    gen = Generator(apply, 1.0, _Problems.squares, 2.0 * math.hypot(1.0, params.delta))
+    # the factor -iT is folded into the matrices
+    gen = Generator(apply, 1.0, _Problems.squares, bound)
     psi0 = lz_ground_state(params.delta, 0.0)
     psi, terms, drift, converged = run_segments(gen, psi0, t, schedule)
     g1 = lz_ground_state(params.delta, 1.0)

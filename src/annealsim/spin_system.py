@@ -54,11 +54,9 @@ TILE_ENTRIES = 2**15
 
 
 def check_qubits(n_qubits, limit: int = MAX_QUBITS) -> int:
-    """``n_qubits`` as an int if it passes ``check_integer`` and is at least 2
-    (else a ValueError) and at most ``limit`` (else a CapacityError)."""
-    n = check_integer("n_qubits", n_qubits)
-    if n < 2:
-        raise ValueError(f"need at least 2 qubits, got {n}")
+    """``n_qubits`` as an int if it passes ``check_integer`` with minimum 2
+    (else a ValueError) and is at most ``limit`` (else a CapacityError)."""
+    n = check_integer("n_qubits", n_qubits, 2)
     if n > limit:
         raise CapacityError(f"{n} qubits exceeds the supported limit of {limit}")
     return n

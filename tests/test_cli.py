@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import annealsim
-from annealsim.cli import _schedule_from, build_parser, main
+from annealsim.cli import main
 from annealsim.landau_zener import LZParams, lz_propagate
 from annealsim.lindblad_propagator import propagate_density
 from annealsim.spin_system import random_ising_half
@@ -30,12 +31,37 @@ def canonical_record(path):
     return json.dumps(record, sort_keys=True)
 
 
-def test_default_schedule_flags():
-    parser = build_parser()
-    for argv in (["single", "--qubits", "4", "--time", "1", "--seed", "0"],
-                 ["lz"],
-                 ["lz-sweep", "--out", "x.csv"]):
-        assert _schedule_from(parser.parse_args(argv)) == SegmentSchedule()
+def test_default_schedule_flags(tmp_path, monkeypatch, capsys):
+    # main builds each command's one schedule from the flags, which every
+    # subcommand takes: SegmentSchedule() at default flags, their values otherwise
+    made = []
+
+    class CountingSchedule(SegmentSchedule):
+        def __post_init__(self):
+            made.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr("annealsim.cli.SegmentSchedule", CountingSchedule)
+    out, csv = str(tmp_path / "x.json"), str(tmp_path / "x.csv")
+    commands = [
+        ["single", "--qubits", "2", "--time", "1", "--seed", "0"],
+        ["ensemble", "--qubits", "2", "--time", "1", "--runs", "1", "--seed", "0",
+         "--workers", "1", "--out", out],
+        ["lindblad", "--qubits", "2", "--time", "1", "--seed", "0"],
+        ["lz", "--time", "1"],
+        ["lz-sweep", "--tmin", "1", "--tmax", "2", "--points", "2", "--out", csv],
+        ["scaling", "--qubits-list", "2", "--time", "1", "--runs", "1"],
+    ]
+    cases = (([], SegmentSchedule()),
+             (["--segments", "3", "--tol", "1e-10", "--max-terms", "40"],
+              SegmentSchedule(segments=3, tol=1e-10, max_terms=40)))
+    for argv in commands:
+        for flags, expected in cases:
+            made.clear()
+            assert run_cli(argv + flags) == 0, argv + flags
+            assert len(made) == 1, argv + flags
+            assert dataclasses.astuple(made[0]) == dataclasses.astuple(expected), argv + flags
+    capsys.readouterr()
 
 
 def test_single_matches_library(tmp_path, capsys):
@@ -239,11 +265,13 @@ def test_lz_reports_as_single_runs_do(capsys):
 
 
 def test_lz_pathology_flag(capsys):
-    code = run_cli(["lz", "--pathology"])
+    # the one-segment blow-up demo is a schedule given by the flags
+    code = run_cli(["lz", "--segments", "1", "--max-terms", "100"])
     stdout = capsys.readouterr().out
     assert code == 2
     magnitude = float(stdout.split("|psi(1)| = ")[1].splitlines()[0])
     assert magnitude > 1e6
+    assert "terms_per_segment = [100]" in stdout
     assert "converged = False" in stdout
 
 
@@ -347,6 +375,11 @@ def test_rejected_input_exits_1(tmp_path, capsys):
         ["lz", "--time", "-5"],
         ["lz", "--time", "inf"],
         ["lz", "--time", "nan"],
+        # T * 2 hypot(1, delta), the two-level pair's bound, overflows
+        ["lz", "--delta", "1e308"],
+        ["lz", "--time", "1e308", "--segments", "3"],
+        # the one-segment demo is spelt with --segments and --max-terms
+        ["lz", "--pathology"],
         ["scaling", "--qubits-list", "4", "--time", "0"],
         ["scaling", "--qubits-list", "4", "--time", "2", "--runs", "0"],
     ]

@@ -235,7 +235,7 @@ def test_scaling_sweep_checks_every_size_before_the_first_anneal(monkeypatch):
     # a bad size late in the list stops the sweep before N=4 is annealed
     anneals = []
     monkeypatch.setattr(ens, "propagate", lambda params, hf, schedule: anneals.append(hf))
-    for sizes, error, match in (([4, 1], ValueError, "at least 2 qubits"),
+    for sizes, error, match in (([4, 1], ValueError, "n_qubits must be an integer >= 2"),
                                 ([4, 25], CapacityError, "25 qubits exceeds"),
                                 ([4, 4.5], ValueError, "n_qubits must be an integer")):
         with pytest.raises(error, match=match):
